@@ -15,8 +15,6 @@ import os
 import sys
 from datetime import datetime, timezone
 
-import numpy as np
-
 from . import __version__
 from .phase import asymptotic_error, bdm_input, min_covariant_error, optimal_input
 from .simulate import SimConfig, simulate
@@ -132,7 +130,7 @@ def cmd_su2_design(args):
     n, mode = args.n, args.mode
     try:
         report = self_entanglement_feasible(n)
-        design = design_optimal(n, mode, rng=np.random.default_rng(args.seed))
+        design = design_optimal(n, mode)
     except ValueError as exc:
         raise _UsageError(str(exc))
     spectrum = {b.dim: b for b in report.blocks}
@@ -147,7 +145,7 @@ def cmd_su2_design(args):
     ]
     asym = asymptotic_error_su2(n)
     manifest = _manifest(
-        "su2-design", {"n": n, "mode": mode, "format": args.format}, args.seed
+        "su2-design", {"n": n, "mode": mode, "format": args.format}, None
     )
     result = {
         "n": n,
@@ -241,8 +239,6 @@ def cmd_simulate(args):
         if args.protocol == "phase":
             design = optimal_input(args.n)
         else:
-            if args.n % 2 == 0:
-                raise ValueError("su2 simulation requires odd n")
             design = design_optimal(args.n, "external")
         result_obj = simulate(config, design, workers=args.workers)
     except (ValueError, TypeError) as exc:
@@ -285,12 +281,11 @@ def cmd_scaling(args):
         raise _UsageError("max-n must be >= 2")
     if args.step < 1:
         raise _UsageError("step must be >= 1")
-    rng = np.random.default_rng(args.seed)
     rows = []
     for n in range(args.step, args.max_n + 1, args.step):
         phase_exact = optimal_input(n).error
         phase_bdm = min_covariant_error(bdm_input(n))
-        su2_err = design_optimal(n, "external", rng=rng).error
+        su2_err = design_optimal(n, "external").error
         rows.append([
             n, phase_exact, phase_bdm, asymptotic_error(n),
             su2_err, asymptotic_error_su2(n),
@@ -298,7 +293,7 @@ def cmd_scaling(args):
     manifest = _manifest(
         "scaling",
         {"max_n": args.max_n, "step": args.step, "format": args.format},
-        args.seed,
+        None,
     )
     keys = SCALING_HEADER.split(",")
     result = {"rows": [dict(zip(keys, row)) for row in rows]}
@@ -320,12 +315,10 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_common(p, seeded=False):
+    def add_common(p):
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--output", default=None,
                        help=f"output file; relative paths resolve against ${OUTPUT_DIR_ENV}")
-        if seeded:
-            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = sub.add_parser("phase-opt", help="optimal or sine-profile phase design")
     p.add_argument("--n", type=int, required=True)
@@ -337,7 +330,7 @@ def _build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=["external", "self-entangled"],
                    default="external")
-    add_common(p, seeded=True)
+    add_common(p)
     p.set_defaults(func=cmd_su2_design)
 
     p = sub.add_parser("verify-integrals", help="check the character-integral identities")
@@ -352,13 +345,14 @@ def _build_parser():
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--grid-size", type=int, default=4096)
     p.add_argument("--workers", type=int, default=1)
-    add_common(p, seeded=True)
+    add_common(p)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("scaling", help="error-scaling table for external plotting")
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--step", type=int, default=1)
-    add_common(p, seeded=True)
+    add_common(p)
     p.set_defaults(func=cmd_scaling)
 
     return parser

@@ -3,15 +3,14 @@
 The worst-case mean error of a covariant design (input amplitudes x,
 seed matrix T) is theta-independent and reduces to a neighbor-coupling
 quadratic form; the optimal seed is the rank-one matrix of amplitude
-phases, and the optimal input is the principal eigenvector of the
-tridiagonal coupling matrix.
+phases, and the optimal input is the sine profile that is the principal
+eigenvector of the tridiagonal coupling matrix.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 _NORM_TOL = 1e-12
 _PSD_TOL = 1e-10
@@ -114,22 +113,16 @@ def optimal_input(n):
     """Exact optimal design for n uses (d = n+1 levels).
 
     The amplitudes maximize sum a_k a_{k+1} over the nonnegative unit sphere:
-    the principal eigenvector of the tridiagonal matrix with zero diagonal
-    and 1/2 off-diagonal.  The error is (1/2)(1 - lambda_max).
+    the principal eigenvector a_k ∝ sin(pi (k+1)/(n+2)) of the tridiagonal
+    matrix with zero diagonal and 1/2 off-diagonal, whose eigenvalue is
+    lambda_max = cos(pi/(n+2)).  The error is (1/2)(1 - lambda_max).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    d = n + 1
-    if d == 1:
-        amps = np.array([1.0])
-        lam = 0.0
-    else:
-        w, v = eigh_tridiagonal(np.zeros(d), 0.5 * np.ones(d - 1))
-        lam = float(w[-1])
-        amps = np.abs(v[:, -1])
-        amps /= np.linalg.norm(amps)
-    state = PhaseInputState(amps)
-    return PhaseDesign(state, optimal_seed(state), 0.5 * (1.0 - lam))
+    amps = np.sin(math.pi * np.arange(1, n + 2) / (n + 2))
+    state = PhaseInputState(amps / np.linalg.norm(amps))
+    error = 0.5 * (1.0 - math.cos(math.pi / (n + 2)))
+    return PhaseDesign(state, optimal_seed(state), error)
 
 
 def bdm_input(n):

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase import PhaseDesign
+from .phase import PhaseDesign, PhaseInputState, phase_error
 from .su2 import character
-from .su2_design import Su2Design, su2_error_odd
+from .su2_design import Su2Design
 
 _NEG_TOL = 1e-10
 
@@ -62,13 +62,12 @@ def outcome_density_phase(design):
 
 
 def outcome_density_su2_class(design):
-    """Relative class-angle density q(theta) of an odd-case SU(2) design.
+    """Relative class-angle density q(theta) of an SU(2) design of either parity.
 
-    q(theta) = sin^2(theta/2)/pi * sum_{k,l} t_{k,l} x_l x_k chi^{2k} chi^{2l}.
+    q(theta) = sin^2(theta/2)/pi * sum_{k,l} t_{k,l} x_l x_k chi^{d_k} chi^{d_l}
+    over the block dimensions d_k (2, 4, ... for odd n; 1, 3, ... for even n).
     """
     blocks = design.blocks
-    if blocks.parity != "odd":
-        raise ValueError("class-angle density requires an odd-case design")
     x = blocks.amplitudes
     t = design.seed.entries
     dims = blocks.block_dims
@@ -90,7 +89,11 @@ def _density_and_closed_form(config, design):
         return outcome_density_phase(design), design.error
     if not isinstance(design, Su2Design):
         raise TypeError("su2 protocol requires an Su2Design")
-    return outcome_density_su2_class(design), su2_error_odd(design.blocks, design.seed)
+    x = design.blocks.amplitudes
+    closed = phase_error(PhaseInputState(x), design.seed)
+    if design.blocks.parity == "even":
+        closed += 0.25 * float(x[0]) ** 2  # trivial-block penalty
+    return outcome_density_su2_class(design), closed
 
 
 def _worker_counts(trials, workers):

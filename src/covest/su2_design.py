@@ -2,33 +2,33 @@
 
 The covariant design over the irrep blocks of the n-fold tensor power
 reduces to the phase-estimation quadratic form (odd n exactly; even n with
-an extra a_0/4 penalty from the trivial block).  Self-entangled designs
-replace the external reference by the permutation multiplicity spaces,
-usable wherever multiplicity >= irrep dimension.
+an extra a_0^2/4 penalty from the trivial block).  Both parities share one
+optimum: with D the largest block dimension in use, the block of dimension
+dim gets amplitude ∝ sin(pi dim/(D+2)) and the error is sin^2(pi/(D+2)).
+Self-entangled designs replace the external reference by the permutation
+multiplicity spaces, usable wherever multiplicity >= irrep dimension.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import integrals
 from .phase import (
     PhaseInputState,
     SeedMatrix,
     min_covariant_error,
-    optimal_input,
     optimal_seed,
     phase_error,
 )
-from .su2 import multiplicity_spectrum
+from .su2 import character, multiplicity_spectrum
 
 EXTERNAL = "external"
 SELF_ENTANGLED = "self-entangled"
 
 _NORM_TOL = 1e-12
-_BRUTE_FORCE_MAX_BLOCKS = 10
+_BRUTE_FORCE_MAX_BLOCKS = 11
 
 
 @dataclass(frozen=True)
@@ -119,158 +119,81 @@ def min_su2_error_odd(blocks):
 
 
 def su2_error_even(blocks):
-    """Optimal-seed error of the even case, with the trivial-block penalty a_0/4."""
+    """Optimal-seed error of the even case, with the trivial-block penalty a_0^2/4."""
     if blocks.parity != "even":
         raise ValueError("su2_error_even requires even n >= 2")
     a = blocks.amplitudes
     coupling = float(np.sum(a[:-1] * a[1:])) if a.size > 1 else 0.0
-    return 0.5 * (1.0 - coupling) + 0.25 * float(a[0])
+    return 0.5 * (1.0 - coupling) + 0.25 * float(a[0]) ** 2
 
 
-def _even_objective(a):
-    coupling = float(a[:-1] @ a[1:]) if a.size > 1 else 0.0
-    return 0.5 * (1.0 - coupling) + 0.25 * float(a[0])
+def _optimal_error(top):
+    """sin^2(pi/(D+2)), the optimum over the blocks of dimension <= D = top.
 
-
-def _optimize_even_amplitudes(length, rng):
-    """Minimize the even-case error over the nonnegative unit sphere.
-
-    Projected quasi-Newton on the ray-invariant objective, multi-start:
-    ten random starts plus the phase-optimal profile with a_0 = 0.
+    The phase optimum with m+1 levels, D_opt^m, is _optimal_error(2m+2).
     """
-    if length < 1:
-        raise ValueError("need at least one block")
-    if length == 1:
-        return np.array([1.0]), 0.75
-
-    def fun(z):
-        r = np.linalg.norm(z)
-        u = z / r
-        g = np.zeros_like(u)
-        g[:-1] -= 0.5 * u[1:]
-        g[1:] -= 0.5 * u[:-1]
-        g[0] += 0.25
-        grad = (g - u * float(u @ g)) / r
-        return _even_objective(u), grad
-
-    starts = []
-    head = np.zeros(length)
-    head[1:] = optimal_input(length - 2).input.amplitudes.real
-    starts.append(head)
-    for _ in range(10):
-        starts.append(np.abs(rng.normal(size=length)) + 1e-3)
-    best_a, best_f = None, np.inf
-    bounds = [(0.0, None)] * length
-    for z0 in starts:
-        z0 = z0 / np.linalg.norm(z0)
-        res = minimize(
-            fun,
-            z0,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"ftol": 1e-16, "gtol": 1e-12, "maxiter": 10_000},
-        )
-        z = np.clip(res.x, 0.0, None)
-        nrm = np.linalg.norm(z)
-        if nrm == 0.0:
-            continue
-        a = z / nrm
-        f = _even_objective(a)
-        if f < best_f:
-            best_a, best_f = a, f
-    return best_a, best_f
+    return math.sin(math.pi / (top + 2)) ** 2
 
 
-def _pad_amplitudes(n, active, total):
-    a = np.zeros(total)
-    a[: active.size] = active
-    return Su2BlockAmplitudes(n, a)
+def design_optimal(n, reference_mode=EXTERNAL):
+    """Optimal design for n uses.
 
-
-def design_optimal(n, reference_mode=EXTERNAL, rng=None):
-    """Optimal (or certified near-optimal) design for n uses.
-
-    Odd external designs delegate to the exact phase optimum over d blocks;
-    even external designs run the penalized optimizer and are certified by
-    the sandwich bound D_opt^d <= error <= D_opt^{d-1}.  Self-entangled
-    designs restrict to blocks whose permutation multiplicity can host the
-    reference copy.
+    With D the largest block dimension in use (n+1 for an external
+    reference, the largest usable dimension for a self-entangled one), the
+    block of dimension dim <= D gets amplitude ∝ sin(pi dim/(D+2)) and the
+    error is sin^2(pi/(D+2)), for either parity.  Even designs with b blocks
+    in use are checked against the sandwich bound
+    D_opt^{b-1} <= error <= D_opt^{b-2} between adjacent phase optima.
+    Self-entangled designs restrict to blocks whose permutation multiplicity
+    can host the reference copy.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if reference_mode not in (EXTERNAL, SELF_ENTANGLED):
         raise ValueError(f"unknown reference mode {reference_mode!r}")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    odd = n % 2 == 1
-    d = (n + 1) // 2 if odd else n // 2
-
     if reference_mode == EXTERNAL:
-        if odd:
-            pd = optimal_input(d - 1)
-            blocks = Su2BlockAmplitudes(n, pd.input.amplitudes.real)
-            return Su2Design(blocks, optimal_seed(pd.input), EXTERNAL, pd.error)
-        a, err = _optimize_even_amplitudes(d + 1, rng)
-        lower = optimal_input(d).error
-        upper = optimal_input(d - 1).error
-        if not (lower - 1e-10 <= err <= upper + 1e-10):
-            raise RuntimeError("even-case optimizer violated the sandwich bound")
-        blocks = Su2BlockAmplitudes(n, a)
-        return Su2Design(
-            blocks, optimal_seed(_as_phase_state(blocks)), EXTERNAL, err
-        )
-
-    report = self_entanglement_feasible(n)
-    usable = len(report.usable_dims)
-    if usable == 0:
-        raise ValueError(f"no self-entangleable block for n={n}")
-    if odd:
-        pd = optimal_input(usable - 1)
-        blocks = _pad_amplitudes(n, pd.input.amplitudes.real, d)
-        err = pd.error
+        top = n + 1
     else:
-        a, _ = _optimize_even_amplitudes(usable, rng)
-        blocks = _pad_amplitudes(n, a, d + 1)
-        err = su2_error_even(blocks)
-    return Su2Design(
-        blocks, optimal_seed(_as_phase_state(blocks)), SELF_ENTANGLED, err
-    )
+        usable = self_entanglement_feasible(n).usable_dims
+        if not usable:
+            raise ValueError(f"no self-entangleable block for n={n}")
+        top = max(usable)
+    dims = np.arange(1 + n % 2, n + 2, 2)
+    a = np.where(dims <= top, np.sin(math.pi * dims / (top + 2)), 0.0)
+    blocks = Su2BlockAmplitudes(n, a / np.linalg.norm(a))
+    err = _optimal_error(top)
+    if n % 2 == 0:
+        b = (top + 1) // 2  # blocks in use
+        lower, upper = _optimal_error(2 * b), _optimal_error(2 * b - 2)
+        if not (lower - 1e-10 <= err <= upper + 1e-10):
+            raise RuntimeError("even-case design violated the sandwich bound")
+    return Su2Design(blocks, optimal_seed(_as_phase_state(blocks)), reference_mode, err)
 
 
-def self_entanglement_feasible(n, rng=None):
+def self_entanglement_feasible(n):
     """Feasibility of hosting each block's reference inside the multiplicity space.
 
     A block is usable iff its multiplicity is at least the irrep dimension
     (equality occurs at the second-highest block).  The achievable error is
-    the design optimum restricted to the usable blocks.
+    the design optimum restricted to the usable blocks, sin^2(pi/(D+2))
+    with D the largest usable dimension.
     """
     spec = multiplicity_spectrum(n)
     blocks = tuple(
         BlockFeasibility(dim, mult, dim, mult >= dim) for dim, mult in spec.entries
     )
     usable = tuple(b.dim for b in blocks if b.feasible)
-    u = len(usable)
-    if u == 0:
-        err = None
-    elif n % 2 == 1:
-        err = optimal_input(u - 1).error
-    else:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        err = _optimize_even_amplitudes(u, rng)[1]
+    err = _optimal_error(max(usable)) if usable else None
     return FeasibilityReport(n, blocks, usable, err)
 
 
 def brute_force_su2_error(blocks, t):
-    """Quadrature oracle for the odd-case error.
+    """Quadrature oracle for the error of either parity.
 
-    Assembles sum_{k,l} x_k x_l t_{l,k} I(k,l) with every cross-character
-    integral I(k,l) evaluated by class quadrature instead of the closed-form
-    delta pattern.
+    Assembles sum_{k,l} x_k x_l t_{l,k} I(k,l), where I(k,l) is the class
+    integral of sin^2(theta/2) chi^{dim_k} chi^{dim_l} over the block
+    dimensions, evaluated by quadrature instead of any closed-form pattern.
     """
-    if blocks.parity != "odd":
-        raise ValueError("brute_force_su2_error requires odd n")
     x = blocks.amplitudes
     d = x.size
     if d > _BRUTE_FORCE_MAX_BLOCKS:
@@ -278,10 +201,17 @@ def brute_force_su2_error(blocks, t):
     tm = t.entries
     if tm.shape[0] != d:
         raise ValueError("seed matrix dimension mismatch")
+    dims = blocks.block_dims
+    spec = integrals.QuadratureSpec(2 * dims[-1] + 16)
     total = 0.0 + 0.0j
     for k in range(d):
         for l in range(d):
-            kernel = integrals.su2_error_kernel(k + 1, l + 1)
+            kernel = integrals.class_integral(
+                lambda th: np.sin(th / 2.0) ** 2
+                * character(dims[k], th)
+                * character(dims[l], th),
+                spec,
+            )
             total += np.conj(x[k]) * x[l] * tm[l, k] * kernel
     if abs(total.imag) > 1e-10:
         raise ArithmeticError("oracle error has a non-negligible imaginary part")

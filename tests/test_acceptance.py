@@ -121,9 +121,8 @@ def test_criterion_6_su2_scaling():
 
 def test_criterion_7_sandwich_bound():
     with _Criterion(7, 10.0):
-        rng = np.random.default_rng(1618)
         for d in range(1, 51):
-            err = design_optimal(2 * d, rng=rng).error
+            err = design_optimal(2 * d).error
             assert optimal_input(d).error - err <= 1e-10
             assert err - optimal_input(d - 1).error <= 1e-10
 

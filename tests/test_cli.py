@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
 import pytest
 
+import covest
 from covest import __version__
 from covest.cli import SCALING_HEADER, main
 
@@ -105,9 +109,13 @@ class TestSimulateCommand:
         code = main(["simulate", "--protocol", "phase", "--n", "1", "--trials", "0"])
         assert code == 1
 
-    def test_even_n_su2_rejected(self, capsys):
-        code = main(["simulate", "--protocol", "su2", "--n", "4", "--trials", "100"])
-        assert code == 1
+    def test_even_n_su2_passes(self, capsys):
+        for n in ("4", "6"):
+            code, payload = run_json(
+                capsys, "simulate", "--protocol", "su2", "--n", n, "--trials", "100000"
+            )
+            assert code == 0
+            assert abs(payload["result"]["z_score"]) < 4.0
 
 
 class TestScaling:
@@ -168,3 +176,21 @@ class TestOutputContracts:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize(
+        "argv", [["su2-design", "--n", "3"], ["scaling", "--max-n", "4"]]
+    )
+    def test_deterministic_commands_take_no_seed(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "1"])
+        assert exc.value.code == 1
+
+    def test_cli_import_loads_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(covest.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        probe = ("import sys, covest.cli; "
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "[]"

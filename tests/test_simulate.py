@@ -88,9 +88,13 @@ class TestSu2ClassDensity:
             su2_error_odd(design.blocks, design.seed), abs=1e-8
         )
 
-    def test_even_design_rejected(self, rng):
-        with pytest.raises(ValueError):
-            outcome_density_su2_class(design_optimal(4, rng=rng))
+    def test_even_designs_pass_z_test(self):
+        for n in (4, 6):
+            res = simulate(SimConfig("su2", n, 100_000, 42), design_optimal(n))
+            assert res.closed_form == pytest.approx(
+                math.sin(math.pi / (n + 3)) ** 2, abs=1e-12
+            )
+            assert abs(res.z_score) < 4.0
 
 
 class TestSimulate:

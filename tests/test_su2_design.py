@@ -103,9 +103,9 @@ class TestSu2ErrorEven:
 
     def test_uniform_two_blocks(self):
         blocks = Su2BlockAmplitudes(2, np.ones(2) / math.sqrt(2))
-        expected = 0.5 * (1.0 - 0.5) + 0.25 / math.sqrt(2)
+        expected = brute_force_su2_error(blocks, SeedMatrix(np.ones((2, 2))))
         assert su2_error_even(blocks) == pytest.approx(expected, abs=1e-12)
-        assert expected == pytest.approx(0.426776695, abs=1e-8)
+        assert expected == pytest.approx(0.375, abs=1e-12)
 
     def test_parity_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -121,8 +121,8 @@ class TestDesignOptimal:
         assert optimal_input(2).error - 1e-10 <= err <= optimal_input(1).error + 1e-10
 
     @pytest.mark.parametrize("d", [1, 2, 3, 7, 20, 50])
-    def test_sandwich_bound(self, d, rng):
-        err = design_optimal(2 * d, rng=rng).error
+    def test_sandwich_bound(self, d):
+        err = design_optimal(2 * d).error
         lower = optimal_input(d).error
         upper = optimal_input(d - 1).error
         assert lower - 1e-10 <= err <= upper + 1e-10
@@ -145,17 +145,40 @@ class TestDesignOptimal:
                 optimal_input(usable - 1).error, abs=1e-12
             )
 
-    def test_error_consistent_with_block_formula(self, rng):
+    def test_error_consistent_with_block_formula(self):
         design = design_optimal(7)
         assert su2_error_odd(design.blocks, design.seed) == pytest.approx(
             design.error, abs=1e-12
         )
-        even = design_optimal(6, rng=rng)
+        even = design_optimal(6)
         assert su2_error_even(even.blocks) == pytest.approx(even.error, abs=1e-12)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             design_optimal(3, "telepathic")
+
+    def test_closed_form_regression(self):
+        for n in range(1, 401):
+            design = design_optimal(n)
+            a = design.blocks.amplitudes
+            assert abs(design.error - math.sin(math.pi / (n + 3)) ** 2) <= 1e-12
+            assert np.all(a >= 0.0)
+            block_error = (
+                min_su2_error_odd(design.blocks) if n % 2 else su2_error_even(design.blocks)
+            )
+            assert block_error == pytest.approx(design.error, abs=1e-12)
+
+    def test_self_entangled_closed_form(self):
+        for n in range(2, 61):
+            report = self_entanglement_feasible(n)
+            top = max(report.usable_dims)
+            expected = math.sin(math.pi / (top + 2)) ** 2
+            design = design_optimal(n, "self-entangled")
+            assert design.error == pytest.approx(expected, abs=1e-12)
+            assert report.achievable_error == pytest.approx(expected, abs=1e-12)
+            in_use = design.blocks.block_dims[: len(report.usable_dims)]
+            assert in_use == report.usable_dims
+            assert np.all(design.blocks.amplitudes[len(in_use):] == 0.0)
 
 
 class TestSelfEntanglementFeasible:
@@ -212,6 +235,18 @@ class TestBruteForceOracle:
             assert brute_force_su2_error(blocks, t) == pytest.approx(
                 su2_error_odd(blocks, t), abs=1e-8
             )
+
+    @pytest.mark.parametrize("n", range(2, 21, 2))
+    def test_even_matches_closed_form(self, n, rng):
+        blocks = random_blocks(rng, n)
+        seed = optimal_seed(PhaseInputState(blocks.amplitudes + 0j))
+        assert brute_force_su2_error(blocks, seed) == pytest.approx(
+            su2_error_even(blocks), abs=1e-10
+        )
+        design = design_optimal(n)
+        assert brute_force_su2_error(design.blocks, design.seed) == pytest.approx(
+            design.error, abs=1e-10
+        )
 
     def test_scale_limit(self, rng):
         blocks = random_blocks(rng, 23)
