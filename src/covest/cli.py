@@ -261,6 +261,7 @@ def cmd_simulate(args):
         "standard_error": result_obj.standard_error,
         "closed_form": result_obj.closed_form,
         "z_score": result_obj.z_score,
+        "law_bias": result_obj.law_bias,
         "pass": passed,
     }
     rows = [[

@@ -10,9 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase import PhaseDesign, PhaseInputState, phase_error
-from .su2 import character
-from .su2_design import Su2Design
+from .phase import PhaseDesign
+from .su2_design import Su2Design, su2_error
 
 _NEG_TOL = 1e-10
 
@@ -41,6 +40,57 @@ class SimResult:
     standard_error: float
     closed_form: float
     z_score: float
+    law_bias: float
+
+
+def _phase_coefficients(design):
+    """C with p(phi) = Re sum_{m=0}^{d-1} C_m e^{i m phi} for a phase design.
+
+    With M = T ∘ (x x^H), c_m = trace(M, offset=-m) sums the terms of
+    frequency k - l = m; Hermiticity gives c_{-m} = conj(c_m), so
+    p = Re(c_0 + 2 sum_{m>=1} c_m e^{i m phi}) / (2 pi).
+    """
+    x = design.input.amplitudes
+    weighted = design.seed.entries * np.outer(x, x.conj())
+    c = np.array([np.trace(weighted, offset=-m) for m in range(x.size)])
+    c[1:] *= 2.0
+    return c / (2.0 * math.pi)
+
+
+def _su2_coefficients(design):
+    """C with q(theta) = sum_m C_m cos(m theta) for an SU(2) design.
+
+    sin(theta/2) chi^d(theta) = sin(d theta/2), so with R = Re(T) ∘ (x x^T)
+    q = (1/2 pi) sum_{k,l} R_kl [cos((d_k - d_l) theta/2) - cos((d_k + d_l) theta/2)];
+    the block dimensions share a parity, so every frequency is an integer.
+    """
+    blocks = design.blocks
+    x = blocks.amplitudes
+    r = (design.seed.entries.real * np.outer(x, x)).ravel()
+    dims = np.array(blocks.block_dims)
+    size = dims[-1] + 1
+    diff = np.abs(np.subtract.outer(dims, dims)).ravel() // 2
+    total = np.add.outer(dims, dims).ravel() // 2
+    c = np.bincount(diff, r, size) - np.bincount(total, r, size)
+    return c / (2.0 * math.pi)
+
+
+def _evaluate(coefficients, phi):
+    """Re sum_m C_m e^{i m phi} at arbitrary angles, summed directly."""
+    phi = np.asarray(phi, dtype=float)
+    m = np.arange(coefficients.size)
+    return (np.exp(1j * np.multiply.outer(phi, m)) @ coefficients).real
+
+
+def _on_grid(coefficients, g):
+    """Re sum_m C_m e^{i m phi} at phi = 2 pi j / g, j = 0..g, by one inverse FFT.
+
+    Folding coefficient m into slot m mod g is exact at the grid points,
+    whatever the degree; the endpoint 2 pi repeats the value at 0.
+    """
+    folded = np.pad(coefficients, (0, -coefficients.size % g)).reshape(-1, g).sum(axis=0)
+    values = g * np.fft.ifft(folded).real
+    return np.append(values, values[0])
 
 
 def outcome_density_phase(design):
@@ -49,14 +99,10 @@ def outcome_density_phase(design):
     p(phi) = sum_{k,l} t_{k,l} x_k conj(x_l) e^{i(k-l) phi} / (2 pi);
     nonnegative for any PSD seed and normalized on [0, 2*pi).
     """
-    x = design.input.amplitudes
-    t = design.seed.entries
-    k = np.arange(x.size)
+    coefficients = _phase_coefficients(design)
 
     def density(phi):
-        phi = np.asarray(phi, dtype=float)
-        v = x * np.exp(1j * np.multiply.outer(phi, k))
-        return np.einsum("...k,kl,...l->...", v, t, v.conj()).real / (2.0 * math.pi)
+        return _evaluate(coefficients, phi)
 
     return density
 
@@ -67,33 +113,24 @@ def outcome_density_su2_class(design):
     q(theta) = sin^2(theta/2)/pi * sum_{k,l} t_{k,l} x_l x_k chi^{d_k} chi^{d_l}
     over the block dimensions d_k (2, 4, ... for odd n; 1, 3, ... for even n).
     """
-    blocks = design.blocks
-    x = blocks.amplitudes
-    t = design.seed.entries
-    dims = blocks.block_dims
+    coefficients = _su2_coefficients(design)
 
     def density(theta):
-        theta = np.asarray(theta, dtype=float)
-        chi = np.stack([character(dim, theta) for dim in dims], axis=-1)
-        v = x * chi
-        quad = np.einsum("...k,kl,...l->...", v, t, v.conj()).real
-        return np.sin(theta / 2.0) ** 2 / math.pi * quad
+        return _evaluate(coefficients, theta)
 
     return density
 
 
-def _density_and_closed_form(config, design):
+def _coefficients_and_closed_form(config, design):
+    # From the private helpers, never from the public density closures,
+    # which a caller or profiler may have wrapped.
     if config.protocol == "phase":
         if not isinstance(design, PhaseDesign):
             raise TypeError("phase protocol requires a PhaseDesign")
-        return outcome_density_phase(design), design.error
+        return _phase_coefficients(design), design.error
     if not isinstance(design, Su2Design):
         raise TypeError("su2 protocol requires an Su2Design")
-    x = design.blocks.amplitudes
-    closed = phase_error(PhaseInputState(x), design.seed)
-    if design.blocks.parity == "even":
-        closed += 0.25 * float(x[0]) ** 2  # trivial-block penalty
-    return outcome_density_su2_class(design), closed
+    return _su2_coefficients(design), su2_error(design.blocks, design.seed)
 
 
 def _worker_counts(trials, workers):
@@ -105,7 +142,10 @@ def simulate(config, design, workers=1):
     """Sample the outcome density and compare the empirical error to the closed form.
 
     Inverse-CDF sampling on a grid_size-bin discretization with linear
-    interpolation within bins.  Trials are partitioned across `workers`
+    interpolation within bins; the density comes from its Fourier
+    coefficients by one FFT.  `law_bias` is the exact mean loss of that
+    discretized law minus the closed form, the z-score's expected offset
+    times the standard error.  Trials are partitioned across `workers`
     independent streams derived from (seed, worker index); the result is
     deterministic given the partition count.
     """
@@ -113,11 +153,11 @@ def simulate(config, design, workers=1):
         raise ValueError("at least two trials are needed for a standard error")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    density, closed = _density_and_closed_form(config, design)
+    coefficients, closed = _coefficients_and_closed_form(config, design)
 
     g = config.grid_size
     edges = np.linspace(0.0, 2.0 * math.pi, g + 1)
-    pdf = np.asarray(density(edges), dtype=float)
+    pdf = _on_grid(coefficients, g)
     if pdf.min() < -_NEG_TOL:
         raise ValueError("outcome density is negative: invalid seed matrix")
     pdf = np.clip(pdf, 0.0, None)
@@ -126,6 +166,9 @@ def simulate(config, design, workers=1):
     cdf = np.concatenate([[0.0], np.cumsum(mass)])
     cdf /= cdf[-1]
     mass = np.diff(cdf)
+    # exact mean loss of this law: uniform within each bin
+    bin_loss = 0.5 - (np.sin(edges[1:]) - np.sin(edges[:-1])) / (2.0 * width)
+    law_bias = float(np.dot(mass, bin_loss)) - closed
 
     count = 0
     mean = 0.0
@@ -152,4 +195,4 @@ def simulate(config, design, workers=1):
     variance = m2 / (count - 1)
     se = math.sqrt(variance / count)
     z = (mean - closed) / se
-    return SimResult(mean, se, closed, z)
+    return SimResult(mean, se, closed, z, law_bias)

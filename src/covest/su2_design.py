@@ -74,6 +74,10 @@ class Su2Design:
     reference_mode: str
     error: float
 
+    def __post_init__(self):
+        if abs(self.error - su2_error(self.blocks, self.seed)) > _NORM_TOL:
+            raise ValueError("design error inconsistent with its blocks and seed")
+
 
 @dataclass(frozen=True)
 class BlockFeasibility:
@@ -104,11 +108,23 @@ def _as_phase_state(blocks):
     return PhaseInputState(blocks.amplitudes.astype(complex))
 
 
+def su2_error(blocks, t):
+    """Mean error of the covariant design (blocks, T), either parity.
+
+    The phase functional of the block amplitudes, plus the trivial-block
+    penalty a_0^2/4 for even n.
+    """
+    err = phase_error(_as_phase_state(blocks), t)
+    if blocks.parity == "even":
+        err += 0.25 * float(blocks.amplitudes[0]) ** 2
+    return err
+
+
 def su2_error_odd(blocks, t):
     """Mean error of the odd-case covariant design; the phase functional."""
     if blocks.parity != "odd":
         raise ValueError("su2_error_odd requires odd n")
-    return phase_error(_as_phase_state(blocks), t)
+    return su2_error(blocks, t)
 
 
 def min_su2_error_odd(blocks):

@@ -1,8 +1,12 @@
-"""Smoke test of the benchmark: one quick design-large run must pass its checks.
+"""Smoke test of the benchmark: a quick run of each workload must pass its checks.
 
-The run exercises the benchmark's independent checks (closed-form phase
-errors and profiles, the even-n sandwich bracket, binomial multiplicities)
-on cold-process CLI runs, so the benchmark cannot rot unnoticed.
+The runs exercise the benchmark's independent checks (closed-form phase
+errors and profiles, the even-n sandwich bracket, binomial multiplicities,
+the z-gate against an independently computed error, the Haar irrep
+identities) on cold-process CLI runs, so the benchmark cannot rot
+unnoticed.  Traced runs wrap every public function of the package and the
+density closures it returns, so they also catch code that relies on what a
+public call returns being the package's own object.
 """
 
 import json
@@ -10,13 +14,17 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
-def test_design_large_quick_run_is_correct():
+@pytest.mark.parametrize("trace", ["0", "1"])
+@pytest.mark.parametrize("workload", ["design-large", "small-n", "mc-large-n"])
+def test_quick_run_is_correct(workload, trace):
     proc = subprocess.run(
-        [sys.executable, os.path.join(BENCH, "run.py"), "--workload", "design-large",
-         "--seed", "1", "--seconds", "0", "--quick"],
+        [sys.executable, os.path.join(BENCH, "run.py"), "--workload", workload,
+         "--seed", "1", "--seconds", "0", "--quick", "--trace", trace],
         capture_output=True, text=True, timeout=170,
     )
     assert proc.returncode == 0, proc.stderr

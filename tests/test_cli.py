@@ -104,6 +104,8 @@ class TestSimulateCommand:
         )
         assert code == 0
         assert abs(payload["result"]["z_score"]) < 4.0
+        result = payload["result"]
+        assert abs(result["law_bias"]) < result["standard_error"] / 10.0
 
     def test_zero_trials_rejected(self, capsys):
         code = main(["simulate", "--protocol", "phase", "--n", "1", "--trials", "0"])

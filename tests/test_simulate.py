@@ -9,6 +9,7 @@ from covest import (
     PhaseInputState,
     SeedMatrix,
     SimConfig,
+    character,
     design_optimal,
     optimal_input,
     optimal_seed,
@@ -18,9 +19,42 @@ from covest import (
     simulate,
     su2_error_odd,
 )
+from covest.simulate import _on_grid, _phase_coefficients, _su2_coefficients
 from mc_oracle import povm_identity_deviation, sample_outcomes
 
 GRID = np.linspace(0.0, 2.0 * math.pi, 4097)
+
+
+def reference_phase_density(design, phi):
+    """Quadratic form sum_{k,l} t_kl v_k conj(v_l) / (2 pi), v_k = x_k e^{i k phi}."""
+    x = design.input.amplitudes
+    v = x * np.exp(1j * np.multiply.outer(phi, np.arange(x.size)))
+    return np.einsum("...k,kl,...l->...", v, design.seed.entries, v.conj()).real / (
+        2.0 * math.pi
+    )
+
+
+def reference_su2_density(design, theta):
+    """sin^2(theta/2)/pi times the quadratic form in v_k = x_k chi^{d_k}(theta)."""
+    chi = np.stack([character(dim, theta) for dim in design.blocks.block_dims], axis=-1)
+    v = design.blocks.amplitudes * chi
+    quad = np.einsum("...k,kl,...l->...", v, design.seed.entries, v.conj()).real
+    return np.sin(theta / 2.0) ** 2 / math.pi * quad
+
+
+def assert_matches_reference(design, grid_size=4096):
+    """FFT grid values and the public callable agree with the quadratic form."""
+    if isinstance(design, PhaseDesign):
+        coefficients, density = _phase_coefficients(design), outcome_density_phase(design)
+        reference = reference_phase_density
+    else:
+        coefficients, density = _su2_coefficients(design), outcome_density_su2_class(design)
+        reference = reference_su2_density
+    edges = np.linspace(0.0, 2.0 * math.pi, grid_size + 1)
+    want = reference(design, edges)
+    tol = 1e-10 * np.max(np.abs(want))
+    assert np.max(np.abs(_on_grid(coefficients, grid_size) - want)) <= tol
+    assert np.max(np.abs(density(edges) - want)) <= tol
 
 
 def quadrature_mean(density, f):
@@ -95,6 +129,34 @@ class TestSu2ClassDensity:
                 math.sin(math.pi / (n + 3)) ** 2, abs=1e-12
             )
             assert abs(res.z_score) < 4.0
+
+
+class TestFourierDensity:
+    @pytest.mark.parametrize("d", [1, 2, 3, 6, 9])
+    def test_random_phase_designs(self, rng, d):
+        assert_matches_reference(random_phase_design(rng, d))
+
+    @pytest.mark.parametrize("n", [5, 6, 41, 42])
+    def test_su2_designs(self, n):
+        assert_matches_reference(design_optimal(n))
+
+    def test_degree_above_half_grid_folds_exactly(self):
+        assert_matches_reference(optimal_input(700), grid_size=256)
+        assert_matches_reference(design_optimal(601), grid_size=256)
+
+
+class TestLawBias:
+    def test_accounts_for_large_n_grid_fault(self):
+        res = simulate(SimConfig("phase", 1000, 1_000_000, 20040725), optimal_input(1000))
+        offset = res.law_bias / res.standard_error
+        assert offset > 10.0
+        assert abs(res.z_score - offset) < 4.0
+
+    @pytest.mark.parametrize("protocol, n", [("phase", 10), ("su2", 5)])
+    def test_negligible_at_small_n(self, protocol, n):
+        design = optimal_input(n) if protocol == "phase" else design_optimal(n)
+        res = simulate(SimConfig(protocol, n, 100_000, 42), design)
+        assert abs(res.law_bias) < res.standard_error / 10.0
 
 
 class TestSimulate:

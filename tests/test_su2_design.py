@@ -8,6 +8,7 @@ from covest import (
     PhaseInputState,
     SeedMatrix,
     Su2BlockAmplitudes,
+    Su2Design,
     brute_force_su2_error,
     design_optimal,
     min_su2_error_odd,
@@ -17,6 +18,7 @@ from covest import (
     phase_error,
     self_entanglement_feasible,
     single_irrep_error,
+    su2_error,
     su2_error_even,
     su2_error_odd,
 )
@@ -179,6 +181,22 @@ class TestDesignOptimal:
             in_use = design.blocks.block_dims[: len(report.usable_dims)]
             assert in_use == report.usable_dims
             assert np.all(design.blocks.amplitudes[len(in_use):] == 0.0)
+
+
+class TestSu2DesignErrorCheck:
+    def test_off_by_one_design_rejected(self):
+        # n = 3 amplitudes built on the wrong block dims: true error 0.30, not 0.25
+        blocks = Su2BlockAmplitudes(3, np.array([1.0, 2.0]) / math.sqrt(5.0))
+        seed = optimal_seed(PhaseInputState(blocks.amplitudes))
+        assert su2_error(blocks, seed) == pytest.approx(0.3, abs=1e-12)
+        with pytest.raises(ValueError):
+            Su2Design(blocks, seed, "external", 0.25)
+
+    def test_self_entangled_designs_pass_check(self):
+        # external designs pass it in test_closed_form_regression (n <= 400)
+        for n in range(2, 301):
+            design = design_optimal(n, "self-entangled")
+            assert abs(su2_error(design.blocks, design.seed) - design.error) <= 1e-12
 
 
 class TestSelfEntanglementFeasible:
