@@ -10,7 +10,7 @@ from .integrals import (
 from .phase import (
     PhaseDesign,
     PhaseInputState,
-    SeedMatrix,
+    Seed,
     asymptotic_error,
     bdm_input,
     min_covariant_error,
@@ -26,18 +26,11 @@ from .simulate import (
     simulate,
 )
 from .su2 import (
-    GroupElement,
     MultiplicitySpectrum,
     character,
-    class_angle,
     class_angles,
-    distance,
-    from_matrix,
     haar_matrices,
-    haar_sample,
-    irrep_matrix,
     irrep_matrix_batch,
-    make_group_element,
     multiplicity_spectrum,
 )
 from .su2_design import (
@@ -48,33 +41,23 @@ from .su2_design import (
     asymptotic_error_su2,
     brute_force_su2_error,
     design_optimal,
-    min_su2_error_odd,
     self_entanglement_feasible,
     single_irrep_error,
     su2_error,
-    su2_error_even,
-    su2_error_odd,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "GroupElement",
     "MultiplicitySpectrum",
     "character",
-    "class_angle",
     "class_angles",
-    "distance",
-    "from_matrix",
     "haar_matrices",
-    "haar_sample",
-    "irrep_matrix",
     "irrep_matrix_batch",
-    "make_group_element",
     "multiplicity_spectrum",
     "PhaseDesign",
     "PhaseInputState",
-    "SeedMatrix",
+    "Seed",
     "asymptotic_error",
     "bdm_input",
     "min_covariant_error",
@@ -93,12 +76,9 @@ __all__ = [
     "asymptotic_error_su2",
     "brute_force_su2_error",
     "design_optimal",
-    "min_su2_error_odd",
     "self_entanglement_feasible",
     "single_irrep_error",
     "su2_error",
-    "su2_error_even",
-    "su2_error_odd",
     "SimConfig",
     "SimResult",
     "outcome_density_phase",

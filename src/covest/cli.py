@@ -34,6 +34,11 @@ DEFAULT_SEED = 20040725
 
 OUTPUT_DIR_ENV = "COVEST_OUTPUT_DIR"
 
+# su2-design prints each block's exact multiplicity, an integer of about
+# 0.3 n digits; Python refuses to print integers of more than 4300 digits,
+# which C(n, n/2) passes just above n = 14 000.
+MAX_SU2_N = 10_000
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY_FAIL = 2
@@ -128,6 +133,8 @@ def cmd_phase_opt(args):
 
 def cmd_su2_design(args):
     n, mode = args.n, args.mode
+    if n > MAX_SU2_N:
+        raise _UsageError(f"n must be <= {MAX_SU2_N}")
     try:
         report = self_entanglement_feasible(n)
         design = design_optimal(n, mode)
@@ -240,7 +247,7 @@ def cmd_simulate(args):
             design = optimal_input(args.n)
         else:
             design = design_optimal(args.n, "external")
-        result_obj = simulate(config, design, workers=args.workers)
+        result_obj = simulate(config, design)
     except (ValueError, TypeError) as exc:
         raise _UsageError(str(exc))
     manifest = _manifest(
@@ -250,7 +257,6 @@ def cmd_simulate(args):
             "n": args.n,
             "trials": args.trials,
             "grid_size": args.grid_size,
-            "workers": args.workers,
             "format": args.format,
         },
         args.seed,
@@ -345,7 +351,6 @@ def _build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--grid-size", type=int, default=4096)
-    p.add_argument("--workers", type=int, default=1)
     add_common(p)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_simulate)

@@ -1,9 +1,10 @@
 """Covariant phase estimation over d eigenlevels.
 
 The worst-case mean error of a covariant design (input amplitudes x,
-seed matrix T) is theta-independent and reduces to a neighbor-coupling
-quadratic form; the optimal seed is the rank-one matrix of amplitude
-phases, and the optimal input is the sine profile that is the principal
+seed T) is theta-independent and reduces to a neighbor-coupling form in
+the subdiagonal of T.  A seed is stored as a factor F with unit-norm rows,
+T = F F^H; the optimal seed is rank one, the column of amplitude phases,
+and the optimal input is the sine profile that is the principal
 eigenvector of the tridiagonal coupling matrix.
 """
 
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 _NORM_TOL = 1e-12
-_PSD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -37,27 +37,23 @@ class PhaseInputState:
 
 
 @dataclass(frozen=True)
-class SeedMatrix:
-    """Hermitian PSD matrix with unit diagonal, generating a covariant POVM."""
+class Seed:
+    """Seed T = F F^H of a covariant POVM, stored as its d x r factor F.
 
-    entries: np.ndarray
+    Every row of F has unit norm, so T is Hermitian, positive semidefinite
+    and unit-diagonal by construction.
+    """
+
+    factor: np.ndarray
 
     def __post_init__(self):
-        t = np.array(self.entries, dtype=complex)
-        if t.ndim != 2 or t.shape[0] != t.shape[1]:
-            raise ValueError("seed matrix must be square")
-        if np.max(np.abs(t - t.conj().T)) > _NORM_TOL:
-            raise ValueError("seed matrix must be Hermitian")
-        if np.max(np.abs(np.diag(t) - 1.0)) > _NORM_TOL:
-            raise ValueError("seed matrix must have unit diagonal")
-        if np.linalg.eigvalsh(t).min() < -_PSD_TOL:
-            raise ValueError("seed matrix must be positive semidefinite")
-        t.setflags(write=False)
-        object.__setattr__(self, "entries", t)
-
-    @property
-    def dim(self):
-        return self.entries.shape[0]
+        f = np.array(self.factor, dtype=complex)
+        if f.ndim != 2 or f.size == 0:
+            raise ValueError("seed factor must be a nonempty d x r matrix")
+        if np.max(np.abs(np.sum(np.abs(f) ** 2, axis=1) - 1.0)) > _NORM_TOL:
+            raise ValueError("seed factor rows must have unit norm")
+        f.setflags(write=False)
+        object.__setattr__(self, "factor", f)
 
 
 @dataclass(frozen=True)
@@ -65,7 +61,7 @@ class PhaseDesign:
     """Input state, seed, and the resulting worst-case mean error."""
 
     input: PhaseInputState
-    seed: SeedMatrix
+    seed: Seed
     error: float
 
     def __post_init__(self):
@@ -73,24 +69,26 @@ class PhaseDesign:
             raise ValueError("design error inconsistent with its input and seed")
 
 
-def phase_error(x, t):
+def phase_error(x, seed):
     """Mean error of the covariant design (x, T); theta-independent.
 
-    Equals (1/2) sum |x_k|^2 t_kk - (1/2) Re sum conj(x_k) x_{k+1} t_{k+1,k}.
+    Equals (1/2) sum |x_k|^2 t_kk - (1/2) Re sum conj(x_k) x_{k+1} t_{k+1,k},
+    with t_kk = 1 and t_{k+1,k} = sum_r F[k+1,r] conj(F[k,r]).
     """
     xv = x.amplitudes
-    tm = t.entries
-    if tm.shape[0] != xv.size:
-        raise ValueError("input state and seed matrix dimensions differ")
-    diag = 0.5 * float(np.sum(np.abs(xv) ** 2 * np.real(np.diag(tm))))
+    f = seed.factor
+    if f.shape[0] != xv.size:
+        raise ValueError("input state and seed dimensions differ")
+    diag = 0.5 * float(np.sum(np.abs(xv) ** 2))
     if xv.size == 1:
         return diag
-    cross = np.sum(np.conj(xv[:-1]) * xv[1:] * np.diag(tm, -1))
+    sub = np.sum(f[1:] * np.conj(f[:-1]), axis=1)
+    cross = np.sum(np.conj(xv[:-1]) * xv[1:] * sub)
     return diag - 0.5 * float(np.real(cross))
 
 
 def optimal_seed(x):
-    """Rank-one seed with t_{k,l} = conj(x_k) x_l / (|x_k| |x_l|).
+    """Rank-one seed t_{k,l} = conj(u_k) u_l, u_k = x_k / |x_k|: factor conj(u).
 
     Zero amplitudes get a unit phase placeholder; any unit-modulus choice
     attains the same error because the affected terms carry the factor |x_k|.
@@ -98,9 +96,7 @@ def optimal_seed(x):
     xv = x.amplitudes
     mags = np.abs(xv)
     u = np.where(mags > 0.0, xv / np.where(mags > 0.0, mags, 1.0), 1.0)
-    t = np.outer(np.conj(u), u)
-    np.fill_diagonal(t, 1.0)
-    return SeedMatrix(t)
+    return Seed(np.conj(u)[:, None])
 
 
 def min_covariant_error(x):

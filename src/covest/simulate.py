@@ -43,16 +43,21 @@ class SimResult:
     law_bias: float
 
 
+def _autocorrelation(y):
+    """sum_r sum_k y[k+m, r] conj(y[k, r]) for m = 0..d-1."""
+    d = y.shape[0]
+    return np.array([np.sum(y[m:] * y[: d - m].conj()) for m in range(d)])
+
+
 def _phase_coefficients(design):
     """C with p(phi) = Re sum_{m=0}^{d-1} C_m e^{i m phi} for a phase design.
 
-    With M = T ∘ (x x^H), c_m = trace(M, offset=-m) sums the terms of
-    frequency k - l = m; Hermiticity gives c_{-m} = conj(c_m), so
-    p = Re(c_0 + 2 sum_{m>=1} c_m e^{i m phi}) / (2 pi).
+    With y = x ∘ F (row-wise), c_m = sum_k t_{k+m,k} x_{k+m} conj(x_k) is the
+    autocorrelation of y, the terms of frequency k - l = m; Hermiticity
+    gives c_{-m} = conj(c_m), so p = Re(c_0 + 2 sum_{m>=1} c_m e^{i m phi}) / (2 pi).
     """
     x = design.input.amplitudes
-    weighted = design.seed.entries * np.outer(x, x.conj())
-    c = np.array([np.trace(weighted, offset=-m) for m in range(x.size)])
+    c = _autocorrelation(x[:, None] * design.seed.factor)
     c[1:] *= 2.0
     return c / (2.0 * math.pi)
 
@@ -60,18 +65,21 @@ def _phase_coefficients(design):
 def _su2_coefficients(design):
     """C with q(theta) = sum_m C_m cos(m theta) for an SU(2) design.
 
-    sin(theta/2) chi^d(theta) = sin(d theta/2), so with R = Re(T) ∘ (x x^T)
-    q = (1/2 pi) sum_{k,l} R_kl [cos((d_k - d_l) theta/2) - cos((d_k + d_l) theta/2)];
-    the block dimensions share a parity, so every frequency is an integer.
+    sin(theta/2) chi^d(theta) = sin(d theta/2), so with R_kl = Re(t_kl) x_k x_l
+    q = (1/2 pi) sum_{k,l} R_kl [cos((d_k - d_l) theta/2) - cos((d_k + d_l) theta/2)].
+    The block dimensions are d_k = d_0 + 2k, so (d_k - d_l)/2 = k - l, whose
+    sums are the real autocorrelation of y = x ∘ F, and (d_k + d_l)/2 =
+    d_0 + k + l, whose sums are the real self-convolution of y and conj(y).
     """
     blocks = design.blocks
     x = blocks.amplitudes
-    r = (design.seed.entries.real * np.outer(x, x)).ravel()
-    dims = np.array(blocks.block_dims)
-    size = dims[-1] + 1
-    diff = np.abs(np.subtract.outer(dims, dims)).ravel() // 2
-    total = np.add.outer(dims, dims).ravel() // 2
-    c = np.bincount(diff, r, size) - np.bincount(total, r, size)
+    y = x[:, None] * design.seed.factor
+    d0 = blocks.block_dims[0]
+    c = np.zeros(d0 + 2 * x.size - 1)
+    diff = _autocorrelation(y).real
+    diff[1:] *= 2.0
+    c[: x.size] = diff
+    c[d0:] -= sum(np.convolve(col, col.conj()).real for col in y.T)
     return c / (2.0 * math.pi)
 
 
@@ -133,33 +141,26 @@ def _coefficients_and_closed_form(config, design):
     return _su2_coefficients(design), su2_error(design.blocks, design.seed)
 
 
-def _worker_counts(trials, workers):
-    base, extra = divmod(trials, workers)
-    return [base + (1 if w < extra else 0) for w in range(workers)]
-
-
-def simulate(config, design, workers=1):
+def simulate(config, design):
     """Sample the outcome density and compare the empirical error to the closed form.
 
     Inverse-CDF sampling on a grid_size-bin discretization with linear
     interpolation within bins; the density comes from its Fourier
     coefficients by one FFT.  `law_bias` is the exact mean loss of that
     discretized law minus the closed form, the z-score's expected offset
-    times the standard error.  Trials are partitioned across `workers`
-    independent streams derived from (seed, worker index); the result is
-    deterministic given the partition count.
+    times the standard error.  All trials come from the one stream
+    np.random.default_rng([seed, 0]), so the result depends only on the
+    design and the config.
     """
     if config.trials < 2:
         raise ValueError("at least two trials are needed for a standard error")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     coefficients, closed = _coefficients_and_closed_form(config, design)
 
     g = config.grid_size
     edges = np.linspace(0.0, 2.0 * math.pi, g + 1)
     pdf = _on_grid(coefficients, g)
     if pdf.min() < -_NEG_TOL:
-        raise ValueError("outcome density is negative: invalid seed matrix")
+        raise ValueError("outcome density is negative: invalid design")
     pdf = np.clip(pdf, 0.0, None)
     width = 2.0 * math.pi / g
     mass = 0.5 * (pdf[:-1] + pdf[1:]) * width
@@ -170,29 +171,13 @@ def simulate(config, design, workers=1):
     bin_loss = 0.5 - (np.sin(edges[1:]) - np.sin(edges[:-1])) / (2.0 * width)
     law_bias = float(np.dot(mass, bin_loss)) - closed
 
-    count = 0
-    mean = 0.0
-    m2 = 0.0
-    for w, trials_w in enumerate(_worker_counts(config.trials, workers)):
-        if trials_w == 0:
-            continue
-        rng = np.random.default_rng([config.seed, w])
-        u = rng.random(trials_w)
-        idx = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, g - 1)
-        frac = (u - cdf[idx]) / np.where(mass[idx] > 0.0, mass[idx], 1.0)
-        angles = edges[idx] + np.clip(frac, 0.0, 1.0) * width
-        losses = np.sin(angles / 2.0) ** 2
-        # streaming (Chan et al.) merge of per-worker moments
-        c_w = losses.size
-        mean_w = float(losses.mean())
-        m2_w = float(np.sum((losses - mean_w) ** 2))
-        delta = mean_w - mean
-        total = count + c_w
-        m2 = m2 + m2_w + delta * delta * count * c_w / total
-        mean = mean + delta * c_w / total
-        count = total
-
-    variance = m2 / (count - 1)
-    se = math.sqrt(variance / count)
+    u = np.random.default_rng([config.seed, 0]).random(config.trials)
+    idx = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, g - 1)
+    frac = (u - cdf[idx]) / np.where(mass[idx] > 0.0, mass[idx], 1.0)
+    angles = edges[idx] + np.clip(frac, 0.0, 1.0) * width
+    losses = np.sin(angles / 2.0) ** 2
+    mean = float(losses.mean())
+    variance = float(np.sum((losses - mean) ** 2)) / (config.trials - 1)
+    se = math.sqrt(variance / config.trials)
     z = (mean - closed) / se
     return SimResult(mean, se, closed, z, law_bias)

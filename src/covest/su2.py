@@ -1,9 +1,10 @@
-"""SU(2) group elements, Haar sampling, characters, irreps, and multiplicities.
+"""SU(2) elements as batched arrays: Haar sampling, class angles, characters,
+irreps, and multiplicities.
 
-Conventions: an element is stored together with its class angle
-theta in [0, 2*pi] (the rotation-angle conjugation invariant, with
-Tr = 2*cos(theta/2)) and the axis parameters (phi1, phi2) of the
-conjugation W(phi1, phi2)^dag diag(e^{i theta/2}, e^{-i theta/2}) W(phi1, phi2).
+An element is a 2x2 complex array and a batch is an array of shape
+(..., 2, 2).  Its class angle theta in [0, 2*pi] is the conjugation
+invariant with Tr = 2*cos(theta/2).  The projective distance between u and
+v, 1 - |Tr(u^dag v)/2|^2, is sin^2(theta/2) at the class angle of u^dag v.
 """
 
 import math
@@ -12,67 +13,12 @@ from functools import lru_cache
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
-
-_UNITARY_TOL = 1e-12
-_TRACE_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """An SU(2) matrix with class-angle and axis parameterization."""
-
-    matrix: np.ndarray
-    angle: float
-    axis_params: tuple
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError("SU(2) element must be a 2x2 matrix")
-        if np.max(np.abs(m @ m.conj().T - np.eye(2))) > 1e-11:
-            raise ValueError("matrix is not unitary")
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if abs(det - 1.0) > _UNITARY_TOL:
-            raise ValueError("matrix does not have determinant 1")
-        tr = abs(m[0, 0] + m[1, 1])
-        if abs(tr - abs(2.0 * math.cos(self.angle / 2.0))) > _TRACE_TOL:
-            raise ValueError("class angle inconsistent with trace")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
-def _reduce_angle(theta):
-    theta = math.fmod(float(theta), TWO_PI)
-    return theta + TWO_PI if theta < 0.0 else theta
-
-
-def class_angle(matrix):
-    """Class angle theta in [0, 2*pi] of an SU(2) matrix (Tr = 2 cos(theta/2))."""
-    c = float(np.trace(matrix).real) / 2.0
-    return 2.0 * math.acos(min(1.0, max(-1.0, c)))
-
 
 def class_angles(matrices):
     """Vectorized class angles for an array of SU(2) matrices, shape (..., 2, 2)."""
     matrices = np.asarray(matrices)
     c = np.clip((matrices[..., 0, 0] + matrices[..., 1, 1]).real / 2.0, -1.0, 1.0)
     return 2.0 * np.arccos(c)
-
-
-def _axis_matrix(phi1, phi2):
-    c, s = math.cos(phi1), math.sin(phi1)
-    return np.array(
-        [[c, s * np.exp(1j * phi2)], [-s * np.exp(-1j * phi2), c]], dtype=complex
-    )
-
-
-def make_group_element(theta, phi1, phi2):
-    """Build W(phi1, phi2)^dag diag(e^{i theta/2}, e^{-i theta/2}) W(phi1, phi2)."""
-    theta = _reduce_angle(theta)
-    w = _axis_matrix(phi1, phi2)
-    d = np.diag([np.exp(0.5j * theta), np.exp(-0.5j * theta)])
-    return GroupElement(w.conj().T @ d @ w, theta, (float(phi1), float(phi2)))
 
 
 def haar_matrices(rng, size):
@@ -90,36 +36,6 @@ def haar_matrices(rng, size):
     m[:, 1, 0] = -c + 1j * d
     m[:, 1, 1] = a - 1j * b
     return m
-
-
-def from_matrix(matrix):
-    """Wrap an SU(2) matrix, recovering its class angle and axis parameters."""
-    m = np.asarray(matrix, dtype=complex)
-    a, b = m[0, 0].real, m[0, 0].imag
-    c, d = m[0, 1].real, m[0, 1].imag
-    s = math.sqrt(max(0.0, 1.0 - a * a))  # sin(theta/2) >= 0
-    theta = 2.0 * math.atan2(s, a)
-    # Eigenvector of m for eigenvalue e^{i theta/2}, gauged so its first
-    # component is real nonnegative; the axis is arbitrary near +-I and
-    # for the already-diagonal case.
-    if 2.0 * s * (s - b) > 1e-24:
-        v = np.array([c + 1j * d, -1j * (b - s)])
-        v /= np.linalg.norm(v)
-        if abs(v[0]) > 1e-12:
-            v = v * (v[0].conjugate() / abs(v[0]))
-            phi1 = math.atan2(abs(v[1]), v[0].real)
-            phi2 = -float(np.angle(v[1])) if abs(v[1]) > 0.0 else 0.0
-        else:
-            phi1 = 0.5 * math.pi
-            phi2 = -float(np.angle(v[1]))
-    else:
-        phi1 = phi2 = 0.0
-    return GroupElement(m, theta, (phi1, phi2))
-
-
-def haar_sample(rng):
-    """Sample one Haar-distributed GroupElement (quaternion method)."""
-    return from_matrix(haar_matrices(rng, 1)[0])
 
 
 def character(j, theta):
@@ -161,6 +77,8 @@ def irrep_matrix_batch(j, matrices):
     Writes each element as exp(i theta n.sigma/2) and exponentiates the spin
     generators via a batched Hermitian eigendecomposition.
     """
+    if j < 1:
+        raise ValueError("irrep dimension must be >= 1")
     matrices = np.asarray(matrices, dtype=complex)
     n = matrices.shape[0]
     if j == 1:
@@ -187,19 +105,6 @@ def irrep_matrix_batch(j, matrices):
     evals, evecs = np.linalg.eigh(k)
     phase = np.exp(1j * theta[:, None] * evals)
     return (evecs * phase[:, None, :]) @ evecs.conj().swapaxes(-1, -2)
-
-
-def irrep_matrix(j, g):
-    """The j-dimensional irreducible representation matrix V_g^j."""
-    if j < 1:
-        raise ValueError("irrep dimension must be >= 1")
-    return irrep_matrix_batch(j, g.matrix[None])[0]
-
-
-def distance(u, v):
-    """Gate-fidelity distance 1 - |Tr(u^{-1} v)/2|^2, in [0, 1]."""
-    t = np.trace(u.matrix.conj().T @ v.matrix) / 2.0
-    return min(1.0, max(0.0, 1.0 - abs(t) ** 2))
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import integrals
-from .phase import (
-    PhaseInputState,
-    SeedMatrix,
-    min_covariant_error,
-    optimal_seed,
-    phase_error,
-)
+from .phase import PhaseInputState, Seed, optimal_seed, phase_error
 from .su2 import character, multiplicity_spectrum
 
 EXTERNAL = "external"
@@ -70,7 +64,7 @@ class Su2Design:
     """Block amplitudes, seed, reference mode, and closed-form error."""
 
     blocks: Su2BlockAmplitudes
-    seed: SeedMatrix
+    seed: Seed
     reference_mode: str
     error: float
 
@@ -108,39 +102,17 @@ def _as_phase_state(blocks):
     return PhaseInputState(blocks.amplitudes.astype(complex))
 
 
-def su2_error(blocks, t):
+def su2_error(blocks, seed):
     """Mean error of the covariant design (blocks, T), either parity.
 
     The phase functional of the block amplitudes, plus the trivial-block
-    penalty a_0^2/4 for even n.
+    penalty a_0^2/4 for even n; with the optimal seed the phase functional
+    is (1/2)(1 - sum a_k a_{k+1}).
     """
-    err = phase_error(_as_phase_state(blocks), t)
+    err = phase_error(_as_phase_state(blocks), seed)
     if blocks.parity == "even":
         err += 0.25 * float(blocks.amplitudes[0]) ** 2
     return err
-
-
-def su2_error_odd(blocks, t):
-    """Mean error of the odd-case covariant design; the phase functional."""
-    if blocks.parity != "odd":
-        raise ValueError("su2_error_odd requires odd n")
-    return su2_error(blocks, t)
-
-
-def min_su2_error_odd(blocks):
-    """Optimal-seed error (1/2)(1 - sum x_k x_{k+1}) of the odd case."""
-    if blocks.parity != "odd":
-        raise ValueError("min_su2_error_odd requires odd n")
-    return min_covariant_error(_as_phase_state(blocks))
-
-
-def su2_error_even(blocks):
-    """Optimal-seed error of the even case, with the trivial-block penalty a_0^2/4."""
-    if blocks.parity != "even":
-        raise ValueError("su2_error_even requires even n >= 2")
-    a = blocks.amplitudes
-    coupling = float(np.sum(a[:-1] * a[1:])) if a.size > 1 else 0.0
-    return 0.5 * (1.0 - coupling) + 0.25 * float(a[0]) ** 2
 
 
 def _optimal_error(top):
@@ -154,14 +126,17 @@ def _optimal_error(top):
 def design_optimal(n, reference_mode=EXTERNAL):
     """Optimal design for n uses.
 
-    With D the largest block dimension in use (n+1 for an external
-    reference, the largest usable dimension for a self-entangled one), the
-    block of dimension dim <= D gets amplitude ∝ sin(pi dim/(D+2)) and the
-    error is sin^2(pi/(D+2)), for either parity.  Even designs with b blocks
-    in use are checked against the sandwich bound
-    D_opt^{b-1} <= error <= D_opt^{b-2} between adjacent phase optima.
-    Self-entangled designs restrict to blocks whose permutation multiplicity
-    can host the reference copy.
+    With D the largest block dimension in use, the block of dimension
+    dim <= D gets amplitude ∝ sin(pi dim/(D+2)) and the error is
+    sin^2(pi/(D+2)), for either parity.  Even designs with b blocks in use
+    are checked against the sandwich bound D_opt^{b-1} <= error <= D_opt^{b-2}
+    between adjacent phase optima.
+
+    An external reference uses every block, D = n+1.  A self-entangled one
+    uses the blocks whose permutation multiplicity can host the reference
+    copy, which for n >= 2 are all but the top one, D = n-1: the top block
+    has multiplicity 1, and the block of dimension n+1-2k, k >= 1, has
+    multiplicity C(n,k)(n-2k+1)/(n-k+1) >= n+1-2k.  n = 1 has none.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -169,11 +144,10 @@ def design_optimal(n, reference_mode=EXTERNAL):
         raise ValueError(f"unknown reference mode {reference_mode!r}")
     if reference_mode == EXTERNAL:
         top = n + 1
+    elif n == 1:
+        raise ValueError("no self-entangleable block for n=1")
     else:
-        usable = self_entanglement_feasible(n).usable_dims
-        if not usable:
-            raise ValueError(f"no self-entangleable block for n={n}")
-        top = max(usable)
+        top = n - 1
     dims = np.arange(1 + n % 2, n + 2, 2)
     a = np.where(dims <= top, np.sin(math.pi * dims / (top + 2)), 0.0)
     blocks = Su2BlockAmplitudes(n, a / np.linalg.norm(a))
@@ -203,20 +177,22 @@ def self_entanglement_feasible(n):
     return FeasibilityReport(n, blocks, usable, err)
 
 
-def brute_force_su2_error(blocks, t):
+def brute_force_su2_error(blocks, seed):
     """Quadrature oracle for the error of either parity.
 
-    Assembles sum_{k,l} x_k x_l t_{l,k} I(k,l), where I(k,l) is the class
-    integral of sin^2(theta/2) chi^{dim_k} chi^{dim_l} over the block
-    dimensions, evaluated by quadrature instead of any closed-form pattern.
+    Assembles sum_{k,l} x_k x_l t_{l,k} I(k,l) from the dense T = F F^H,
+    where I(k,l) is the class integral of sin^2(theta/2) chi^{dim_k}
+    chi^{dim_l} over the block dimensions, evaluated by quadrature instead
+    of any closed-form pattern.
     """
     x = blocks.amplitudes
     d = x.size
     if d > _BRUTE_FORCE_MAX_BLOCKS:
         raise ValueError(f"oracle limited to d <= {_BRUTE_FORCE_MAX_BLOCKS}")
-    tm = t.entries
-    if tm.shape[0] != d:
-        raise ValueError("seed matrix dimension mismatch")
+    f = seed.factor
+    if f.shape[0] != d:
+        raise ValueError("seed dimension mismatch")
+    tm = f @ f.conj().T
     dims = blocks.block_dims
     spec = integrals.QuadratureSpec(2 * dims[-1] + 16)
     total = 0.0 + 0.0j

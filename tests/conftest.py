@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from covest import PhaseDesign, PhaseInputState, SeedMatrix, phase_error
+from covest import PhaseDesign, PhaseInputState, Seed, phase_error
 
 
 @pytest.fixture
@@ -15,17 +15,19 @@ def random_input_state(rng, d):
     return PhaseInputState(x)
 
 
-def random_seed_matrix(rng, d):
-    """Random Hermitian PSD matrix rescaled to unit diagonal."""
-    b = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    a = b @ b.conj().T + 0.1 * np.eye(d)
-    scale = 1.0 / np.sqrt(np.real(np.diag(a)))
-    t = a * np.outer(scale, scale)
-    np.fill_diagonal(t, 1.0)
-    return SeedMatrix(t)
+def random_seed(rng, d):
+    """Random d x r factor, r uniform in 1..d, with rows scaled to unit norm."""
+    r = int(rng.integers(1, d + 1))
+    f = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
+    return Seed(f / np.linalg.norm(f, axis=1, keepdims=True))
+
+
+def gram(seed):
+    """The dense seed matrix T = F F^H, for reference computations."""
+    return seed.factor @ seed.factor.conj().T
 
 
 def random_phase_design(rng, d):
     x = random_input_state(rng, d)
-    t = random_seed_matrix(rng, d)
+    t = random_seed(rng, d)
     return PhaseDesign(x, t, phase_error(x, t))

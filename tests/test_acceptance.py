@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_phase_design, random_seed_matrix
+from conftest import random_phase_design, random_seed
 from covest import (
     PhaseInputState,
     SimConfig,
@@ -26,7 +26,7 @@ from covest import (
     self_entanglement_feasible,
     simulate,
     su2_error_kernel,
-    su2_error_odd,
+    su2_error,
     su2_single_irrep_integral,
 )
 from mc_oracle import sample_outcomes
@@ -94,8 +94,8 @@ def test_criterion_4_su2_phase_reduction():
             d = int(rng.integers(1, 11))
             a = np.abs(rng.normal(size=d)) + 1e-3
             blocks = Su2BlockAmplitudes(2 * d - 1, a / np.linalg.norm(a))
-            t = random_seed_matrix(rng, d)
-            block_err = su2_error_odd(blocks, t)
+            t = random_seed(rng, d)
+            block_err = su2_error(blocks, t)
             assert abs(block_err - brute_force_su2_error(blocks, t)) < 1e-8
             phase_val = phase_error(PhaseInputState(blocks.amplitudes + 0j), t)
             assert abs(block_err - phase_val) < 1e-12

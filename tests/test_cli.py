@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 
 import jsonschema
@@ -10,7 +11,7 @@ import pytest
 
 import covest
 from covest import __version__
-from covest.cli import SCALING_HEADER, main
+from covest.cli import MAX_SU2_N, SCALING_HEADER, main
 
 
 def run_cli(capsys, *argv):
@@ -31,6 +32,20 @@ def load_schema():
 
 def csv_lines(out):
     return [line for line in out.splitlines() if not line.startswith("#")]
+
+
+def subprocess_env():
+    """The environment with this source tree first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(covest.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+def run_subprocess(*argv, timeout):
+    """`covest ARGV` in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-m", "covest.cli", *argv],
+                          env=subprocess_env(), capture_output=True, text=True,
+                          timeout=timeout)
 
 
 class TestPhaseOpt:
@@ -54,6 +69,16 @@ class TestPhaseOpt:
             main(["phase-opt", "--n", "2", "--method", "sideways"])
         assert exc.value.code == 1
 
+    def test_large_n_runs_quickly(self):
+        start = time.perf_counter()
+        proc = run_subprocess("phase-opt", "--n", "5000", timeout=60)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        assert elapsed < 10.0
+        result = json.loads(proc.stdout)["result"]
+        assert len(result["amplitudes"]) == 5001
+        assert abs(result["error"] - 0.5 * (1.0 - math.cos(math.pi / 5002))) <= 1e-15
+
 
 class TestSu2Design:
     def test_external_n3(self, capsys):
@@ -66,6 +91,12 @@ class TestSu2Design:
     def test_self_entangled_n1_infeasible(self, capsys):
         code = main(["su2-design", "--n", "1", "--mode", "self-entangled"])
         assert code == 1
+
+    def test_n_above_limit_is_usage_error(self):
+        proc = run_subprocess("su2-design", "--n", str(MAX_SU2_N + 1), timeout=60)
+        assert proc.returncode == 1
+        assert "covest: error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_external_n999_scaling(self, capsys):
         code, payload = run_json(capsys, "su2-design", "--n", "999")
@@ -110,6 +141,17 @@ class TestSimulateCommand:
     def test_zero_trials_rejected(self, capsys):
         code = main(["simulate", "--protocol", "phase", "--n", "1", "--trials", "0"])
         assert code == 1
+
+    def test_workers_option_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--protocol", "phase", "--n", "1", "--workers", "2"])
+        assert exc.value.code == 1
+
+    def test_manifest_parameters(self, capsys):
+        _, payload = run_json(capsys, "simulate", "--protocol", "phase", "--n", "1",
+                              "--trials", "100")
+        assert set(payload["manifest"]["parameters"]) == {
+            "protocol", "n", "trials", "grid_size", "format"}
 
     def test_even_n_su2_passes(self, capsys):
         for n in ("4", "6"):
@@ -188,11 +230,8 @@ class TestOutputContracts:
         assert exc.value.code == 1
 
     def test_cli_import_loads_no_scipy(self):
-        src = os.path.dirname(os.path.dirname(covest.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         probe = ("import sys, covest.cli; "
                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        out = subprocess.run([sys.executable, "-c", probe], env=env,
+        out = subprocess.run([sys.executable, "-c", probe], env=subprocess_env(),
                              capture_output=True, text=True, check=True).stdout
         assert out.strip() == "[]"

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_input_state, random_seed_matrix
+from conftest import gram, random_input_state, random_seed
 from covest import (
     PhaseDesign,
     PhaseInputState,
-    SeedMatrix,
+    Seed,
     asymptotic_error,
     bdm_input,
     min_covariant_error,
@@ -25,7 +25,7 @@ def closed_form_optimal_error(n):
 
 def kernel_oracle_error(x, t):
     """Brute-force assembly of the error from the U(1) kernel, all four indices."""
-    xv, tm = x.amplitudes, t.entries
+    xv, tm = x.amplitudes, gram(t)
     d = xv.size
     total = 0.0 + 0.0j
     for k in range(d):
@@ -44,34 +44,34 @@ def kernel_oracle_error(x, t):
 class TestPhaseError:
     def test_single_level(self):
         x = PhaseInputState([1.0])
-        t = SeedMatrix([[1.0]])
+        t = Seed([[1.0]])
         assert phase_error(x, t) == pytest.approx(0.5, abs=1e-15)
 
     def test_two_level_all_ones_seed(self):
         x = PhaseInputState(np.ones(2) / math.sqrt(2))
-        t = SeedMatrix(np.ones((2, 2)))
+        t = Seed(np.ones((2, 1)))
         assert phase_error(x, t) == pytest.approx(0.25, abs=1e-15)
 
     def test_two_level_identity_seed(self):
         x = PhaseInputState(np.ones(2) / math.sqrt(2))
-        t = SeedMatrix(np.eye(2))
+        t = Seed(np.eye(2))
         assert phase_error(x, t) == pytest.approx(0.5, abs=1e-15)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            phase_error(PhaseInputState([1.0]), SeedMatrix(np.eye(2)))
+            phase_error(PhaseInputState([1.0]), Seed(np.eye(2)))
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
     def test_matches_kernel_oracle(self, d, rng):
         x = random_input_state(rng, d)
-        t = random_seed_matrix(rng, d)
+        t = random_seed(rng, d)
         assert phase_error(x, t) == pytest.approx(kernel_oracle_error(x, t), abs=1e-12)
 
     def test_never_below_minimum(self, rng):
         for _ in range(200):
             d = int(rng.integers(1, 21))
             x = random_input_state(rng, d)
-            t = random_seed_matrix(rng, d)
+            t = random_seed(rng, d)
             assert phase_error(x, t) >= min_covariant_error(x) - 1e-12
 
 
@@ -79,18 +79,20 @@ class TestOptimalSeed:
     def test_positive_amplitudes_give_all_ones(self, rng):
         a = np.abs(rng.normal(size=5)) + 0.1
         x = PhaseInputState(a / np.linalg.norm(a))
-        assert np.allclose(optimal_seed(x).entries, np.ones((5, 5)), atol=1e-14)
+        assert np.allclose(gram(optimal_seed(x)), np.ones((5, 5)), atol=1e-14)
 
     def test_phase_pattern(self):
         x = PhaseInputState([1 / math.sqrt(2), 1j / math.sqrt(2)])
-        t = optimal_seed(x).entries
+        t = gram(optimal_seed(x))
         assert t[0, 1] == pytest.approx(1j, abs=1e-15)
         assert t[1, 0] == pytest.approx(-1j, abs=1e-15)
         assert np.allclose(np.diag(t), 1.0)
 
     def test_rank_one(self, rng):
         x = random_input_state(rng, 6)
-        evals = np.linalg.eigvalsh(optimal_seed(x).entries)
+        seed = optimal_seed(x)
+        assert seed.factor.shape == (6, 1)
+        evals = np.linalg.eigvalsh(gram(seed))
         assert evals[-1] == pytest.approx(6.0, abs=1e-12)
         assert np.abs(evals[:-1]).max() < 1e-12
 
@@ -103,7 +105,7 @@ class TestOptimalSeed:
     def test_zero_amplitude_convention(self):
         x = PhaseInputState([0.0, 1.0])
         t = optimal_seed(x)
-        assert np.allclose(np.diag(t.entries), 1.0)
+        assert np.allclose(np.diag(gram(t)), 1.0)
         assert phase_error(x, t) == pytest.approx(min_covariant_error(x), abs=1e-12)
 
 
@@ -212,17 +214,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             PhaseInputState([1.0, 1.0])
 
-    def test_non_hermitian_seed_rejected(self):
-        with pytest.raises(ValueError):
-            SeedMatrix([[1.0, 1.0], [0.0, 1.0]])
-
-    def test_non_psd_seed_rejected(self):
-        with pytest.raises(ValueError):
-            SeedMatrix([[1.0, 2.0], [2.0, 1.0]])
-
     def test_bad_diagonal_rejected(self):
         with pytest.raises(ValueError):
-            SeedMatrix(2.0 * np.eye(3))
+            Seed(2.0 * np.eye(3))
+
+    @pytest.mark.parametrize("factor", [[1.0, 1.0], np.ones((1, 1, 1)), np.ones((0, 1))])
+    def test_factor_shape_rejected(self, factor):
+        with pytest.raises(ValueError):
+            Seed(factor)
+
+    def test_seed_matrix_valid_by_construction(self, rng):
+        for d in (1, 2, 5, 9):
+            t = gram(random_seed(rng, d))
+            assert np.abs(t - t.conj().T).max() < 1e-15
+            assert np.abs(np.diag(t) - 1.0).max() < 1e-12
+            assert np.linalg.eigvalsh(t).min() > -1e-12
 
     def test_design_error_consistency_enforced(self):
         x = PhaseInputState(np.ones(2) / math.sqrt(2))

@@ -1,14 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import random_phase_design
+from conftest import gram, random_phase_design, random_seed
 from covest import (
     PhaseDesign,
     PhaseInputState,
-    SeedMatrix,
+    Seed,
     SimConfig,
+    Su2Design,
     character,
     design_optimal,
     optimal_input,
@@ -17,7 +19,7 @@ from covest import (
     outcome_density_su2_class,
     phase_error,
     simulate,
-    su2_error_odd,
+    su2_error,
 )
 from covest.simulate import _on_grid, _phase_coefficients, _su2_coefficients
 from mc_oracle import povm_identity_deviation, sample_outcomes
@@ -29,7 +31,7 @@ def reference_phase_density(design, phi):
     """Quadratic form sum_{k,l} t_kl v_k conj(v_l) / (2 pi), v_k = x_k e^{i k phi}."""
     x = design.input.amplitudes
     v = x * np.exp(1j * np.multiply.outer(phi, np.arange(x.size)))
-    return np.einsum("...k,kl,...l->...", v, design.seed.entries, v.conj()).real / (
+    return np.einsum("...k,kl,...l->...", v, gram(design.seed), v.conj()).real / (
         2.0 * math.pi
     )
 
@@ -38,7 +40,7 @@ def reference_su2_density(design, theta):
     """sin^2(theta/2)/pi times the quadratic form in v_k = x_k chi^{d_k}(theta)."""
     chi = np.stack([character(dim, theta) for dim in design.blocks.block_dims], axis=-1)
     v = design.blocks.amplitudes * chi
-    quad = np.einsum("...k,kl,...l->...", v, design.seed.entries, v.conj()).real
+    quad = np.einsum("...k,kl,...l->...", v, gram(design.seed), v.conj()).real
     return np.sin(theta / 2.0) ** 2 / math.pi * quad
 
 
@@ -70,7 +72,7 @@ class TestPhaseDensity:
 
     def test_two_level_cosine(self):
         x = PhaseInputState(np.ones(2) / math.sqrt(2))
-        design = PhaseDesign(x, SeedMatrix(np.ones((2, 2))), 0.25)
+        design = PhaseDesign(x, Seed(np.ones((2, 1))), 0.25)
         p = outcome_density_phase(design)
         expected = (1.0 + np.cos(GRID)) / (2.0 * math.pi)
         assert np.allclose(p(GRID), expected, atol=1e-12)
@@ -119,7 +121,7 @@ class TestSu2ClassDensity:
         q = outcome_density_su2_class(design)
         mean = quadrature_mean(q, lambda t: np.sin(t / 2.0) ** 2)
         assert mean == pytest.approx(
-            su2_error_odd(design.blocks, design.seed), abs=1e-8
+            su2_error(design.blocks, design.seed), abs=1e-8
         )
 
     def test_even_designs_pass_z_test(self):
@@ -143,6 +145,24 @@ class TestFourierDensity:
     def test_degree_above_half_grid_folds_exactly(self):
         assert_matches_reference(optimal_input(700), grid_size=256)
         assert_matches_reference(design_optimal(601), grid_size=256)
+
+    @pytest.mark.parametrize("n", [5, 6, 41, 42])
+    def test_su2_random_seeds(self, rng, n):
+        design = design_optimal(n)
+        seed = random_seed(rng, design.blocks.amplitudes.size)
+        blocks = design.blocks
+        assert_matches_reference(Su2Design(blocks, seed, "external", su2_error(blocks, seed)))
+
+    def test_no_dense_seed_in_design_or_coefficients(self):
+        # a dense seed at d = 4001 would take 256 MB
+        tracemalloc.start()
+        try:
+            _phase_coefficients(optimal_input(4000))
+            _su2_coefficients(design_optimal(8001))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestLawBias:
@@ -174,21 +194,6 @@ class TestSimulate:
         design = random_phase_design(rng, 4)
         config = SimConfig("phase", 3, 20_000, 7)
         assert simulate(config, design) == simulate(config, design)
-
-    def test_worker_partition_is_deterministic(self, rng):
-        design = random_phase_design(rng, 4)
-        config = SimConfig("phase", 3, 20_001, 7)
-        assert simulate(config, design, workers=3) == simulate(
-            config, design, workers=3
-        )
-
-    def test_workers_agree_statistically(self, rng):
-        design = random_phase_design(rng, 4)
-        config = SimConfig("phase", 3, 50_000, 7)
-        a = simulate(config, design, workers=1)
-        b = simulate(config, design, workers=5)
-        comb = math.hypot(a.standard_error, b.standard_error)
-        assert abs(a.empirical_mean_error - b.empirical_mean_error) < 4.0 * comb
 
     def test_random_designs_pass_z_test(self, rng):
         for _ in range(10):

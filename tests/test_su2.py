@@ -6,16 +6,10 @@ from hypothesis import given, strategies as st
 from scipy.stats import kstest
 
 from covest import (
-    GroupElement,
     character,
-    class_angle,
     class_angles,
-    distance,
-    from_matrix,
     haar_matrices,
-    haar_sample,
-    irrep_matrix,
-    make_group_element,
+    irrep_matrix_batch,
     multiplicity_spectrum,
 )
 
@@ -25,32 +19,50 @@ def class_angle_cdf(theta):
     return (theta - np.sin(theta)) / (2.0 * np.pi)
 
 
+def dagger(m):
+    return m.conj().swapaxes(-1, -2)
+
+
+def rotation(theta, phi1, phi2):
+    """W^dag diag(e^{i theta/2}, e^{-i theta/2}) W, with the axis matrix W(phi1, phi2)."""
+    c, s = math.cos(phi1), math.sin(phi1)
+    w = np.array([[c, s * np.exp(1j * phi2)], [-s * np.exp(-1j * phi2), c]])
+    return dagger(w) @ np.diag([np.exp(0.5j * theta), np.exp(-0.5j * theta)]) @ w
+
+
+def distance(u, v):
+    """Projective distance 1 - |Tr(u^dag v)/2|^2, batched over leading axes."""
+    return 1.0 - np.abs(np.trace(dagger(u) @ v, axis1=-2, axis2=-1) / 2.0) ** 2
+
+
 class TestMakeGroupElement:
+    """Class angles and irreps of rotations built from their angle and axis."""
+
     def test_zero_rotation_is_identity(self):
-        g = make_group_element(0.0, 1.3, -0.4)
-        assert np.allclose(g.matrix, np.eye(2), atol=1e-14)
+        eye = rotation(0.0, 1.3, -0.4)[None]
+        assert np.allclose(eye[0], np.eye(2), atol=1e-14)
+        assert abs(class_angles(eye)[0]) < 1e-7  # arccos near 1 loses half the digits
+        for j in range(1, 7):
+            assert np.allclose(irrep_matrix_batch(j, eye)[0], np.eye(j), atol=1e-12)
 
     def test_pi_rotation_along_z(self):
-        g = make_group_element(math.pi, 0.0, 0.0)
-        assert np.allclose(g.matrix, np.diag([1j, -1j]), atol=1e-14)
+        m = rotation(math.pi, 0.0, 0.0)[None]
+        assert np.allclose(m[0], np.diag([1j, -1j]), atol=1e-14)
+        assert abs(class_angles(m)[0] - math.pi) < 1e-14
 
     def test_generic_element(self):
-        g = make_group_element(math.pi / 2, math.pi / 4, math.pi / 3)
-        m = g.matrix
-        assert np.allclose(m @ m.conj().T, np.eye(2), atol=1e-14)
-        assert abs(np.linalg.det(m) - 1.0) < 1e-14
-        assert abs(np.trace(m) - 2.0 * math.cos(math.pi / 4)) < 1e-14
-        assert abs(g.angle - math.pi / 2) < 1e-14
+        m = rotation(math.pi / 2, math.pi / 4, math.pi / 3)[None]
+        assert np.allclose(m[0] @ dagger(m[0]), np.eye(2), atol=1e-14)
+        assert abs(np.linalg.det(m[0]) - 1.0) < 1e-14
+        assert abs(np.trace(m[0]) - 2.0 * math.cos(math.pi / 4)) < 1e-14
+        assert abs(class_angles(m)[0] - math.pi / 2) < 1e-14
 
     def test_class_angle_round_trip(self, rng):
-        for _ in range(50):
-            theta = rng.uniform(0.0, 2.0 * math.pi)
-            g = make_group_element(theta, rng.uniform(0, math.pi), rng.uniform(-3, 3))
-            assert abs(class_angle(g.matrix) - theta) < 1e-10
-
-    def test_invalid_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            GroupElement(np.diag([2.0, 0.5]).astype(complex), 0.0, (0.0, 0.0))
+        theta = rng.uniform(0.0, 2.0 * math.pi, size=50)
+        m = np.stack([
+            rotation(t, rng.uniform(0, math.pi), rng.uniform(-3, 3)) for t in theta
+        ])
+        assert np.abs(class_angles(m) - theta).max() < 1e-10
 
 
 class TestHaarSampling:
@@ -70,10 +82,23 @@ class TestHaarSampling:
         assert abs(sq.mean() - 0.25) < 3.0 * se
 
     def test_sample_fields_reconstruct_matrix(self, rng):
-        for _ in range(200):
-            g = haar_sample(rng)
-            rebuilt = make_group_element(g.angle, *g.axis_params)
-            assert np.abs(rebuilt.matrix - g.matrix).max() < 1e-10
+        # g = cos(theta/2) I + i sin(theta/2) n.sigma with a unit axis n
+        m = haar_matrices(rng, 200)
+        half = class_angles(m) / 2.0
+        nz = m[:, 0, 0].imag / np.sin(half)
+        nxy = -1j * m[:, 1, 0] / np.sin(half)
+        assert np.abs(nz**2 + np.abs(nxy) ** 2 - 1.0).max() < 1e-10
+        sigma_n = np.zeros_like(m)
+        sigma_n[:, 0, 0], sigma_n[:, 1, 1] = nz, -nz
+        sigma_n[:, 0, 1], sigma_n[:, 1, 0] = np.conj(nxy), nxy
+        rebuilt = (np.cos(half)[:, None, None] * np.eye(2)
+                   + 1j * np.sin(half)[:, None, None] * sigma_n)
+        assert np.abs(rebuilt - m).max() < 1e-10
+
+    def test_in_su2(self, rng):
+        m = haar_matrices(rng, 1000)
+        assert np.abs(m @ dagger(m) - np.eye(2)).max() < 1e-14
+        assert np.abs(np.linalg.det(m) - 1.0).max() < 1e-14
 
 
 class TestCharacter:
@@ -107,69 +132,69 @@ class TestCharacter:
 
 class TestIrrepMatrix:
     def test_defining_rep_is_matrix_itself(self, rng):
-        g = haar_sample(rng)
-        assert np.allclose(irrep_matrix(2, g), g.matrix, atol=1e-14)
+        m = haar_matrices(rng, 20)
+        assert np.allclose(irrep_matrix_batch(2, m), m, atol=1e-14)
 
     def test_trivial_rep(self, rng):
-        g = haar_sample(rng)
-        assert np.allclose(irrep_matrix(1, g), [[1.0]], atol=1e-14)
+        v = irrep_matrix_batch(1, haar_matrices(rng, 20))
+        assert v.shape == (20, 1, 1)
+        assert np.allclose(v, 1.0, atol=1e-14)
 
     def test_diagonal_torus_action(self):
         theta = 0.9
-        g = make_group_element(theta, 0.0, 0.0)
+        m = rotation(theta, 0.0, 0.0)[None]
         expected = np.diag([np.exp(1j * theta), 1.0, np.exp(-1j * theta)])
-        assert np.allclose(irrep_matrix(3, g), expected, atol=1e-12)
+        assert np.allclose(irrep_matrix_batch(3, m)[0], expected, atol=1e-12)
 
     @pytest.mark.parametrize("j", range(1, 7))
     def test_homomorphism(self, j, rng):
-        for _ in range(20):
-            g, h = haar_sample(rng), haar_sample(rng)
-            gh = from_matrix(g.matrix @ h.matrix)
-            prod = irrep_matrix(j, g) @ irrep_matrix(j, h)
-            assert np.abs(prod - irrep_matrix(j, gh)).max() < 1e-10
+        g, h = haar_matrices(rng, 20), haar_matrices(rng, 20)
+        prod = irrep_matrix_batch(j, g) @ irrep_matrix_batch(j, h)
+        assert np.abs(prod - irrep_matrix_batch(j, g @ h)).max() < 1e-10
 
     @pytest.mark.parametrize("j", range(1, 9))
     def test_trace_is_character(self, j, rng):
-        for _ in range(20):
-            g = haar_sample(rng)
-            assert abs(np.trace(irrep_matrix(j, g)) - character(j, g.angle)) < 1e-10
+        m = haar_matrices(rng, 20)
+        traces = np.trace(irrep_matrix_batch(j, m), axis1=-2, axis2=-1)
+        assert np.abs(traces - character(j, class_angles(m))).max() < 1e-10
 
     def test_unitarity(self, rng):
-        g = haar_sample(rng)
-        v = irrep_matrix(5, g)
-        assert np.allclose(v @ v.conj().T, np.eye(5), atol=1e-12)
+        v = irrep_matrix_batch(5, haar_matrices(rng, 20))
+        assert np.abs(v @ dagger(v) - np.eye(5)).max() < 1e-12
+
+    def test_rejects_nonpositive_dimension(self, rng):
+        with pytest.raises(ValueError):
+            irrep_matrix_batch(0, haar_matrices(rng, 1))
 
 
 class TestDistance:
+    """1 - |Tr(u^dag v)/2|^2 is sin^2(theta/2) at the class angle of u^dag v."""
+
     def test_identity_case(self, rng):
-        g = haar_sample(rng)
-        assert distance(g, g) < 1e-14
+        g = haar_matrices(rng, 20)
+        assert distance(g, g).max() < 1e-14
 
     def test_projective(self):
-        eye = make_group_element(0.0, 0.0, 0.0)
-        minus_eye = from_matrix(-np.eye(2, dtype=complex))
-        assert distance(eye, minus_eye) < 1e-14
+        eye = np.eye(2, dtype=complex)
+        assert distance(eye, -eye) < 1e-14
+        assert np.sin(class_angles(-eye) / 2.0) ** 2 < 1e-14
 
     def test_maximal_at_class_angle_pi(self):
-        eye = make_group_element(0.0, 0.0, 0.0)
-        assert abs(distance(eye, from_matrix(np.diag([1j, -1j]))) - 1.0) < 1e-14
+        g = np.diag([1j, -1j])
+        assert abs(distance(np.eye(2), g) - 1.0) < 1e-14
+        assert abs(np.sin(class_angles(g) / 2.0) ** 2 - 1.0) < 1e-14
 
     def test_range_and_bi_invariance(self, rng):
-        for _ in range(1000):
-            g, h, k = haar_sample(rng), haar_sample(rng), haar_sample(rng)
-            d = distance(g, h)
-            assert 0.0 <= d <= 1.0
-            kg = from_matrix(k.matrix @ g.matrix)
-            kh = from_matrix(k.matrix @ h.matrix)
-            assert abs(distance(kg, kh) - d) < 1e-12
-            gk = from_matrix(g.matrix @ k.matrix)
-            hk = from_matrix(h.matrix @ k.matrix)
-            assert abs(distance(gk, hk) - d) < 1e-12
+        g, h, k = (haar_matrices(rng, 1000) for _ in range(3))
+        d = distance(g, h)
+        assert d.min() >= 0.0 and d.max() <= 1.0
+        assert np.abs(distance(k @ g, k @ h) - d).max() < 1e-12
+        assert np.abs(distance(g @ k, h @ k) - d).max() < 1e-12
 
     def test_equals_sine_squared_half_relative_angle(self, rng):
-        g, h = haar_sample(rng), haar_sample(rng)
-        rel = from_matrix(g.matrix.conj().T @ h.matrix)
-        assert abs(distance(g, h) - math.sin(rel.angle / 2.0) ** 2) < 1e-12
+        g, h = haar_matrices(rng, 1000), haar_matrices(rng, 1000)
+        rel = np.sin(class_angles(dagger(g) @ h) / 2.0) ** 2
+        assert np.abs(distance(g, h) - rel).max() < 1e-12
 
 
 class TestMultiplicitySpectrum:

@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_seed_matrix
+from conftest import random_seed
 from covest import (
     PhaseInputState,
-    SeedMatrix,
+    Seed,
     Su2BlockAmplitudes,
     Su2Design,
     brute_force_su2_error,
     design_optimal,
-    min_su2_error_odd,
+    min_covariant_error,
     multiplicity_spectrum,
     optimal_input,
     optimal_seed,
@@ -19,8 +19,6 @@ from covest import (
     self_entanglement_feasible,
     single_irrep_error,
     su2_error,
-    su2_error_even,
-    su2_error_odd,
 )
 
 
@@ -28,6 +26,18 @@ def random_blocks(rng, n):
     size = (n + 1) // 2 if n % 2 == 1 else n // 2 + 1
     a = np.abs(rng.normal(size=size)) + 1e-3
     return Su2BlockAmplitudes(n, a / np.linalg.norm(a))
+
+
+def block_seed(blocks):
+    """The optimal seed of the block amplitudes."""
+    return optimal_seed(PhaseInputState(blocks.amplitudes + 0j))
+
+
+def block_formula_error(blocks):
+    """Optimal-seed error (1/2)(1 - sum a_k a_{k+1}), plus a_0^2/4 for even n."""
+    a = blocks.amplitudes
+    err = 0.5 * (1.0 - float(np.sum(a[:-1] * a[1:])))
+    return err + (0.25 * float(a[0]) ** 2 if blocks.n % 2 == 0 else 0.0)
 
 
 class TestSingleIrrepError:
@@ -42,55 +52,56 @@ class TestSingleIrrepError:
 
 
 class TestSu2ErrorOdd:
+    """su2_error on odd n: the phase functional of the block amplitudes."""
+
     def test_single_block(self):
         blocks = Su2BlockAmplitudes(1, [1.0])
-        assert su2_error_odd(blocks, SeedMatrix([[1.0]])) == pytest.approx(0.5)
+        assert su2_error(blocks, Seed([[1.0]])) == pytest.approx(0.5)
         assert single_irrep_error(2) == pytest.approx(0.5)
 
     def test_two_blocks_all_ones(self):
         blocks = Su2BlockAmplitudes(3, np.ones(2) / math.sqrt(2))
-        assert su2_error_odd(blocks, SeedMatrix(np.ones((2, 2)))) == pytest.approx(
+        assert su2_error(blocks, Seed(np.ones((2, 1)))) == pytest.approx(
             0.25, abs=1e-15
         )
 
     def test_identity_seed_no_interference(self, rng):
         blocks = random_blocks(rng, 9)
-        assert su2_error_odd(blocks, SeedMatrix(np.eye(5))) == pytest.approx(
-            0.5, abs=1e-12
-        )
-
-    def test_parity_rejected(self, rng):
-        blocks = random_blocks(rng, 4)
-        with pytest.raises(ValueError):
-            su2_error_odd(blocks, SeedMatrix(np.eye(3)))
+        assert su2_error(blocks, Seed(np.eye(5))) == pytest.approx(0.5, abs=1e-12)
 
     def test_phase_problem_equivalence(self, rng):
         for _ in range(50):
             n = int(rng.integers(1, 10)) * 2 - 1
             blocks = random_blocks(rng, n)
-            t = random_seed_matrix(rng, blocks.amplitudes.size)
+            t = random_seed(rng, blocks.amplitudes.size)
             phase_val = phase_error(PhaseInputState(blocks.amplitudes + 0j), t)
-            assert su2_error_odd(blocks, t) == pytest.approx(phase_val, abs=1e-12)
+            assert su2_error(blocks, t) == pytest.approx(phase_val, abs=1e-12)
 
 
 class TestMinSu2ErrorOdd:
+    """su2_error with the optimal seed on odd n: the minimum covariant error."""
+
     def test_single_block(self):
-        assert min_su2_error_odd(Su2BlockAmplitudes(1, [1.0])) == pytest.approx(0.5)
+        blocks = Su2BlockAmplitudes(1, [1.0])
+        assert su2_error(blocks, block_seed(blocks)) == pytest.approx(0.5)
 
     def test_matches_optimal_seed(self, rng):
         for _ in range(20):
             n = int(rng.integers(1, 9)) * 2 - 1
             blocks = random_blocks(rng, n)
-            seed = optimal_seed(PhaseInputState(blocks.amplitudes + 0j))
-            assert min_su2_error_odd(blocks) == pytest.approx(
-                su2_error_odd(blocks, seed), abs=1e-12
+            minimum = min_covariant_error(PhaseInputState(blocks.amplitudes + 0j))
+            assert su2_error(blocks, block_seed(blocks)) == pytest.approx(
+                minimum, abs=1e-12
             )
+            assert block_formula_error(blocks) == pytest.approx(minimum, abs=1e-12)
 
     def test_optimal_amplitudes_reach_phase_optimum(self):
         d = 4
         pd = optimal_input(d - 1)
         blocks = Su2BlockAmplitudes(2 * d - 1, pd.input.amplitudes.real)
-        assert min_su2_error_odd(blocks) == pytest.approx(pd.error, abs=1e-12)
+        assert su2_error(blocks, block_seed(blocks)) == pytest.approx(
+            pd.error, abs=1e-12
+        )
 
     def test_large_n_scaling(self):
         n = 999
@@ -99,19 +110,17 @@ class TestMinSu2ErrorOdd:
 
 
 class TestSu2ErrorEven:
+    """su2_error on even n: the phase functional plus a_0^2/4."""
+
     def test_single_block_no_trivial_mass(self):
         blocks = Su2BlockAmplitudes(2, [0.0, 1.0])
-        assert su2_error_even(blocks) == pytest.approx(0.5, abs=1e-15)
+        assert su2_error(blocks, block_seed(blocks)) == pytest.approx(0.5, abs=1e-15)
 
     def test_uniform_two_blocks(self):
         blocks = Su2BlockAmplitudes(2, np.ones(2) / math.sqrt(2))
-        expected = brute_force_su2_error(blocks, SeedMatrix(np.ones((2, 2))))
-        assert su2_error_even(blocks) == pytest.approx(expected, abs=1e-12)
+        expected = brute_force_su2_error(blocks, Seed(np.ones((2, 1))))
+        assert su2_error(blocks, block_seed(blocks)) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.375, abs=1e-12)
-
-    def test_parity_rejected(self, rng):
-        with pytest.raises(ValueError):
-            su2_error_even(random_blocks(rng, 3))
 
 
 class TestDesignOptimal:
@@ -148,12 +157,14 @@ class TestDesignOptimal:
             )
 
     def test_error_consistent_with_block_formula(self):
-        design = design_optimal(7)
-        assert su2_error_odd(design.blocks, design.seed) == pytest.approx(
-            design.error, abs=1e-12
-        )
-        even = design_optimal(6)
-        assert su2_error_even(even.blocks) == pytest.approx(even.error, abs=1e-12)
+        for n in (6, 7):
+            design = design_optimal(n)
+            assert su2_error(design.blocks, design.seed) == pytest.approx(
+                design.error, abs=1e-12
+            )
+            assert block_formula_error(design.blocks) == pytest.approx(
+                design.error, abs=1e-12
+            )
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -165,15 +176,15 @@ class TestDesignOptimal:
             a = design.blocks.amplitudes
             assert abs(design.error - math.sin(math.pi / (n + 3)) ** 2) <= 1e-12
             assert np.all(a >= 0.0)
-            block_error = (
-                min_su2_error_odd(design.blocks) if n % 2 else su2_error_even(design.blocks)
+            assert block_formula_error(design.blocks) == pytest.approx(
+                design.error, abs=1e-12
             )
-            assert block_error == pytest.approx(design.error, abs=1e-12)
 
     def test_self_entangled_closed_form(self):
-        for n in range(2, 61):
+        for n in range(2, 401):
             report = self_entanglement_feasible(n)
             top = max(report.usable_dims)
+            assert top == n - 1
             expected = math.sin(math.pi / (top + 2)) ** 2
             design = design_optimal(n, "self-entangled")
             assert design.error == pytest.approx(expected, abs=1e-12)
@@ -235,13 +246,13 @@ class TestSelfEntanglementFeasible:
 class TestBruteForceOracle:
     def test_single_block(self):
         blocks = Su2BlockAmplitudes(1, [1.0])
-        assert brute_force_su2_error(blocks, SeedMatrix([[1.0]])) == pytest.approx(
+        assert brute_force_su2_error(blocks, Seed([[1.0]])) == pytest.approx(
             0.5, abs=1e-12
         )
 
     def test_identity_seed(self, rng):
         blocks = random_blocks(rng, 7)
-        assert brute_force_su2_error(blocks, SeedMatrix(np.eye(4))) == pytest.approx(
+        assert brute_force_su2_error(blocks, Seed(np.eye(4))) == pytest.approx(
             0.5, abs=1e-12
         )
 
@@ -249,17 +260,16 @@ class TestBruteForceOracle:
         for _ in range(25):
             d = int(rng.integers(1, 11))
             blocks = random_blocks(rng, 2 * d - 1)
-            t = random_seed_matrix(rng, d)
+            t = random_seed(rng, d)
             assert brute_force_su2_error(blocks, t) == pytest.approx(
-                su2_error_odd(blocks, t), abs=1e-8
+                su2_error(blocks, t), abs=1e-8
             )
 
     @pytest.mark.parametrize("n", range(2, 21, 2))
     def test_even_matches_closed_form(self, n, rng):
         blocks = random_blocks(rng, n)
-        seed = optimal_seed(PhaseInputState(blocks.amplitudes + 0j))
-        assert brute_force_su2_error(blocks, seed) == pytest.approx(
-            su2_error_even(blocks), abs=1e-10
+        assert brute_force_su2_error(blocks, block_seed(blocks)) == pytest.approx(
+            block_formula_error(blocks), abs=1e-10
         )
         design = design_optimal(n)
         assert brute_force_su2_error(design.blocks, design.seed) == pytest.approx(
@@ -269,7 +279,7 @@ class TestBruteForceOracle:
     def test_scale_limit(self, rng):
         blocks = random_blocks(rng, 23)
         with pytest.raises(ValueError):
-            brute_force_su2_error(blocks, SeedMatrix(np.eye(12)))
+            brute_force_su2_error(blocks, Seed(np.eye(12)))
 
 
 class TestBlockAmplitudeValidation:
