@@ -39,6 +39,25 @@ OUTPUT_DIR_ENV = "COVEST_OUTPUT_DIR"
 # which C(n, n/2) passes just above n = 14 000.
 MAX_SU2_N = 10_000
 
+# Limits on the other commands' sizes, each far above the benchmark's and
+# checked before any work, so that a large request is a usage error and not
+# an out-of-memory kill or an hours-long run.  Measured as cold processes on
+# a 2-vCPU VM:
+# phase-opt builds O(n) arrays and prints n+1 amplitudes: 2.4 s and 394 MB
+# at n = 10^6, so 10^7 would need about 4 GB.
+MAX_PHASE_N = 1_000_000
+# simulate builds the density's Fourier coefficients in O(n^2) time: the
+# phase protocol takes 8.5 s at n = 10^5 (45 MB), and 100 times that at 10^6.
+MAX_SIMULATE_N = 100_000
+# simulate draws every trial at once, about 46 bytes per trial (494 MB at
+# 10^7 trials), so 2 * 10^7 trials peak near 1 GB.
+MAX_TRIALS = 20_000_000
+# scaling solves every n up to max-n, O(max_n^2) work in all: 1.2 s at 5000.
+MAX_SCALING_N = 10_000
+# verify-integrals evaluates O(kmax^2) kernels by quadrature of O(kmax)
+# nodes: 6.5 s at kmax = 100 and 76 s at 200.
+MAX_KMAX = 100
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY_FAIL = 2
@@ -100,6 +119,8 @@ def _render(manifest, result, fmt, header=None, rows=None):
 
 def cmd_phase_opt(args):
     n, method = args.n, args.method
+    if n > MAX_PHASE_N:
+        raise _UsageError(f"n must be <= {MAX_PHASE_N}")
     if method == "bdm":
         if n < 1:
             raise _UsageError("method 'bdm' requires n >= 1")
@@ -212,8 +233,8 @@ def _verify_rows(kmax, tol):
 
 
 def cmd_verify_integrals(args):
-    if args.kmax < 1:
-        raise _UsageError("kmax must be >= 1")
+    if not 1 <= args.kmax <= MAX_KMAX:
+        raise _UsageError(f"kmax must be between 1 and {MAX_KMAX}")
     if args.tol <= 0.0:
         raise _UsageError("tol must be positive")
     checks = _verify_rows(args.kmax, args.tol)
@@ -238,8 +259,10 @@ def cmd_verify_integrals(args):
 
 
 def cmd_simulate(args):
-    if args.trials < 2:
-        raise _UsageError("trials must be >= 2")
+    if not 2 <= args.trials <= MAX_TRIALS:
+        raise _UsageError(f"trials must be between 2 and {MAX_TRIALS}")
+    if args.n > MAX_SIMULATE_N:
+        raise _UsageError(f"n must be <= {MAX_SIMULATE_N}")
     try:
         config = SimConfig(args.protocol, args.n, args.trials, args.seed,
                            args.grid_size)
@@ -284,8 +307,8 @@ def cmd_simulate(args):
 
 
 def cmd_scaling(args):
-    if args.max_n < 2:
-        raise _UsageError("max-n must be >= 2")
+    if not 2 <= args.max_n <= MAX_SCALING_N:
+        raise _UsageError(f"max-n must be between 2 and {MAX_SCALING_N}")
     if args.step < 1:
         raise _UsageError("step must be >= 1")
     rows = []

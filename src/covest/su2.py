@@ -5,6 +5,13 @@ An element is a 2x2 complex array and a batch is an array of shape
 (..., 2, 2).  Its class angle theta in [0, 2*pi] is the conjugation
 invariant with Tr = 2*cos(theta/2).  The projective distance between u and
 v, 1 - |Tr(u^dag v)/2|^2, is sin^2(theta/2) at the class angle of u^dag v.
+
+Irreps act on the weight basis m_k = (j-1)/2 - k of dimension j, and
+irrep_matrix_batch builds them from Euler angles, u = e^{i alpha sigma_z/2}
+e^{i beta sigma_y/2} e^{i gamma sigma_z/2}: J_z is diagonal there, and
+e^{i beta J_y} is a real combination of the J_y eigenprojectors, which are
+computed once per j on first use and cached.  A batch of N elements costs
+one (N x 2j) @ (2j x j^2) product and O(N j^2) memory.
 """
 
 import math
@@ -53,29 +60,43 @@ def character(j, theta):
     return float(out) if out.ndim == 0 else out
 
 
+def _weights(j):
+    """Weights m_k = (j-1)/2 - k of the spin-(j-1)/2 irrep, k = 0..j-1."""
+    return 0.5 * (j - 1) - np.arange(j)
+
+
 @lru_cache(maxsize=None)
-def _spin_generators(j):
-    """Angular-momentum matrices (Jx, Jy, Jz) for spin (j-1)/2, weight basis."""
-    s = 0.5 * (j - 1)
-    m = s - np.arange(j)
-    jz = np.diag(m).astype(complex)
-    jp = np.zeros((j, j), dtype=complex)
-    for k in range(j - 1):
-        # <m_k | J+ | m_{k+1}>, with m_k = s - k
-        jp[k, k + 1] = math.sqrt(s * (s + 1) - m[k + 1] * (m[k + 1] + 1))
-    jm = jp.conj().T
-    jx = 0.5 * (jp + jm)
-    jy = -0.5j * (jp - jm)
-    for g in (jx, jy, jz):
-        g.setflags(write=False)
-    return jx, jy, jz
+def _jy_eigensystem(j):
+    """Eigenvalues of J_y and its rank-one projectors, stacked for a real product.
+
+    Returns (lam, w): lam has shape (j,), and w has shape (2j, j*j), the real
+    and negated imaginary parts of the projectors P_p = v_p v_p^dag, each
+    flattened to a row.  e^{i beta J_y} = sum_p e^{i beta lam_p} P_p is real
+    in the weight basis, so it equals [cos(beta lam), sin(beta lam)] @ w.
+    """
+    m = _weights(j)
+    # <m_k | J+ | m_{k+1}> on the superdiagonal
+    jp = np.diag(np.sqrt(m[0] * (m[0] + 1) - m[1:] * (m[1:] + 1)), 1)
+    lam, v = np.linalg.eigh(-0.5j * (jp - jp.T))
+    proj = (v.T[:, :, None] * v.T.conj()[:, None, :]).reshape(j, j * j)
+    w = np.concatenate([proj.real, -proj.imag])
+    lam.setflags(write=False)
+    w.setflags(write=False)
+    return lam, w
 
 
 def irrep_matrix_batch(j, matrices):
     """Spin-(j-1)/2 irrep matrices for a batch of SU(2) matrices, shape (n, 2, 2).
 
-    Writes each element as exp(i theta n.sigma/2) and exponentiates the spin
-    generators via a batched Hermitian eigendecomposition.
+    Each u = [[a, b], [-conj(b), conj(a)]] is split into Euler angles,
+    u = e^{i alpha sigma_z/2} e^{i beta sigma_y/2} e^{i gamma sigma_z/2}, with
+    beta = 2 atan2(|b|, |a|), (alpha+gamma)/2 = arg a, (alpha-gamma)/2 = arg b.
+    In the weight basis, m_k = (j-1)/2 - k, the irrep is then
+    D_kl = e^{i m_k alpha} d_kl(beta) e^{i m_l gamma} with d(beta) = e^{i beta J_y}.
+    d(beta) for the whole batch is one real (n x 2j) @ (2j x j^2) product with
+    the J_y projectors, computed once per j and cached; the two phases are
+    applied in place.  No per-element decomposition is made, and the work
+    memory is O(n j^2): the real d(beta) beside the complex result.
     """
     if j < 1:
         raise ValueError("irrep dimension must be >= 1")
@@ -85,26 +106,17 @@ def irrep_matrix_batch(j, matrices):
         return np.ones((n, 1, 1), dtype=complex)
     if j == 2:
         return matrices.copy()
-    c = np.clip((matrices[:, 0, 0] + matrices[:, 1, 1]).real / 2.0, -1.0, 1.0)
-    s = np.sqrt(np.clip(1.0 - c * c, 0.0, None))
-    theta = 2.0 * np.arctan2(s, c)
-    safe = np.where(s > 1e-12, s, 1.0)
-    # H = -i(m - cI) = s * n.sigma is Hermitian for SU(2) input
-    nz = matrices[:, 0, 0].imag / safe
-    nxy = -1j * matrices[:, 1, 0] / safe  # nx + i ny
-    deg = s <= 1e-12
-    nz = np.where(deg, 1.0, nz)
-    nx = np.where(deg, 0.0, nxy.real)
-    ny = np.where(deg, 0.0, nxy.imag)
-    jx, jy, jz = _spin_generators(j)
-    k = (
-        nx[:, None, None] * jx
-        + ny[:, None, None] * jy
-        + nz[:, None, None] * jz
-    )
-    evals, evecs = np.linalg.eigh(k)
-    phase = np.exp(1j * theta[:, None] * evals)
-    return (evecs * phase[:, None, :]) @ evecs.conj().swapaxes(-1, -2)
+    a, b = matrices[:, 0, 0], matrices[:, 0, 1]
+    beta = 2.0 * np.arctan2(np.abs(b), np.abs(a))
+    arg_a, arg_b = np.angle(a), np.angle(b)
+    lam, w = _jy_eigensystem(j)
+    bl = np.multiply.outer(beta, lam)
+    d = (np.concatenate([np.cos(bl), np.sin(bl)], axis=1) @ w).reshape(n, j, j)
+    m = _weights(j)
+    out = np.multiply(d, np.exp(1j * np.multiply.outer(arg_a + arg_b, m))[:, :, None],
+                      out=np.empty((n, j, j), dtype=complex))
+    out *= np.exp(1j * np.multiply.outer(arg_a - arg_b, m))[:, None, :]
+    return out
 
 
 @dataclass(frozen=True)

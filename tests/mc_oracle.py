@@ -1,32 +1,33 @@
-"""Matrix-level Monte Carlo oracle for the three-use SU(2) design.
+"""Matrix-level Monte Carlo oracle for the SU(2) designs of either parity.
 
 Everything here is built from explicit objects: the maximally entangled
 block states as vectors, the irrep matrices of the sampled group elements,
 and rejection sampling of the measurement outcome against the Haar
-distribution.  No closed-form error expression is used on this path.
+distribution.  No closed-form error expression is used on this path.  The
+blocks are those of a design's `Su2BlockAmplitudes`: dimensions 2, 4, ...
+for odd n and 1, 3, 5, ... for even n.
 """
 
 import numpy as np
 
 from covest import class_angles, haar_matrices, irrep_matrix_batch
 
-BLOCK_DIMS = (2, 4)
 
-
-def entangled_block_states():
+def entangled_block_states(dims):
     """Maximally entangled vectors vec(I_j)/sqrt(j) for each block."""
-    return [np.eye(j, dtype=complex).reshape(-1) / np.sqrt(j) for j in BLOCK_DIMS]
+    return [np.eye(j, dtype=complex).reshape(-1) / np.sqrt(j) for j in dims]
 
 
-def povm_amplitudes(x, relative):
+def povm_amplitudes(blocks, relative):
     """<eta| U_h |x_in> for a batch of relative elements h, via explicit matrices.
 
     |x_in> carries amplitude x_k on the maximally entangled state of block k;
     <eta| carries the weight j_k on the same state (the rank-one optimal seed
     for nonnegative amplitudes).
     """
+    dims = blocks.block_dims
     amps = np.zeros(relative.shape[0], dtype=complex)
-    for xk, j, e in zip(x, BLOCK_DIMS, entangled_block_states()):
+    for xk, j, e in zip(blocks.amplitudes, dims, entangled_block_states(dims)):
         v = irrep_matrix_batch(j, relative)
         em = e.reshape(j, j)
         proj = em @ em.conj().T
@@ -35,7 +36,7 @@ def povm_amplitudes(x, relative):
     return amps
 
 
-def sample_outcomes(x, seed, n_samples, chunk=200_000):
+def sample_outcomes(blocks, seed, n_samples, chunk=200_000):
     """Rejection-sample POVM outcomes for a Haar-random true element.
 
     Returns (losses, true_matrix, n_proposals): losses are the distances
@@ -43,7 +44,7 @@ def sample_outcomes(x, seed, n_samples, chunk=200_000):
     """
     rng = np.random.default_rng(seed)
     g_true = haar_matrices(rng, 1)[0]
-    bound = float(np.sum(np.asarray(x) * np.array(BLOCK_DIMS))) ** 2
+    bound = float(np.sum(blocks.amplitudes * np.array(blocks.block_dims))) ** 2
     losses = []
     n_proposals = 0
     collected = 0
@@ -51,7 +52,7 @@ def sample_outcomes(x, seed, n_samples, chunk=200_000):
         ghat = haar_matrices(rng, chunk)
         n_proposals += chunk
         relative = ghat.conj().swapaxes(-1, -2) @ g_true  # ghat^{-1} g
-        density = np.abs(povm_amplitudes(x, relative)) ** 2
+        density = np.abs(povm_amplitudes(blocks, relative)) ** 2
         keep = rng.random(chunk) * bound < density
         angles = class_angles(relative[keep])
         losses.append(np.sin(angles / 2.0) ** 2)
@@ -60,16 +61,16 @@ def sample_outcomes(x, seed, n_samples, chunk=200_000):
     return losses, g_true, n_proposals
 
 
-def povm_identity_deviation(seed, n_samples):
+def povm_identity_deviation(blocks, seed, n_samples):
     """Max deviation of the Monte Carlo POVM integral from the identity.
 
     Averages U_ghat |eta><eta| U_ghat^dag over Haar samples on the full
-    (2x2 + 4x4)-block space and compares with the identity matrix.
+    space of the blocks (sum of j x j over the block dimensions j) and
+    compares with the identity matrix.
     """
+    dims = blocks.block_dims
     rng = np.random.default_rng(seed)
-    eta = np.concatenate(
-        [j * e for j, e in zip(BLOCK_DIMS, entangled_block_states())]
-    )
+    eta = np.concatenate([j * e for j, e in zip(dims, entangled_block_states(dims))])
     dim = eta.size
     acc = np.zeros((dim, dim), dtype=complex)
     done = 0
@@ -82,7 +83,7 @@ def povm_identity_deviation(seed, n_samples):
         u_eta = np.concatenate(
             [
                 (np.sqrt(j) * irrep_matrix_batch(j, ghat)).reshape(m, j * j)
-                for j in BLOCK_DIMS
+                for j in dims
             ],
             axis=1,
         )

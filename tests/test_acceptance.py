@@ -104,9 +104,7 @@ def test_criterion_4_su2_phase_reduction():
 def test_criterion_5_matrix_level_oracle():
     with _Criterion(5, 60.0):
         design = design_optimal(3)
-        losses, _, _ = sample_outcomes(
-            design.blocks.amplitudes, seed=2718, n_samples=100_000
-        )
+        losses, _, _ = sample_outcomes(design.blocks, seed=2718, n_samples=100_000)
         se = losses.std(ddof=1) / math.sqrt(losses.size)
         assert abs(losses.mean() - design.error) < 3.0 * se
 

@@ -11,7 +11,16 @@ import pytest
 
 import covest
 from covest import __version__
-from covest.cli import MAX_SU2_N, SCALING_HEADER, main
+from covest.cli import (
+    MAX_KMAX,
+    MAX_PHASE_N,
+    MAX_SCALING_N,
+    MAX_SIMULATE_N,
+    MAX_SU2_N,
+    MAX_TRIALS,
+    SCALING_HEADER,
+    main,
+)
 
 
 def run_cli(capsys, *argv):
@@ -48,6 +57,17 @@ def run_subprocess(*argv, timeout):
                           timeout=timeout)
 
 
+def assert_usage_error(*argv):
+    """A fresh `covest ARGV` stops with a usage error before doing any work."""
+    start = time.perf_counter()
+    proc = run_subprocess(*argv, timeout=60)
+    assert proc.returncode == 1
+    assert "covest: error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert time.perf_counter() - start < 10.0
+
+
 class TestPhaseOpt:
     def test_exact(self, capsys):
         code, payload = run_json(capsys, "phase-opt", "--n", "2")
@@ -68,6 +88,9 @@ class TestPhaseOpt:
         with pytest.raises(SystemExit) as exc:
             main(["phase-opt", "--n", "2", "--method", "sideways"])
         assert exc.value.code == 1
+
+    def test_n_above_limit_is_usage_error(self):
+        assert_usage_error("phase-opt", "--n", str(MAX_PHASE_N + 1))
 
     def test_large_n_runs_quickly(self):
         start = time.perf_counter()
@@ -93,10 +116,7 @@ class TestSu2Design:
         assert code == 1
 
     def test_n_above_limit_is_usage_error(self):
-        proc = run_subprocess("su2-design", "--n", str(MAX_SU2_N + 1), timeout=60)
-        assert proc.returncode == 1
-        assert "covest: error:" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert_usage_error("su2-design", "--n", str(MAX_SU2_N + 1))
 
     def test_external_n999_scaling(self, capsys):
         code, payload = run_json(capsys, "su2-design", "--n", "999")
@@ -110,6 +130,9 @@ class TestVerifyIntegrals:
         code, payload = run_json(capsys, "verify-integrals", "--kmax", "5")
         assert code == 0
         assert all(row["pass"] for row in payload["result"]["identities"])
+
+    def test_kmax_above_limit_is_usage_error(self):
+        assert_usage_error("verify-integrals", "--kmax", str(MAX_KMAX + 1))
 
     def test_impossible_tolerance_fails(self, capsys):
         code, payload = run_json(
@@ -141,6 +164,15 @@ class TestSimulateCommand:
     def test_zero_trials_rejected(self, capsys):
         code = main(["simulate", "--protocol", "phase", "--n", "1", "--trials", "0"])
         assert code == 1
+
+    @pytest.mark.parametrize("protocol", ["phase", "su2"])
+    def test_n_above_limit_is_usage_error(self, protocol):
+        assert_usage_error("simulate", "--protocol", protocol,
+                           "--n", str(MAX_SIMULATE_N + 1), "--trials", "1000")
+
+    def test_trials_above_limit_is_usage_error(self):
+        assert_usage_error("simulate", "--protocol", "su2", "--n", "5",
+                           "--trials", str(MAX_TRIALS + 1))
 
     def test_workers_option_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -175,6 +207,9 @@ class TestScaling:
         rows = payload["result"]["rows"]
         exact = [row["phase_exact"] for row in rows]
         assert exact == sorted(exact, reverse=True)
+
+    def test_max_n_above_limit_is_usage_error(self):
+        assert_usage_error("scaling", "--max-n", str(MAX_SCALING_N + 1))
 
     def test_large_n_ratios(self, capsys):
         code, payload = run_json(

@@ -229,13 +229,30 @@ class TestCovarianceReduction:
         n_samples = 100_000
         design = design_optimal(3)
         class_res = simulate(SimConfig("su2", 3, n_samples, 1234), design)
-        losses, _, _ = sample_outcomes(
-            design.blocks.amplitudes, seed=5678, n_samples=n_samples
-        )
+        losses, _, _ = sample_outcomes(design.blocks, seed=5678, n_samples=n_samples)
         full_mean = float(losses.mean())
         full_se = float(losses.std(ddof=1) / math.sqrt(n_samples))
         comb = math.hypot(class_res.standard_error, full_se)
         assert abs(class_res.empirical_mean_error - full_mean) < 3.0 * comb
 
     def test_povm_resolves_identity(self):
-        assert povm_identity_deviation(seed=99, n_samples=40_000) < 0.05
+        blocks = design_optimal(3).blocks
+        assert povm_identity_deviation(blocks, seed=99, n_samples=40_000) < 0.05
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_povm_resolves_identity_even_n(self, n):
+        """Blocks 1, 3 (n = 2) and 1, 3, 5 (n = 4), trivial block included."""
+        blocks = design_optimal(n).blocks
+        assert blocks.block_dims == tuple(range(1, n + 2, 2))
+        assert povm_identity_deviation(blocks, seed=99, n_samples=40_000) < 0.05
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_full_sampler_matches_closed_form_even_n(self, n):
+        """The explicit rejection sampler, with no class-angle shortcut,
+        reproduces su2_error for even n, trivial-block penalty included."""
+        n_samples = 100_000
+        design = design_optimal(n)
+        losses, _, _ = sample_outcomes(design.blocks, seed=2718, n_samples=n_samples)
+        se = losses.std(ddof=1) / math.sqrt(n_samples)
+        z = (losses.mean() - su2_error(design.blocks, design.seed)) / se
+        assert abs(z) < 4.0

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.stats import kstest
 
+import covest
 from covest import (
     character,
     class_angles,
@@ -28,6 +33,58 @@ def rotation(theta, phi1, phi2):
     c, s = math.cos(phi1), math.sin(phi1)
     w = np.array([[c, s * np.exp(1j * phi2)], [-s * np.exp(-1j * phi2), c]])
     return dagger(w) @ np.diag([np.exp(0.5j * theta), np.exp(-0.5j * theta)]) @ w
+
+
+def spin_generators(j):
+    """(Jx, Jy, Jz) for spin (j-1)/2 in the weight basis m_k = (j-1)/2 - k."""
+    s = 0.5 * (j - 1)
+    m = s - np.arange(j)
+    jp = np.diag(np.sqrt(s * (s + 1) - m[1:] * (m[1:] + 1)), 1).astype(complex)
+    return 0.5 * (jp + jp.T), -0.5j * (jp - jp.T), np.diag(m).astype(complex)
+
+
+def reference_irrep_batch(j, matrices):
+    """exp(i theta n.J) for each u = exp(i theta n.sigma/2), by a batched eigh.
+
+    The per-element eigendecomposition of the rotation generator that
+    irrep_matrix_batch replaced with its Euler-angle form; kept as an
+    independent oracle.
+    """
+    c = np.clip((matrices[:, 0, 0] + matrices[:, 1, 1]).real / 2.0, -1.0, 1.0)
+    s = np.sqrt(np.clip(1.0 - c * c, 0.0, None))
+    theta = 2.0 * np.arctan2(s, c)
+    deg = s <= 1e-12
+    safe = np.where(deg, 1.0, s)
+    # -i(u - cI) = s n.sigma
+    nz = np.where(deg, 1.0, matrices[:, 0, 0].imag / safe)
+    nxy = np.where(deg, 0.0, -1j * matrices[:, 1, 0] / safe)  # nx + i ny
+    jx, jy, jz = spin_generators(j)
+    k = (nxy.real[:, None, None] * jx + nxy.imag[:, None, None] * jy
+         + nz[:, None, None] * jz)
+    evals, evecs = np.linalg.eigh(k)
+    phase = np.exp(1j * theta[:, None] * evals)
+    return (evecs * phase[:, None, :]) @ dagger(evecs)
+
+
+def su2_element(a, b):
+    return np.array([[a, b], [-np.conj(b), np.conj(a)]])
+
+
+def degenerate_elements():
+    """±I, b = 0, a = 0, and |b| or |a| = 1e-10, with generic phases."""
+    tiny, near_one = 1e-10, math.sqrt(1.0 - 1e-20)
+    return np.stack([
+        np.eye(2, dtype=complex),
+        -np.eye(2, dtype=complex),
+        su2_element(np.exp(0.7j), 0.0),
+        su2_element(-1.0, 0.0),
+        su2_element(0.0, np.exp(1.1j)),
+        su2_element(0.0, -1.0),
+        su2_element(near_one * np.exp(0.7j), tiny * np.exp(-2.1j)),
+        su2_element(near_one * np.exp(-2.9j), tiny * np.exp(0.4j)),
+        su2_element(tiny * np.exp(0.3j), near_one * np.exp(1.1j)),
+        su2_element(tiny * np.exp(-1.7j), near_one * np.exp(2.6j)),
+    ]).astype(complex)
 
 
 def distance(u, v):
@@ -146,7 +203,11 @@ class TestIrrepMatrix:
         expected = np.diag([np.exp(1j * theta), 1.0, np.exp(-1j * theta)])
         assert np.allclose(irrep_matrix_batch(3, m)[0], expected, atol=1e-12)
 
-    @pytest.mark.parametrize("j", range(1, 7))
+    def test_defining_rep_returns_input(self, rng):
+        m = np.concatenate([haar_matrices(rng, 20), degenerate_elements()])
+        assert np.array_equal(irrep_matrix_batch(2, m), m)
+
+    @pytest.mark.parametrize("j", [*range(1, 7), 12, 25, 50])
     def test_homomorphism(self, j, rng):
         g, h = haar_matrices(rng, 20), haar_matrices(rng, 20)
         prod = irrep_matrix_batch(j, g) @ irrep_matrix_batch(j, h)
@@ -159,12 +220,71 @@ class TestIrrepMatrix:
         assert np.abs(traces - character(j, class_angles(m))).max() < 1e-10
 
     def test_unitarity(self, rng):
-        v = irrep_matrix_batch(5, haar_matrices(rng, 20))
-        assert np.abs(v @ dagger(v) - np.eye(5)).max() < 1e-12
+        m = np.concatenate([haar_matrices(rng, 20), degenerate_elements()])
+        for j in (5, 12, 25, 50):
+            v = irrep_matrix_batch(j, m)
+            assert np.abs(v @ dagger(v) - np.eye(j)).max() < 1e-12, j
+
+    def test_matches_eigh_reference(self, rng):
+        """Agreement with the per-element eigh construction, j = 1..50.
+
+        Even j are the half-integer spins, where a wrong branch of the Euler
+        angles flips signs: D(-I) = -I there and +I for odd j.
+        """
+        m = np.concatenate([haar_matrices(rng, 100), degenerate_elements()])
+        for j in range(1, 51):
+            dev = np.abs(irrep_matrix_batch(j, m) - reference_irrep_batch(j, m)).max()
+            assert dev < 1e-11 * j, (j, dev)
+
+    def test_minus_identity_sign(self):
+        minus = -np.eye(2, dtype=complex)[None]
+        for j in range(1, 11):
+            sign = -1.0 if j % 2 == 0 else 1.0
+            assert np.abs(irrep_matrix_batch(j, minus)[0] - sign * np.eye(j)).max() < 1e-13
 
     def test_rejects_nonpositive_dimension(self, rng):
         with pytest.raises(ValueError):
             irrep_matrix_batch(0, haar_matrices(rng, 1))
+
+
+class TestIrrepStructure:
+    """irrep_matrix_batch makes no per-element decomposition and no large
+    temporaries, and its per-j cache fills only on use."""
+
+    def test_no_decomposition_once_cache_is_warm(self, rng, monkeypatch):
+        m = np.concatenate([haar_matrices(rng, 50), degenerate_elements()])
+        first = {j: irrep_matrix_batch(j, m) for j in (3, 4, 12, 25)}
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("decomposition on a warm cache")
+
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        for module, names in ((np.linalg, ("eig", "eigh", "eigvals", "eigvalsh", "svd")),
+                              (scipy_linalg, ("expm", "eig", "eigh", "schur"))):
+            for name in names:
+                monkeypatch.setattr(module, name, forbidden)
+        for j, v in first.items():
+            assert np.array_equal(irrep_matrix_batch(j, m), v)
+
+    def test_import_leaves_cache_empty(self):
+        src = os.path.dirname(os.path.dirname(covest.__file__))
+        probe = ("import covest, covest.cli; from covest import su2; "
+                 "print(su2._jy_eigensystem.cache_info().currsize)")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "0"
+
+    def test_peak_memory_bounded(self, rng):
+        m = haar_matrices(rng, 2000)
+        irrep_matrix_batch(25, m[:1])  # warm the per-j cache
+        tracemalloc.start()
+        try:
+            v = irrep_matrix_batch(25, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * v.nbytes
 
 
 class TestDistance:
