@@ -1,12 +1,6 @@
 """Covariant estimation of an unknown phase and of an unknown SU(2) action."""
 
-from .integrals import (
-    QuadratureSpec,
-    class_integral,
-    phase_error_kernel,
-    su2_error_kernel,
-    su2_single_irrep_integral,
-)
+from .integrals import phase_kernel_matrix, su2_kernel_matrix
 from .phase import (
     PhaseDesign,
     PhaseInputState,
@@ -64,11 +58,8 @@ __all__ = [
     "optimal_input",
     "optimal_seed",
     "phase_error",
-    "QuadratureSpec",
-    "class_integral",
-    "phase_error_kernel",
-    "su2_error_kernel",
-    "su2_single_irrep_integral",
+    "phase_kernel_matrix",
+    "su2_kernel_matrix",
     "BlockFeasibility",
     "FeasibilityReport",
     "Su2BlockAmplitudes",

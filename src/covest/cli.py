@@ -15,6 +15,8 @@ import os
 import sys
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import __version__
 from .phase import asymptotic_error, bdm_input, min_covariant_error, optimal_input
 from .simulate import SimConfig, simulate
@@ -22,12 +24,9 @@ from .su2_design import (
     asymptotic_error_su2,
     design_optimal,
     self_entanglement_feasible,
+    single_irrep_error,
 )
-from .integrals import (
-    phase_error_kernel,
-    su2_error_kernel,
-    su2_single_irrep_integral,
-)
+from .integrals import phase_kernel_matrix, su2_kernel_matrix
 
 # Fixed default so bare invocations are reproducible; override with --seed.
 DEFAULT_SEED = 20040725
@@ -46,16 +45,19 @@ MAX_SU2_N = 10_000
 # phase-opt builds O(n) arrays and prints n+1 amplitudes: 2.4 s and 394 MB
 # at n = 10^6, so 10^7 would need about 4 GB.
 MAX_PHASE_N = 1_000_000
-# simulate builds the density's Fourier coefficients in O(n^2) time: the
-# phase protocol takes 8.5 s at n = 10^5 (45 MB), and 100 times that at 10^6.
+# simulate builds the density's Fourier coefficients from an FFT
+# autocorrelation, O(n log n): the phase protocol takes 0.3-0.4 s at
+# n = 10^5 (60 MB).  The su2 protocol adds an O(n^2) self-convolution,
+# 1.0-2.0 s at n = 10^5 and about 100 times that at 10^6.
 MAX_SIMULATE_N = 100_000
 # simulate draws every trial at once, about 46 bytes per trial (494 MB at
 # 10^7 trials), so 2 * 10^7 trials peak near 1 GB.
 MAX_TRIALS = 20_000_000
 # scaling solves every n up to max-n, O(max_n^2) work in all: 1.2 s at 5000.
 MAX_SCALING_N = 10_000
-# verify-integrals evaluates O(kmax^2) kernels by quadrature of O(kmax)
-# nodes: 6.5 s at kmax = 100 and 76 s at 200.
+# verify-integrals builds three kernel matrices from character tables of
+# O(kmax^2) terms at O(kmax) nodes, O(kmax^3) work: 0.44 s at kmax = 60 and
+# 0.66 s at 100 as cold runs, and 1.7 s in-process at 200.
 MAX_KMAX = 100
 
 EXIT_OK = 0
@@ -200,35 +202,27 @@ def cmd_su2_design(args):
     return EXIT_OK
 
 
-def _verify_rows(kmax, tol):
-    dev_single = max(
-        abs(su2_single_irrep_integral(j) - (0.75 if j == 1 else 0.5))
-        for j in range(1, max(2, 2 * kmax) + 1)
-    )
-    def delta(k, l):
-        if k == l:
-            return 0.5
-        if abs(k - l) == 1:
-            return -0.25
-        return 0.0
-    dev_su2 = 0.0
-    dev_match = 0.0
-    for k in range(1, kmax + 1):
-        for l in range(1, kmax + 1):
-            s = su2_error_kernel(k, l)
-            p = phase_error_kernel(k, l)
-            dev_su2 = max(dev_su2, abs(s - delta(k, l)))
-            dev_match = max(dev_match, abs(s - p))
-    dev_phase = max(
-        abs(phase_error_kernel(k, l) - delta(k, l))
-        for k in range(0, kmax + 1)
-        for l in range(0, kmax + 1)
-    )
+def _tridiagonal(m):
+    """(1/2) delta_{k,l} - (1/4) delta_{k,l+-1}, the error kernel of both groups."""
+    return 0.5 * np.eye(m) - 0.25 * (np.eye(m, k=1) + np.eye(m, k=-1))
+
+
+def _verify_rows(kmax):
+    even, odd = range(2, 2 * kmax + 1, 2), range(1, 2 * kmax, 2)
+    su2_even, su2_odd = su2_kernel_matrix(even), su2_kernel_matrix(odd)
+    u1 = phase_kernel_matrix(range(kmax + 1))
+    # the diagonals hold the single-irrep integrals of dimensions 1..2 kmax
+    single = np.concatenate([np.diag(su2_odd), np.diag(su2_even)])
+    expected = [single_irrep_error(j) for j in (*odd, *even)]
+
+    def worst(got, want):
+        return float(np.max(np.abs(got - want)))
+
     return [
-        ("single-irrep integral", dev_single),
-        ("su2 character kernel", dev_su2),
-        ("u1 phase kernel", dev_phase),
-        ("kernel equivalence", dev_match),
+        ("single-irrep integral", worst(single, expected)),
+        ("su2 character kernel", worst(su2_even, _tridiagonal(kmax))),
+        ("u1 phase kernel", worst(u1, _tridiagonal(kmax + 1))),
+        ("kernel equivalence", worst(su2_even, u1[1:, 1:])),
     ]
 
 
@@ -237,7 +231,7 @@ def cmd_verify_integrals(args):
         raise _UsageError(f"kmax must be between 1 and {MAX_KMAX}")
     if args.tol <= 0.0:
         raise _UsageError("tol must be positive")
-    checks = _verify_rows(args.kmax, args.tol)
+    checks = _verify_rows(args.kmax)
     all_pass = all(dev <= args.tol for _, dev in checks)
     manifest = _manifest(
         "verify-integrals",

@@ -1,10 +1,14 @@
-"""Class-function integrals over SU(2) and U(1) by periodic quadrature.
+"""Class-function integrals over SU(2) and U(1), as kernel matrices.
 
-Every integrand in scope is a trigonometric polynomial, so the equispaced
-periodic rule is exact to roundoff once the node count exceeds the degree.
+Every integrand here is a trigonometric polynomial in the half angle
+psi = theta/2, characters of even dimension included, so one rule serves
+them all: nodes equispaced in psi over [0, 2*pi), that is theta over
+[0, 4*pi) with the weight halved.  It is exact to roundoff once the node
+count exceeds the degree in psi, and the count is derived from the largest
+dimension or level asked for.  Each function builds its character or
+exponential table once and returns the whole kernel as one weighted matrix
+product.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,69 +17,43 @@ from .su2 import character
 _IMAG_TOL = 1e-14
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Equispaced periodic rule on [0, 2*pi) with node_count nodes."""
+def _half_angle_rule(top):
+    """Angles theta = 2 psi, psi = 2 pi i / N, and sin^2(theta/2) at them.
 
-    node_count: int
-
-    def __post_init__(self):
-        if self.node_count < 16:
-            raise ValueError("node_count must be >= 16")
-
-    @property
-    def nodes(self):
-        return 2.0 * np.pi * np.arange(self.node_count) / self.node_count
-
-    @property
-    def weight(self):
-        return 2.0 * np.pi / self.node_count
-
-
-def class_integral(f, spec):
-    """Integral of f(theta) against the class measure sin^2(theta/2)/pi d theta.
-
-    `f` must accept an array of angles.  Exact to roundoff for trigonometric
-    polynomials of degree < node_count - 2.
+    N = 2 top + 16 exceeds the psi-degree 2 top + 2 of every integrand with
+    dimensions or levels up to top.
     """
-    theta = spec.nodes
-    vals = np.asarray(f(theta))
-    return float(np.sum(vals * np.sin(theta / 2.0) ** 2) / np.pi * spec.weight)
+    nodes = 2 * top + 16
+    theta = 4.0 * np.pi * np.arange(nodes) / nodes
+    return theta, np.sin(theta / 2.0) ** 2
 
 
-def su2_error_kernel(k, l):
-    """Class integral of sin^2(theta/2) chi^{2k} chi^{2l}.
+def su2_kernel_matrix(dims):
+    """K[a, b] = integral of sin^2(theta/2) chi^{dims[a]} chi^{dims[b]} d mu.
 
-    Equals (1/2) delta_{k,l} - (1/4) delta_{k,l-1} - (1/4) delta_{k-1,l}.
+    mu is the class measure sin^2(theta/2)/pi d theta on [0, 2*pi).  For
+    dims 2k, 2l this is (1/2) delta_{k,l} - (1/4) delta_{k,l+-1}; the diagonal
+    is 3/4 at dimension 1 and 1/2 above; entries of mixed parity vanish.
     """
-    if k < 1 or l < 1:
-        raise ValueError("k and l must be >= 1")
-    spec = QuadratureSpec(2 * (k + l) + 16)
-    return class_integral(
-        lambda t: np.sin(t / 2.0) ** 2 * character(2 * k, t) * character(2 * l, t),
-        spec,
-    )
+    theta, s = _half_angle_rule(max(dims))
+    chi = np.array([character(d, theta) for d in dims])
+    return (chi * (2.0 * s * s / theta.size)) @ chi.T
 
 
-def su2_single_irrep_integral(j):
-    """Class integral of sin^2(theta/2) chi^j(theta)^2: 3/4 at j=1, else 1/2."""
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    spec = QuadratureSpec(2 * j + 16)
-    return class_integral(lambda t: np.sin(t / 2.0) ** 2 * character(j, t) ** 2, spec)
+def phase_kernel_matrix(levels):
+    """K[a, b] = (1/2 pi) integral of sin^2(theta/2) e^{i(levels[a]-levels[b]) theta}.
 
-
-def phase_error_kernel(k, l):
-    """(1/2 pi) integral of sin^2(theta/2) e^{i(k-l) theta} over [0, 2*pi).
-
-    Equals (1/2) delta_{k,l} - (1/4) delta_{k,l-1} - (1/4) delta_{k-1,l};
-    normalized so the constant function integrates to one.
+    The integral runs over [0, 2*pi), so the constant function integrates to
+    one.  K[a, b] is 1/2 where the levels agree, -1/4 where they differ by
+    one, and 0 elsewhere.  Returns the real part; ArithmeticError if the
+    imaginary part is not negligible.
     """
-    if k < 0 or l < 0:
-        raise ValueError("k and l must be >= 0")
-    n = 2 * abs(k - l) + 16
-    theta = 2.0 * np.pi * np.arange(n) / n
-    out = np.mean(np.sin(theta / 2.0) ** 2 * np.exp(1j * (k - l) * theta))
-    if abs(out.imag) > _IMAG_TOL:
+    levels = np.asarray(levels, dtype=int)
+    if levels.min() < 0:
+        raise ValueError("levels must be >= 0")
+    theta, s = _half_angle_rule(int(levels.max()))
+    e = np.exp(1j * np.multiply.outer(levels, theta))
+    k = (e * (s / theta.size)) @ e.conj().T
+    if np.abs(k.imag).max() > _IMAG_TOL:
         raise ArithmeticError("phase kernel has a non-negligible imaginary part")
-    return float(out.real)
+    return k.real

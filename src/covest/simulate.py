@@ -44,9 +44,17 @@ class SimResult:
 
 
 def _autocorrelation(y):
-    """sum_r sum_k y[k+m, r] conj(y[k, r]) for m = 0..d-1."""
+    """sum_r sum_k y[k+m, r] conj(y[k, r]) for m = 0..d-1.
+
+    The columns are zero-padded to a power of two >= 2d, so that no lag
+    wraps around, and transformed; their power spectra are summed, and one
+    inverse FFT gives every lag.
+    """
     d = y.shape[0]
-    return np.array([np.sum(y[m:] * y[: d - m].conj()) for m in range(d)])
+    size = 1 << (2 * d - 1).bit_length()
+    spectrum = np.fft.fft(y, n=size, axis=0)
+    power = np.sum(spectrum.real ** 2 + spectrum.imag ** 2, axis=1)
+    return np.fft.ifft(power)[:d]
 
 
 def _phase_coefficients(design):

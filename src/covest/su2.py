@@ -136,23 +136,16 @@ class MultiplicitySpectrum:
 def multiplicity_spectrum(n):
     """Decompose the n-qubit tensor power into irrep (dimension, multiplicity) pairs.
 
-    Exact integer arithmetic; the dimension identity sum(dim * mult) = 2**n
+    The block of dimension n+1-2i has multiplicity C(n, i) - C(n, i-1), in
+    exact integer arithmetic; the dimension identity sum(dim * mult) = 2**n
     holds by construction.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    d = (n + 1) // 2
-    entries = []
-    if n % 2 == 1:
-        ks = range(1, d + 1)
-        dims = [2 * k for k in ks]
-    else:
-        ks = range(0, d + 1)
-        dims = [2 * k + 1 for k in ks]
-    for k, dim in zip(ks, dims):
-        lower = d - k - 1
-        mult = math.comb(n, d - k) - (math.comb(n, lower) if lower >= 0 else 0)
-        entries.append((dim, mult))
+    entries = [
+        (n + 1 - 2 * i, math.comb(n, i) - (math.comb(n, i - 1) if i else 0))
+        for i in range(n // 2, -1, -1)
+    ]
     spec = MultiplicitySpectrum(n, tuple(entries))
     assert sum(m * mult for m, mult in spec.entries) == 2**n
     return spec

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import integrals
 from .phase import PhaseInputState, Seed, optimal_seed, phase_error
-from .su2 import character, multiplicity_spectrum
+from .su2 import multiplicity_spectrum
 
 EXTERNAL = "external"
 SELF_ENTANGLED = "self-entangled"
@@ -180,10 +180,10 @@ def self_entanglement_feasible(n):
 def brute_force_su2_error(blocks, seed):
     """Quadrature oracle for the error of either parity.
 
-    Assembles sum_{k,l} x_k x_l t_{l,k} I(k,l) from the dense T = F F^H,
-    where I(k,l) is the class integral of sin^2(theta/2) chi^{dim_k}
-    chi^{dim_l} over the block dimensions, evaluated by quadrature instead
-    of any closed-form pattern.
+    Assembles sum_{k,l} conj(x_k) x_l t_{l,k} K_{k,l} from the dense
+    T = F F^H, where K is su2_kernel_matrix over the block dimensions, the
+    class integrals of sin^2(theta/2) chi^{dim_k} chi^{dim_l} evaluated by
+    quadrature instead of any closed-form pattern.
     """
     x = blocks.amplitudes
     d = x.size
@@ -193,18 +193,8 @@ def brute_force_su2_error(blocks, seed):
     if f.shape[0] != d:
         raise ValueError("seed dimension mismatch")
     tm = f @ f.conj().T
-    dims = blocks.block_dims
-    spec = integrals.QuadratureSpec(2 * dims[-1] + 16)
-    total = 0.0 + 0.0j
-    for k in range(d):
-        for l in range(d):
-            kernel = integrals.class_integral(
-                lambda th: np.sin(th / 2.0) ** 2
-                * character(dims[k], th)
-                * character(dims[l], th),
-                spec,
-            )
-            total += np.conj(x[k]) * x[l] * tm[l, k] * kernel
+    kernel = integrals.su2_kernel_matrix(blocks.block_dims)
+    total = np.sum(np.outer(np.conj(x), x) * tm.T * kernel)
     if abs(total.imag) > 1e-10:
         raise ArithmeticError("oracle error has a non-negligible imaginary part")
     return float(total.real)

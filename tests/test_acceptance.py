@@ -22,12 +22,11 @@ from covest import (
     multiplicity_spectrum,
     optimal_input,
     phase_error,
-    phase_error_kernel,
+    phase_kernel_matrix,
     self_entanglement_feasible,
     simulate,
-    su2_error_kernel,
+    su2_kernel_matrix,
     su2_error,
-    su2_single_irrep_integral,
 )
 from mc_oracle import sample_outcomes
 
@@ -57,24 +56,19 @@ class _Criterion:
 
 def test_criterion_1_single_irrep_integral():
     with _Criterion(1, 1.0):
-        assert abs(su2_single_irrep_integral(1) - 0.75) < 1e-10
-        for j in range(2, 51):
-            assert abs(su2_single_irrep_integral(j) - 0.5) < 1e-10
+        single = np.diag(su2_kernel_matrix(range(1, 51)))
+        assert abs(single[0] - 0.75) < 1e-10
+        assert np.all(np.abs(single[1:] - 0.5) < 1e-10)
 
 
 def test_criterion_2_error_kernels():
     with _Criterion(2, 5.0):
-        for k in range(1, 31):
-            for l in range(1, 31):
-                if k == l:
-                    target = 0.5
-                elif abs(k - l) == 1:
-                    target = -0.25
-                else:
-                    target = 0.0
-                s = su2_error_kernel(k, l)
-                assert abs(s - target) < 1e-10
-                assert abs(s - phase_error_kernel(k, l)) < 1e-12
+        ks = np.arange(1, 31)
+        diff = np.subtract.outer(ks, ks)
+        target = np.select([diff == 0, np.abs(diff) == 1], [0.5, -0.25], 0.0)
+        s = su2_kernel_matrix(2 * ks)
+        assert np.all(np.abs(s - target) < 1e-10)
+        assert np.all(np.abs(s - phase_kernel_matrix(ks)) < 1e-12)
 
 
 def test_criterion_3_phase_scaling():

@@ -11,7 +11,6 @@ PUBLIC = [
     "MultiplicitySpectrum",
     "PhaseDesign",
     "PhaseInputState",
-    "QuadratureSpec",
     "Seed",
     "SimConfig",
     "SimResult",
@@ -24,7 +23,6 @@ PUBLIC = [
     "brute_force_su2_error",
     "character",
     "class_angles",
-    "class_integral",
     "design_optimal",
     "haar_matrices",
     "irrep_matrix_batch",
@@ -35,13 +33,12 @@ PUBLIC = [
     "outcome_density_phase",
     "outcome_density_su2_class",
     "phase_error",
-    "phase_error_kernel",
+    "phase_kernel_matrix",
     "self_entanglement_feasible",
     "simulate",
     "single_irrep_error",
     "su2_error",
-    "su2_error_kernel",
-    "su2_single_irrep_integral",
+    "su2_kernel_matrix",
 ]
 
 REMOVED = [
@@ -56,6 +53,11 @@ REMOVED = [
     "su2_error_odd",
     "min_su2_error_odd",
     "su2_error_even",
+    "QuadratureSpec",
+    "class_integral",
+    "su2_error_kernel",
+    "su2_single_irrep_integral",
+    "phase_error_kernel",
 ]
 
 

@@ -7,6 +7,7 @@ import time
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 
 import covest
@@ -133,6 +134,33 @@ class TestVerifyIntegrals:
 
     def test_kmax_above_limit_is_usage_error(self):
         assert_usage_error("verify-integrals", "--kmax", str(MAX_KMAX + 1))
+
+    def test_limit_runs_cold_within_1e_12(self):
+        start = time.perf_counter()
+        proc = run_subprocess("verify-integrals", "--kmax", str(MAX_KMAX), timeout=60)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        assert elapsed < 10.0
+        rows = json.loads(proc.stdout)["result"]["identities"]
+        assert len(rows) == 4
+        assert all(row["worst_abs_deviation"] <= 1e-12 for row in rows)
+
+    def test_wrong_character_fails(self, capsys, monkeypatch):
+        character = covest.integrals.character
+        monkeypatch.setattr(
+            covest.integrals, "character",
+            lambda j, theta: character(j, theta) + np.cos((j + 1) * theta / 2.0),
+        )
+        code, payload = run_json(capsys, "verify-integrals", "--kmax", "5")
+        assert code == 2
+        assert not payload["result"]["pass"]
+        verdicts = {row["identity"]: row["pass"] for row in payload["result"]["identities"]}
+        assert verdicts == {
+            "single-irrep integral": False,
+            "su2 character kernel": False,
+            "u1 phase kernel": True,
+            "kernel equivalence": False,
+        }
 
     def test_impossible_tolerance_fails(self, capsys):
         code, payload = run_json(

@@ -1,15 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
-from covest import (
-    QuadratureSpec,
-    class_integral,
-    phase_error_kernel,
-    su2_error_kernel,
-    su2_single_irrep_integral,
-)
+from covest import phase_kernel_matrix, su2_kernel_matrix
 
 
 def delta_pattern(k, l):
@@ -20,91 +12,89 @@ def delta_pattern(k, l):
     return 0.0
 
 
-class TestClassIntegral:
-    def test_probability_measure(self):
-        assert class_integral(np.ones_like, QuadratureSpec(32)) == pytest.approx(
-            1.0, abs=1e-14
-        )
-
-    def test_sin_squared(self):
-        val = class_integral(lambda t: np.sin(t / 2.0) ** 2, QuadratureSpec(32))
-        assert val == pytest.approx(0.75, abs=1e-14)
-
-    def test_cosine(self):
-        val = class_integral(np.cos, QuadratureSpec(32))
-        assert val == pytest.approx(-0.5, abs=1e-14)
-
-    def test_node_count_floor(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(8)
-
-    def test_convergence_plateau(self):
-        f = lambda t: np.sin(t / 2.0) ** 2 * np.cos(3 * t)
-        coarse = class_integral(f, QuadratureSpec(16))
-        fine = class_integral(f, QuadratureSpec(32))
-        assert abs(coarse - fine) < 1e-13
+def su2_kernel(ks):
+    """The kernel over dims 2k: entry [a, b] is the (ks[a], ks[b]) integral."""
+    return su2_kernel_matrix([2 * k for k in ks])
 
 
 class TestSu2ErrorKernel:
+    """Entries of su2_kernel_matrix over dims 2k."""
+
     def test_diagonal(self):
-        assert su2_error_kernel(3, 3) == pytest.approx(0.5, abs=1e-12)
+        assert su2_kernel([3])[0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_adjacent(self):
-        assert su2_error_kernel(3, 4) == pytest.approx(-0.25, abs=1e-12)
+        assert su2_kernel([3, 4])[0, 1] == pytest.approx(-0.25, abs=1e-12)
 
     def test_distant(self):
-        assert su2_error_kernel(2, 5) == pytest.approx(0.0, abs=1e-12)
+        assert su2_kernel([2, 5])[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 5, 11])
     @pytest.mark.parametrize("l", [1, 3, 10])
     def test_delta_pattern(self, k, l):
-        assert su2_error_kernel(k, l) == pytest.approx(delta_pattern(k, l), abs=1e-12)
+        assert su2_kernel([k, l])[0, 1] == pytest.approx(delta_pattern(k, l), abs=1e-12)
 
     def test_symmetry(self):
-        for k, l in [(1, 2), (4, 7), (9, 3)]:
-            assert su2_error_kernel(k, l) == pytest.approx(
-                su2_error_kernel(l, k), abs=1e-13
-            )
+        kernel = su2_kernel([1, 2, 3, 4, 7, 9])
+        assert np.abs(kernel - kernel.T).max() < 1e-13
 
     def test_interior_row_sum_vanishes(self):
-        for k in range(2, 8):
-            row = sum(su2_error_kernel(k, l) for l in (k - 1, k, k + 1))
-            assert abs(row) < 1e-12
+        kernel = su2_kernel(range(1, 9))
+        for a in range(1, 7):
+            assert abs(kernel[a, a - 1 : a + 2].sum()) < 1e-12
+
+    def test_mixed_parity_vanishes(self):
+        kernel = su2_kernel_matrix(range(1, 42))
+        mixed = (np.add.outer(np.arange(41), np.arange(41)) % 2) == 1
+        assert np.abs(kernel[mixed]).max() < 1e-13
+        # the odd dimensions follow the same pattern, except 3/4 at dimension 1
+        odd = kernel[::2, ::2]
+        expected = [[delta_pattern(k, l) for l in range(21)] for k in range(21)]
+        expected[0][0] = 0.75
+        assert np.abs(odd - expected).max() < 1e-12
+
+    def test_rejects_nonpositive_dimension(self):
+        with pytest.raises(ValueError):
+            su2_kernel_matrix([0, 2])
 
 
 class TestSingleIrrepIntegral:
+    """The diagonal of su2_kernel_matrix: 3/4 at dimension 1, 1/2 above."""
+
     def test_trivial_block(self):
-        assert su2_single_irrep_integral(1) == pytest.approx(0.75, abs=1e-12)
+        assert su2_kernel_matrix([1])[0, 0] == pytest.approx(0.75, abs=1e-12)
 
     def test_defining_block(self):
-        assert su2_single_irrep_integral(2) == pytest.approx(0.5, abs=1e-12)
+        assert su2_kernel_matrix([2])[0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_large_dimension(self):
-        assert su2_single_irrep_integral(40) == pytest.approx(0.5, abs=1e-12)
+        assert su2_kernel_matrix([40])[0, 0] == pytest.approx(0.5, abs=1e-12)
 
 
 class TestPhaseErrorKernel:
+    """Entries of phase_kernel_matrix."""
+
     def test_diagonal(self):
-        assert phase_error_kernel(5, 5) == pytest.approx(0.5, abs=1e-13)
+        assert phase_kernel_matrix([5])[0, 0] == pytest.approx(0.5, abs=1e-13)
 
     def test_adjacent(self):
-        assert phase_error_kernel(5, 6) == pytest.approx(-0.25, abs=1e-13)
+        assert phase_kernel_matrix([5, 6])[0, 1] == pytest.approx(-0.25, abs=1e-13)
 
     def test_distant(self):
-        assert phase_error_kernel(2, 7) == pytest.approx(0.0, abs=1e-13)
+        assert phase_kernel_matrix([2, 7])[0, 1] == pytest.approx(0.0, abs=1e-13)
 
     def test_real_symmetric(self):
-        for k, l in [(0, 0), (0, 1), (3, 8), (12, 11)]:
-            assert phase_error_kernel(k, l) == pytest.approx(
-                phase_error_kernel(l, k), abs=1e-13
-            )
+        kernel = phase_kernel_matrix([0, 1, 3, 8, 11, 12])
+        assert kernel.dtype == np.float64
+        assert np.abs(kernel - kernel.T).max() < 1e-13
+
+    def test_rejects_negative_level(self):
+        with pytest.raises(ValueError):
+            phase_kernel_matrix([-1, 0])
 
 
 class TestKernelEquivalence:
     def test_su2_matches_u1_up_to_30(self):
-        worst = max(
-            abs(su2_error_kernel(k, l) - phase_error_kernel(k, l))
-            for k in range(1, 31)
-            for l in range(1, 31)
-        )
+        ks = range(1, 31)
+        worst = np.abs(su2_kernel(ks) - phase_kernel_matrix(ks)).max()
         assert worst < 1e-12

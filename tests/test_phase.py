@@ -14,7 +14,7 @@ from covest import (
     optimal_input,
     optimal_seed,
     phase_error,
-    phase_error_kernel,
+    phase_kernel_matrix,
 )
 
 
@@ -24,21 +24,10 @@ def closed_form_optimal_error(n):
 
 
 def kernel_oracle_error(x, t):
-    """Brute-force assembly of the error from the U(1) kernel, all four indices."""
+    """Brute-force assembly of the error from the U(1) kernel over levels 1..d."""
     xv, tm = x.amplitudes, gram(t)
-    d = xv.size
-    total = 0.0 + 0.0j
-    for k in range(d):
-        for l in range(d):
-            for kp in range(d):
-                for lp in range(d):
-                    if k != kp or l != lp:
-                        continue
-                    total += (
-                        np.conj(xv[kp]) * xv[lp] * tm[l, k]
-                        * phase_error_kernel(k + 1, l + 1)
-                    )
-    return float(total.real)
+    kernel = phase_kernel_matrix(np.arange(1, xv.size + 1))
+    return float(np.sum(np.outer(np.conj(xv), xv) * tm.T * kernel).real)
 
 
 class TestPhaseError:

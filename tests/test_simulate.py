@@ -21,7 +21,12 @@ from covest import (
     simulate,
     su2_error,
 )
-from covest.simulate import _on_grid, _phase_coefficients, _su2_coefficients
+from covest.simulate import (
+    _autocorrelation,
+    _on_grid,
+    _phase_coefficients,
+    _su2_coefficients,
+)
 from mc_oracle import povm_identity_deviation, sample_outcomes
 
 GRID = np.linspace(0.0, 2.0 * math.pi, 4097)
@@ -163,6 +168,22 @@ class TestFourierDensity:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+def direct_autocorrelation(y):
+    """sum_r sum_k y[k+m, r] conj(y[k, r]), one lag at a time."""
+    d = y.shape[0]
+    return np.array([np.sum(y[m:] * y[: d - m].conj()) for m in range(d)])
+
+
+class TestAutocorrelation:
+    @pytest.mark.parametrize("d", [1, 2, 7, 300])
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_matches_direct_lag_sum(self, rng, d, r):
+        y = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
+        # unit norm, as y = x ∘ F for a unit input and a unit-row factor
+        y /= np.linalg.norm(y)
+        assert np.abs(_autocorrelation(y) - direct_autocorrelation(y)).max() < 1e-13
 
 
 class TestLawBias:
