@@ -20,7 +20,6 @@ from .simulate import (
     simulate,
 )
 from .su2 import (
-    MultiplicitySpectrum,
     character,
     class_angles,
     haar_matrices,
@@ -28,14 +27,11 @@ from .su2 import (
     multiplicity_spectrum,
 )
 from .su2_design import (
-    BlockFeasibility,
-    FeasibilityReport,
     Su2BlockAmplitudes,
     Su2Design,
     asymptotic_error_su2,
     brute_force_su2_error,
     design_optimal,
-    self_entanglement_feasible,
     single_irrep_error,
     su2_error,
 )
@@ -43,7 +39,6 @@ from .su2_design import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "MultiplicitySpectrum",
     "character",
     "class_angles",
     "haar_matrices",
@@ -60,14 +55,11 @@ __all__ = [
     "phase_error",
     "phase_kernel_matrix",
     "su2_kernel_matrix",
-    "BlockFeasibility",
-    "FeasibilityReport",
     "Su2BlockAmplitudes",
     "Su2Design",
     "asymptotic_error_su2",
     "brute_force_su2_error",
     "design_optimal",
-    "self_entanglement_feasible",
     "single_irrep_error",
     "su2_error",
     "SimConfig",

@@ -20,10 +20,11 @@ import numpy as np
 from . import __version__
 from .phase import asymptotic_error, bdm_input, min_covariant_error, optimal_input
 from .simulate import SimConfig, simulate
+from .su2 import multiplicity_spectrum
 from .su2_design import (
+    SELF_ENTANGLED,
     asymptotic_error_su2,
     design_optimal,
-    self_entanglement_feasible,
     single_irrep_error,
 )
 from .integrals import phase_kernel_matrix, su2_kernel_matrix
@@ -45,11 +46,15 @@ MAX_SU2_N = 10_000
 # phase-opt builds O(n) arrays and prints n+1 amplitudes: 2.4 s and 394 MB
 # at n = 10^6, so 10^7 would need about 4 GB.
 MAX_PHASE_N = 1_000_000
-# simulate builds the density's Fourier coefficients from an FFT
-# autocorrelation, O(n log n): the phase protocol takes 0.3-0.4 s at
-# n = 10^5 (60 MB).  The su2 protocol adds an O(n^2) self-convolution,
-# 1.0-2.0 s at n = 10^5 and about 100 times that at 10^6.
+# simulate builds the density's Fourier coefficients (the autocorrelation
+# and, for su2, the self-convolution) from one zero-padded FFT, O(n log n):
+# at n = 10^5 the phase protocol takes 0.2-0.3 s (58 MB) and the su2
+# protocol 0.4 s (50 MB).
 MAX_SIMULATE_N = 100_000
+# simulate tabulates the density and its CDF on the grid, about 75 bytes per
+# grid point: phase n = 1000 with 1000 trials takes 0.4 s and 39 MB at
+# 2^16, 0.5 s and 102 MB at 2^20, and 1.1 s and 318 MB at 2^22.
+MAX_GRID_SIZE = 1 << 22
 # simulate draws every trial at once, about 46 bytes per trial (494 MB at
 # 10^7 trials), so 2 * 10^7 trials peak near 1 GB.
 MAX_TRIALS = 20_000_000
@@ -75,11 +80,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _manifest(command, parameters, seed):
+# Parsed arguments that are not run parameters: the seed has its own
+# manifest field, and the output path does not change the result.
+_NOT_PARAMETERS = ("command", "func", "output", "seed")
+
+
+def _manifest(args):
     return {
-        "command": command,
-        "parameters": parameters,
-        "seed": seed,
+        "command": args.command,
+        "parameters": {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS},
+        "seed": getattr(args, "seed", None),
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
@@ -113,10 +123,13 @@ def _render_csv(manifest, header, rows):
     return buf.getvalue()
 
 
-def _render(manifest, result, fmt, header=None, rows=None):
+def _render(manifest, result, fmt, header, rows):
     if fmt == "json":
         return json.dumps({"manifest": manifest, "result": result}, indent=2)
     return _render_csv(manifest, header, rows)
+
+
+# Each cmd_* returns (result, CSV header, CSV rows, exit code) to main.
 
 
 def cmd_phase_opt(args):
@@ -136,7 +149,6 @@ def cmd_phase_opt(args):
     amps = [float(a.real) for a in state.amplitudes]
     asym = asymptotic_error(n) if n >= 1 else None
     ratio = error * 4.0 * n * n / math.pi**2 if n >= 1 else None
-    manifest = _manifest("phase-opt", {"n": n, "method": method, "format": args.format}, None)
     result = {
         "n": n,
         "method": method,
@@ -148,10 +160,7 @@ def cmd_phase_opt(args):
     rows = [
         [n, method, k, amp, error, asym, ratio] for k, amp in enumerate(amps)
     ]
-    text = _render(manifest, result, args.format,
-                   header="n,method,k,amplitude,error,asymptote,ratio", rows=rows)
-    _emit(text, args.output)
-    return EXIT_OK
+    return result, "n,method,k,amplitude,error,asymptote,ratio", rows, EXIT_OK
 
 
 def cmd_su2_design(args):
@@ -159,24 +168,23 @@ def cmd_su2_design(args):
     if n > MAX_SU2_N:
         raise _UsageError(f"n must be <= {MAX_SU2_N}")
     try:
-        report = self_entanglement_feasible(n)
         design = design_optimal(n, mode)
     except ValueError as exc:
         raise _UsageError(str(exc))
-    spectrum = {b.dim: b for b in report.blocks}
+    # the spectrum lists the same dims as design.blocks, in the same order
+    spectrum = multiplicity_spectrum(n)
     blocks = [
-        {
-            "dim": dim,
-            "multiplicity": spectrum[dim].multiplicity,
-            "amplitude": float(amp),
-            "feasible": spectrum[dim].feasible,
-        }
-        for dim, amp in zip(design.blocks.block_dims, design.blocks.amplitudes)
+        {"dim": dim, "multiplicity": mult, "amplitude": float(amp), "feasible": mult >= dim}
+        for (dim, mult), amp in zip(spectrum, design.blocks.amplitudes)
     ]
+    usable = [b["dim"] for b in blocks if b["feasible"]]
+    if not usable:
+        achievable = None
+    elif mode == SELF_ENTANGLED:
+        achievable = design.error
+    else:
+        achievable = design_optimal(n, SELF_ENTANGLED).error
     asym = asymptotic_error_su2(n)
-    manifest = _manifest(
-        "su2-design", {"n": n, "mode": mode, "format": args.format}, None
-    )
     result = {
         "n": n,
         "mode": mode,
@@ -185,21 +193,15 @@ def cmd_su2_design(args):
         "ratio": design.error * n * n / math.pi**2,
         "seed_matrix": "rank-one optimal seed built from the amplitude phases",
         "blocks": blocks,
-        "feasibility": {
-            "usable_dims": list(report.usable_dims),
-            "achievable_error": report.achievable_error,
-        },
+        "feasibility": {"usable_dims": usable, "achievable_error": achievable},
     }
     rows = [
         [n, mode, b["dim"], b["multiplicity"], b["amplitude"], b["feasible"],
          design.error, asym]
         for b in blocks
     ]
-    text = _render(manifest, result, args.format,
-                   header="n,mode,dim,multiplicity,amplitude,feasible,error,asymptote",
-                   rows=rows)
-    _emit(text, args.output)
-    return EXIT_OK
+    return (result, "n,mode,dim,multiplicity,amplitude,feasible,error,asymptote", rows,
+            EXIT_OK)
 
 
 def _tridiagonal(m):
@@ -233,11 +235,6 @@ def cmd_verify_integrals(args):
         raise _UsageError("tol must be positive")
     checks = _verify_rows(args.kmax)
     all_pass = all(dev <= args.tol for _, dev in checks)
-    manifest = _manifest(
-        "verify-integrals",
-        {"kmax": args.kmax, "tol": args.tol, "format": args.format},
-        None,
-    )
     result = {
         "pass": all_pass,
         "identities": [
@@ -246,10 +243,8 @@ def cmd_verify_integrals(args):
         ],
     }
     rows = [[name, dev, dev <= args.tol] for name, dev in checks]
-    text = _render(manifest, result, args.format,
-                   header="identity,worst_abs_deviation,pass", rows=rows)
-    _emit(text, args.output)
-    return EXIT_OK if all_pass else EXIT_VERIFY_FAIL
+    return (result, "identity,worst_abs_deviation,pass", rows,
+            EXIT_OK if all_pass else EXIT_VERIFY_FAIL)
 
 
 def cmd_simulate(args):
@@ -257,27 +252,17 @@ def cmd_simulate(args):
         raise _UsageError(f"trials must be between 2 and {MAX_TRIALS}")
     if args.n > MAX_SIMULATE_N:
         raise _UsageError(f"n must be <= {MAX_SIMULATE_N}")
+    if args.grid_size > MAX_GRID_SIZE:
+        raise _UsageError(f"grid-size must be <= {MAX_GRID_SIZE}")
     try:
-        config = SimConfig(args.protocol, args.n, args.trials, args.seed,
-                           args.grid_size)
+        config = SimConfig(args.trials, args.seed, args.grid_size)
         if args.protocol == "phase":
             design = optimal_input(args.n)
         else:
             design = design_optimal(args.n, "external")
         result_obj = simulate(config, design)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise _UsageError(str(exc))
-    manifest = _manifest(
-        "simulate",
-        {
-            "protocol": args.protocol,
-            "n": args.n,
-            "trials": args.trials,
-            "grid_size": args.grid_size,
-            "format": args.format,
-        },
-        args.seed,
-    )
     passed = abs(result_obj.z_score) < 4.0
     result = {
         "empirical_mean_error": result_obj.empirical_mean_error,
@@ -292,12 +277,8 @@ def cmd_simulate(args):
         result_obj.empirical_mean_error, result_obj.standard_error,
         result_obj.closed_form, result_obj.z_score, passed,
     ]]
-    text = _render(
-        manifest, result, args.format,
-        header="protocol,n,trials,empirical_mean_error,standard_error,closed_form,z_score,pass",
-        rows=rows)
-    _emit(text, args.output)
-    return EXIT_OK if passed else EXIT_VERIFY_FAIL
+    header = "protocol,n,trials,empirical_mean_error,standard_error,closed_form,z_score,pass"
+    return result, header, rows, EXIT_OK if passed else EXIT_VERIFY_FAIL
 
 
 def cmd_scaling(args):
@@ -314,16 +295,9 @@ def cmd_scaling(args):
             n, phase_exact, phase_bdm, asymptotic_error(n),
             su2_err, asymptotic_error_su2(n),
         ])
-    manifest = _manifest(
-        "scaling",
-        {"max_n": args.max_n, "step": args.step, "format": args.format},
-        None,
-    )
     keys = SCALING_HEADER.split(",")
     result = {"rows": [dict(zip(keys, row)) for row in rows]}
-    text = _render(manifest, result, args.format, header=SCALING_HEADER, rows=rows)
-    _emit(text, args.output)
-    return EXIT_OK
+    return result, SCALING_HEADER, rows, EXIT_OK
 
 
 class _UsageError(Exception):
@@ -385,10 +359,12 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        result, header, rows, code = args.func(args)
     except _UsageError as exc:
         print(f"covest: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    _emit(_render(_manifest(args), result, args.format, header, rows), args.output)
+    return code
 
 
 def run():

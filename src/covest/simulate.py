@@ -11,24 +11,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .phase import PhaseDesign
-from .su2_design import Su2Design, su2_error
+from .su2_design import Su2Design
 
 _NEG_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    protocol: str
-    n: int
     trials: int
     seed: int
     grid_size: int = 4096
 
     def __post_init__(self):
-        if self.protocol not in ("phase", "su2"):
-            raise ValueError("protocol must be 'phase' or 'su2'")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if self.trials < 2:
+            raise ValueError("at least two trials are needed for a standard error")
         g = self.grid_size
         if g < 256 or g & (g - 1) != 0:
             raise ValueError("grid_size must be a power of two >= 256")
@@ -43,18 +39,34 @@ class SimResult:
     law_bias: float
 
 
-def _autocorrelation(y):
-    """sum_r sum_k y[k+m, r] conj(y[k, r]) for m = 0..d-1.
+def _padded_fft(y):
+    """FFT S of the columns of y, zero-padded to a power of two >= 2d.
 
-    The columns are zero-padded to a power of two >= 2d, so that no lag
-    wraps around, and transformed; their power spectra are summed, and one
-    inverse FFT gives every lag.
+    The padding is long enough that no lag sum below wraps around.
     """
-    d = y.shape[0]
-    size = 1 << (2 * d - 1).bit_length()
-    spectrum = np.fft.fft(y, n=size, axis=0)
+    size = 1 << (2 * y.shape[0] - 1).bit_length()
+    return np.fft.fft(y, n=size, axis=0)
+
+
+def _autocorrelation(spectrum, d):
+    """sum_r sum_k y[k+m, r] conj(y[k, r]) for m = 0..d-1, from S = _padded_fft(y).
+
+    The power spectra of the columns are summed, and one inverse FFT gives
+    every lag.
+    """
     power = np.sum(spectrum.real ** 2 + spectrum.imag ** 2, axis=1)
     return np.fft.ifft(power)[:d]
+
+
+def _self_convolution(spectrum, d):
+    """sum_r sum_{k+l=m} y[k, r] conj(y[l, r]) for m = 0..2d-2, from S = _padded_fft(y).
+
+    The FFT of conj(y) is conj(S) at the negated frequency, (-k) mod size,
+    so the convolution of each column with its conjugate is the inverse FFT
+    of S_r(k) conj(S_r(-k)), summed over the columns.
+    """
+    negated = np.roll(spectrum[::-1], 1, axis=0)
+    return np.fft.ifft(np.sum(spectrum * negated.conj(), axis=1))[: 2 * d - 1]
 
 
 def _phase_coefficients(design):
@@ -65,7 +77,7 @@ def _phase_coefficients(design):
     gives c_{-m} = conj(c_m), so p = Re(c_0 + 2 sum_{m>=1} c_m e^{i m phi}) / (2 pi).
     """
     x = design.input.amplitudes
-    c = _autocorrelation(x[:, None] * design.seed.factor)
+    c = _autocorrelation(_padded_fft(x[:, None] * design.seed.factor), x.size)
     c[1:] *= 2.0
     return c / (2.0 * math.pi)
 
@@ -77,17 +89,18 @@ def _su2_coefficients(design):
     q = (1/2 pi) sum_{k,l} R_kl [cos((d_k - d_l) theta/2) - cos((d_k + d_l) theta/2)].
     The block dimensions are d_k = d_0 + 2k, so (d_k - d_l)/2 = k - l, whose
     sums are the real autocorrelation of y = x ∘ F, and (d_k + d_l)/2 =
-    d_0 + k + l, whose sums are the real self-convolution of y and conj(y).
+    d_0 + k + l, whose sums are the real self-convolution of y and conj(y);
+    both come from one padded FFT of y.
     """
     blocks = design.blocks
     x = blocks.amplitudes
-    y = x[:, None] * design.seed.factor
+    spectrum = _padded_fft(x[:, None] * design.seed.factor)
     d0 = blocks.block_dims[0]
     c = np.zeros(d0 + 2 * x.size - 1)
-    diff = _autocorrelation(y).real
+    diff = _autocorrelation(spectrum, x.size).real
     diff[1:] *= 2.0
     c[: x.size] = diff
-    c[d0:] -= sum(np.convolve(col, col.conj()).real for col in y.T)
+    c[d0:] -= _self_convolution(spectrum, x.size).real
     return c / (2.0 * math.pi)
 
 
@@ -137,16 +150,14 @@ def outcome_density_su2_class(design):
     return density
 
 
-def _coefficients_and_closed_form(config, design):
+def _coefficients(design):
     # From the private helpers, never from the public density closures,
     # which a caller or profiler may have wrapped.
-    if config.protocol == "phase":
-        if not isinstance(design, PhaseDesign):
-            raise TypeError("phase protocol requires a PhaseDesign")
-        return _phase_coefficients(design), design.error
-    if not isinstance(design, Su2Design):
-        raise TypeError("su2 protocol requires an Su2Design")
-    return _su2_coefficients(design), su2_error(design.blocks, design.seed)
+    if isinstance(design, PhaseDesign):
+        return _phase_coefficients(design)
+    if isinstance(design, Su2Design):
+        return _su2_coefficients(design)
+    raise TypeError("simulate requires a PhaseDesign or an Su2Design")
 
 
 def simulate(config, design):
@@ -158,11 +169,9 @@ def simulate(config, design):
     discretized law minus the closed form, the z-score's expected offset
     times the standard error.  All trials come from the one stream
     np.random.default_rng([seed, 0]), so the result depends only on the
-    design and the config.
+    design and the config.  The closed form is the design's own error.
     """
-    if config.trials < 2:
-        raise ValueError("at least two trials are needed for a standard error")
-    coefficients, closed = _coefficients_and_closed_form(config, design)
+    coefficients, closed = _coefficients(design), design.error
 
     g = config.grid_size
     edges = np.linspace(0.0, 2.0 * math.pi, g + 1)

@@ -15,7 +15,6 @@ one (N x 2j) @ (2j x j^2) product and O(N j^2) memory.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -119,22 +118,8 @@ def irrep_matrix_batch(j, matrices):
     return out
 
 
-@dataclass(frozen=True)
-class MultiplicitySpectrum:
-    """Irrep dimensions and multiplicities of the n-fold tensor power of C^2."""
-
-    n: int
-    entries: tuple  # ((dim, multiplicity), ...) in increasing dim
-
-    def multiplicity(self, dim):
-        for m, mult in self.entries:
-            if m == dim:
-                return mult
-        raise KeyError(f"no irrep of dimension {dim} for n={self.n}")
-
-
 def multiplicity_spectrum(n):
-    """Decompose the n-qubit tensor power into irrep (dimension, multiplicity) pairs.
+    """The n-qubit tensor power as ((dim, multiplicity), ...) in increasing dim.
 
     The block of dimension n+1-2i has multiplicity C(n, i) - C(n, i-1), in
     exact integer arithmetic; the dimension identity sum(dim * mult) = 2**n
@@ -142,10 +127,9 @@ def multiplicity_spectrum(n):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    entries = [
+    spectrum = tuple(
         (n + 1 - 2 * i, math.comb(n, i) - (math.comb(n, i - 1) if i else 0))
         for i in range(n // 2, -1, -1)
-    ]
-    spec = MultiplicitySpectrum(n, tuple(entries))
-    assert sum(m * mult for m, mult in spec.entries) == 2**n
-    return spec
+    )
+    assert sum(dim * mult for dim, mult in spectrum) == 2**n
+    return spectrum

@@ -6,7 +6,8 @@ an extra a_0^2/4 penalty from the trivial block).  Both parities share one
 optimum: with D the largest block dimension in use, the block of dimension
 dim gets amplitude ∝ sin(pi dim/(D+2)) and the error is sin^2(pi/(D+2)).
 Self-entangled designs replace the external reference by the permutation
-multiplicity spaces, usable wherever multiplicity >= irrep dimension.
+multiplicity spaces, usable wherever multiplicity >= irrep dimension
+(see su2.multiplicity_spectrum).
 """
 
 import math
@@ -16,13 +17,17 @@ import numpy as np
 
 from . import integrals
 from .phase import PhaseInputState, Seed, optimal_seed, phase_error
-from .su2 import multiplicity_spectrum
 
 EXTERNAL = "external"
 SELF_ENTANGLED = "self-entangled"
 
 _NORM_TOL = 1e-12
 _BRUTE_FORCE_MAX_BLOCKS = 11
+
+
+def _block_dims(n):
+    """Irrep dimensions 1 + n % 2, 3 + n % 2, ..., n + 1 of the n-qubit tensor power."""
+    return tuple(range(1 + n % 2, n + 2, 2))
 
 
 @dataclass(frozen=True)
@@ -36,7 +41,7 @@ class Su2BlockAmplitudes:
         if self.n < 1:
             raise ValueError("n must be >= 1")
         a = np.atleast_1d(np.array(self.amplitudes, dtype=float))
-        expected = (self.n + 1) // 2 if self.n % 2 == 1 else self.n // 2 + 1
+        expected = self.n // 2 + 1
         if a.size != expected:
             raise ValueError(
                 f"expected {expected} block amplitudes for n={self.n}, got {a.size}"
@@ -54,9 +59,7 @@ class Su2BlockAmplitudes:
 
     @property
     def block_dims(self):
-        if self.parity == "odd":
-            return tuple(2 * k for k in range(1, self.amplitudes.size + 1))
-        return tuple(2 * k + 1 for k in range(self.amplitudes.size))
+        return _block_dims(self.n)
 
 
 @dataclass(frozen=True)
@@ -71,24 +74,6 @@ class Su2Design:
     def __post_init__(self):
         if abs(self.error - su2_error(self.blocks, self.seed)) > _NORM_TOL:
             raise ValueError("design error inconsistent with its blocks and seed")
-
-
-@dataclass(frozen=True)
-class BlockFeasibility:
-    dim: int
-    multiplicity: int
-    reference_dim: int
-    feasible: bool
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    """Per-block self-entanglement feasibility and the achievable error."""
-
-    n: int
-    blocks: tuple
-    usable_dims: tuple
-    achievable_error: float | None
 
 
 def single_irrep_error(j):
@@ -148,7 +133,7 @@ def design_optimal(n, reference_mode=EXTERNAL):
         raise ValueError("no self-entangleable block for n=1")
     else:
         top = n - 1
-    dims = np.arange(1 + n % 2, n + 2, 2)
+    dims = np.array(_block_dims(n))
     a = np.where(dims <= top, np.sin(math.pi * dims / (top + 2)), 0.0)
     blocks = Su2BlockAmplitudes(n, a / np.linalg.norm(a))
     err = _optimal_error(top)
@@ -158,23 +143,6 @@ def design_optimal(n, reference_mode=EXTERNAL):
         if not (lower - 1e-10 <= err <= upper + 1e-10):
             raise RuntimeError("even-case design violated the sandwich bound")
     return Su2Design(blocks, optimal_seed(_as_phase_state(blocks)), reference_mode, err)
-
-
-def self_entanglement_feasible(n):
-    """Feasibility of hosting each block's reference inside the multiplicity space.
-
-    A block is usable iff its multiplicity is at least the irrep dimension
-    (equality occurs at the second-highest block).  The achievable error is
-    the design optimum restricted to the usable blocks, sin^2(pi/(D+2))
-    with D the largest usable dimension.
-    """
-    spec = multiplicity_spectrum(n)
-    blocks = tuple(
-        BlockFeasibility(dim, mult, dim, mult >= dim) for dim, mult in spec.entries
-    )
-    usable = tuple(b.dim for b in blocks if b.feasible)
-    err = _optimal_error(max(usable)) if usable else None
-    return FeasibilityReport(n, blocks, usable, err)
 
 
 def brute_force_su2_error(blocks, seed):

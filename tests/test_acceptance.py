@@ -23,7 +23,6 @@ from covest import (
     optimal_input,
     phase_error,
     phase_kernel_matrix,
-    self_entanglement_feasible,
     simulate,
     su2_kernel_matrix,
     su2_error,
@@ -123,12 +122,12 @@ def test_criterion_8_multiplicities_and_feasibility():
     with _Criterion(8, 30.0):
         for n in range(1, 31):
             spectrum = multiplicity_spectrum(n)
-            assert sum(m * mult for m, mult in spectrum.entries) == 2**n
+            assert sum(m * mult for m, mult in spectrum) == 2**n
         for n in range(3, 42, 2):
             d = (n + 1) // 2
-            for block in self_entanglement_feasible(n).blocks:
-                k = block.dim // 2  # dims are 2k for k = 1..d
-                assert block.feasible == (k <= d - 1)
+            for dim, mult in multiplicity_spectrum(n):
+                k = dim // 2  # dims are 2k for k = 1..d
+                assert (mult >= dim) == (k <= d - 1)
 
 
 def test_criterion_9_monte_carlo_suite():
@@ -137,9 +136,9 @@ def test_criterion_9_monte_carlo_suite():
         for _ in range(50):
             d = int(rng.integers(1, 11))
             design = random_phase_design(rng, d)
-            config = SimConfig("phase", d, 100_000, int(rng.integers(0, 2**31)))
+            config = SimConfig(100_000, int(rng.integers(0, 2**31)))
             assert abs(simulate(config, design).z_score) < 4.0
-        replay = SimConfig("phase", 3, 100_000, 9999)
+        replay = SimConfig(100_000, 9999)
         design = optimal_input(3)
         first = simulate(replay, design)
         second = simulate(replay, design)

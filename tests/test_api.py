@@ -6,9 +6,6 @@ import pytest
 import covest
 
 PUBLIC = [
-    "BlockFeasibility",
-    "FeasibilityReport",
-    "MultiplicitySpectrum",
     "PhaseDesign",
     "PhaseInputState",
     "Seed",
@@ -34,7 +31,6 @@ PUBLIC = [
     "outcome_density_su2_class",
     "phase_error",
     "phase_kernel_matrix",
-    "self_entanglement_feasible",
     "simulate",
     "single_irrep_error",
     "su2_error",
@@ -58,6 +54,10 @@ REMOVED = [
     "su2_error_kernel",
     "su2_single_irrep_integral",
     "phase_error_kernel",
+    "MultiplicitySpectrum",
+    "BlockFeasibility",
+    "FeasibilityReport",
+    "self_entanglement_feasible",
 ]
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import pytest
 import covest
 from covest import __version__
 from covest.cli import (
+    MAX_GRID_SIZE,
     MAX_KMAX,
     MAX_PHASE_N,
     MAX_SCALING_N,
@@ -20,6 +22,7 @@ from covest.cli import (
     MAX_SU2_N,
     MAX_TRIALS,
     SCALING_HEADER,
+    _build_parser,
     main,
 )
 
@@ -119,6 +122,35 @@ class TestSu2Design:
     def test_n_above_limit_is_usage_error(self):
         assert_usage_error("su2-design", "--n", str(MAX_SU2_N + 1))
 
+    @pytest.mark.parametrize("mode", ["external", "self-entangled"])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_blocks_and_feasibility_from_binomials(self, capsys, mode, n):
+        code, out = run_cli(capsys, "su2-design", "--n", str(n), "--mode", mode)
+        if mode == "self-entangled" and n == 1:
+            assert code == 1 and out == ""  # no block can host the reference
+            return
+        assert code == 0
+        payload = json.loads(out)
+        # dims 1 + n % 2, ..., n + 1; the block of dim n + 1 - 2i has C(n, i) - C(n, i - 1)
+        spectrum = [(n + 1 - 2 * i, math.comb(n, i) - (math.comb(n, i - 1) if i else 0))
+                    for i in range(n // 2, -1, -1)]
+        usable = [dim for dim, mult in spectrum if mult >= dim]
+        top = n + 1 if mode == "external" else n - 1
+        raw = [math.sin(math.pi * dim / (top + 2)) if dim <= top else 0.0
+               for dim, _ in spectrum]
+        norm = math.sqrt(sum(a * a for a in raw))
+        result = payload["result"]
+        blocks = result["blocks"]
+        assert [(b["dim"], b["multiplicity"], b["feasible"]) for b in blocks] == [
+            (dim, mult, mult >= dim) for dim, mult in spectrum]
+        for b, a in zip(blocks, raw):
+            assert b["amplitude"] == pytest.approx(a / norm, abs=1e-12)
+        assert result["error"] == pytest.approx(math.sin(math.pi / (top + 2)) ** 2,
+                                                abs=1e-15)
+        assert result["feasibility"]["usable_dims"] == usable
+        achievable = math.sin(math.pi / (max(usable) + 2)) ** 2 if usable else None
+        assert result["feasibility"]["achievable_error"] == achievable
+
     def test_external_n999_scaling(self, capsys):
         code, payload = run_json(capsys, "su2-design", "--n", "999")
         assert code == 0
@@ -198,6 +230,10 @@ class TestSimulateCommand:
         assert_usage_error("simulate", "--protocol", protocol,
                            "--n", str(MAX_SIMULATE_N + 1), "--trials", "1000")
 
+    def test_grid_size_above_limit_is_usage_error(self):
+        assert_usage_error("simulate", "--protocol", "phase", "--n", "1", "--trials", "10",
+                           "--grid-size", str(2 * MAX_GRID_SIZE))
+
     def test_trials_above_limit_is_usage_error(self):
         assert_usage_error("simulate", "--protocol", "su2", "--n", "5",
                            "--trials", str(MAX_TRIALS + 1))
@@ -266,6 +302,22 @@ class TestOutputContracts:
     def test_json_validates_against_schema(self, capsys, argv):
         _, payload = run_json(capsys, *argv)
         jsonschema.validate(payload, load_schema())
+
+    @pytest.mark.parametrize("argv", [
+        ["phase-opt", "--n", "3"],
+        ["su2-design", "--n", "3"],
+        ["verify-integrals", "--kmax", "2"],
+        ["simulate", "--protocol", "phase", "--n", "2", "--trials", "100"],
+        ["scaling", "--max-n", "4"],
+    ])
+    def test_manifest_parameters_are_parser_options(self, capsys, argv):
+        subparsers = next(a for a in _build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        options = [a.option_strings[0] for a in subparsers.choices[argv[0]]._actions
+                   if a.option_strings[0] not in ("-h", "--output", "--seed")]
+        _, payload = run_json(capsys, *argv)
+        keys = list(payload["manifest"]["parameters"])
+        assert ["--" + k.replace("_", "-") for k in keys] == options
 
     def test_output_file_and_env_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("COVEST_OUTPUT_DIR", str(tmp_path))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -24,7 +25,9 @@ from covest import (
 from covest.simulate import (
     _autocorrelation,
     _on_grid,
+    _padded_fft,
     _phase_coefficients,
+    _self_convolution,
     _su2_coefficients,
 )
 from mc_oracle import povm_identity_deviation, sample_outcomes
@@ -131,7 +134,7 @@ class TestSu2ClassDensity:
 
     def test_even_designs_pass_z_test(self):
         for n in (4, 6):
-            res = simulate(SimConfig("su2", n, 100_000, 42), design_optimal(n))
+            res = simulate(SimConfig(100_000, 42), design_optimal(n))
             assert res.closed_form == pytest.approx(
                 math.sin(math.pi / (n + 3)) ** 2, abs=1e-12
             )
@@ -183,12 +186,25 @@ class TestAutocorrelation:
         y = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
         # unit norm, as y = x ∘ F for a unit input and a unit-row factor
         y /= np.linalg.norm(y)
-        assert np.abs(_autocorrelation(y) - direct_autocorrelation(y)).max() < 1e-13
+        got = _autocorrelation(_padded_fft(y), d)
+        assert np.abs(got - direct_autocorrelation(y)).max() < 1e-13
+
+
+class TestSelfConvolution:
+    @pytest.mark.parametrize("d", [1, 2, 7, 300])
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_matches_np_convolve(self, rng, d, r):
+        y = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
+        y /= np.linalg.norm(y)
+        direct = sum(np.convolve(col, col.conj()) for col in y.T)
+        got = _self_convolution(_padded_fft(y), d)
+        assert got.shape == direct.shape
+        assert np.abs(got - direct).max() < 1e-13
 
 
 class TestLawBias:
     def test_accounts_for_large_n_grid_fault(self):
-        res = simulate(SimConfig("phase", 1000, 1_000_000, 20040725), optimal_input(1000))
+        res = simulate(SimConfig(1_000_000, 20040725), optimal_input(1000))
         offset = res.law_bias / res.standard_error
         assert offset > 10.0
         assert abs(res.z_score - offset) < 4.0
@@ -196,24 +212,25 @@ class TestLawBias:
     @pytest.mark.parametrize("protocol, n", [("phase", 10), ("su2", 5)])
     def test_negligible_at_small_n(self, protocol, n):
         design = optimal_input(n) if protocol == "phase" else design_optimal(n)
-        res = simulate(SimConfig(protocol, n, 100_000, 42), design)
+        res = simulate(SimConfig(100_000, 42), design)
         assert abs(res.law_bias) < res.standard_error / 10.0
 
 
 class TestSimulate:
     def test_phase_optimal_design(self):
-        res = simulate(SimConfig("phase", 1, 100_000, 42), optimal_input(1))
+        res = simulate(SimConfig(100_000, 42), optimal_input(1))
         assert res.empirical_mean_error == pytest.approx(0.25, abs=0.01)
         assert abs(res.z_score) < 4.0
 
     def test_su2_optimal_design(self):
-        res = simulate(SimConfig("su2", 3, 100_000, 42), design_optimal(3))
-        assert res.closed_form == pytest.approx(0.25, abs=1e-12)
+        design = design_optimal(3)
+        res = simulate(SimConfig(100_000, 42), design)
+        assert res.closed_form == design.error == pytest.approx(0.25, abs=1e-12)
         assert abs(res.z_score) < 4.0
 
     def test_deterministic_replay(self, rng):
         design = random_phase_design(rng, 4)
-        config = SimConfig("phase", 3, 20_000, 7)
+        config = SimConfig(20_000, 7)
         assert simulate(config, design) == simulate(config, design)
 
     def test_random_designs_pass_z_test(self, rng):
@@ -221,26 +238,30 @@ class TestSimulate:
             d = int(rng.integers(1, 9))
             design = random_phase_design(rng, d)
             seed = int(rng.integers(0, 2**32))
-            res = simulate(SimConfig("phase", d - 1 if d > 1 else 1, 100_000, seed), design)
+            res = simulate(SimConfig(100_000, seed), design)
             assert abs(res.z_score) < 4.0
 
     def test_single_trial_rejected(self):
         with pytest.raises(ValueError):
-            simulate(SimConfig("phase", 1, 1, 0), optimal_input(1))
+            SimConfig(1, 0)
 
     def test_mismatched_design_rejected(self):
+        # an input state or a bare block vector is not a design
+        config = SimConfig(100, 0)
         with pytest.raises(TypeError):
-            simulate(SimConfig("su2", 3, 100, 0), optimal_input(3))
+            simulate(config, optimal_input(3).input)
+        with pytest.raises(TypeError):
+            simulate(config, design_optimal(3).blocks)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            SimConfig("phase", 1, 10, 0, grid_size=100)
+            SimConfig(10, 0, grid_size=100)
         with pytest.raises(ValueError):
-            SimConfig("phase", 1, 10, 0, grid_size=1000)
+            SimConfig(10, 0, grid_size=1000)
         with pytest.raises(ValueError):
-            SimConfig("teleport", 1, 10, 0)
-        with pytest.raises(ValueError):
-            SimConfig("phase", 1, 0, 0)
+            SimConfig(0, 0)
+        assert [f.name for f in dataclasses.fields(SimConfig)] == [
+            "trials", "seed", "grid_size"]
 
 
 class TestCovarianceReduction:
@@ -249,7 +270,7 @@ class TestCovarianceReduction:
         sampler must estimate the same mean error."""
         n_samples = 100_000
         design = design_optimal(3)
-        class_res = simulate(SimConfig("su2", 3, n_samples, 1234), design)
+        class_res = simulate(SimConfig(n_samples, 1234), design)
         losses, _, _ = sample_outcomes(design.blocks, seed=5678, n_samples=n_samples)
         full_mean = float(losses.mean())
         full_se = float(losses.std(ddof=1) / math.sqrt(n_samples))

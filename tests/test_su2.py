@@ -319,19 +319,19 @@ class TestDistance:
 
 class TestMultiplicitySpectrum:
     def test_single_qubit(self):
-        assert multiplicity_spectrum(1).entries == ((2, 1),)
+        assert multiplicity_spectrum(1) == ((2, 1),)
 
     def test_three_qubits(self):
-        assert multiplicity_spectrum(3).entries == ((2, 2), (4, 1))
+        assert multiplicity_spectrum(3) == ((2, 2), (4, 1))
 
     def test_four_qubits(self):
-        assert multiplicity_spectrum(4).entries == ((1, 2), (3, 3), (5, 1))
+        assert multiplicity_spectrum(4) == ((1, 2), (3, 3), (5, 1))
 
     @pytest.mark.parametrize("n", range(1, 31))
     def test_dimension_identity(self, n):
         spec = multiplicity_spectrum(n)
-        assert sum(m * mult for m, mult in spec.entries) == 2**n
-        assert all(mult >= 1 for _, mult in spec.entries)
+        assert sum(m * mult for m, mult in spec) == 2**n
+        assert all(mult >= 1 for _, mult in spec)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -340,4 +340,4 @@ class TestMultiplicitySpectrum:
     def test_large_n_exact(self):
         # exact integer arithmetic well past 64 tensor factors
         spec = multiplicity_spectrum(101)
-        assert sum(m * mult for m, mult in spec.entries) == 2**101
+        assert sum(m * mult for m, mult in spec) == 2**101

@@ -16,14 +16,18 @@ from covest import (
     optimal_input,
     optimal_seed,
     phase_error,
-    self_entanglement_feasible,
     single_irrep_error,
     su2_error,
 )
 
 
+def usable_dims(n):
+    """Dims whose multiplicity can host the reference: multiplicity >= dim."""
+    return tuple(dim for dim, mult in multiplicity_spectrum(n) if mult >= dim)
+
+
 def random_blocks(rng, n):
-    size = (n + 1) // 2 if n % 2 == 1 else n // 2 + 1
+    size = n // 2 + 1
     a = np.abs(rng.normal(size=size)) + 1e-3
     return Su2BlockAmplitudes(n, a / np.linalg.norm(a))
 
@@ -150,7 +154,7 @@ class TestDesignOptimal:
 
     def test_self_entangled_matches_phase_optimum_over_usable_set(self):
         for n in [3, 5, 7, 9, 21]:
-            usable = len(self_entanglement_feasible(n).usable_dims)
+            usable = len(usable_dims(n))
             design = design_optimal(n, "self-entangled")
             assert design.error == pytest.approx(
                 optimal_input(usable - 1).error, abs=1e-12
@@ -181,17 +185,22 @@ class TestDesignOptimal:
             )
 
     def test_self_entangled_closed_form(self):
+        # the closed form D = n-1 and the multiplicities pick the same blocks
         for n in range(2, 401):
-            report = self_entanglement_feasible(n)
-            top = max(report.usable_dims)
-            assert top == n - 1
-            expected = math.sin(math.pi / (top + 2)) ** 2
+            usable = usable_dims(n)
+            assert usable == tuple(d for d, _ in multiplicity_spectrum(n) if d <= n - 1)
+            expected = math.sin(math.pi / (max(usable) + 2)) ** 2
             design = design_optimal(n, "self-entangled")
             assert design.error == pytest.approx(expected, abs=1e-12)
-            assert report.achievable_error == pytest.approx(expected, abs=1e-12)
-            in_use = design.blocks.block_dims[: len(report.usable_dims)]
-            assert in_use == report.usable_dims
-            assert np.all(design.blocks.amplitudes[len(in_use):] == 0.0)
+            in_use = design.blocks.block_dims[: len(usable)]
+            assert in_use == usable
+            assert np.all(design.blocks.amplitudes[: len(usable)] > 0.0)
+            assert np.all(design.blocks.amplitudes[len(usable):] == 0.0)
+
+    def test_block_dims_match_multiplicity_spectrum(self):
+        for n in range(1, 401):
+            dims = design_optimal(n).blocks.block_dims
+            assert dims == tuple(d for d, _ in multiplicity_spectrum(n))
 
 
 class TestSu2DesignErrorCheck:
@@ -211,36 +220,34 @@ class TestSu2DesignErrorCheck:
 
 
 class TestSelfEntanglementFeasible:
+    """A block can host the reference iff its multiplicity is >= its dimension."""
+
     def test_n3(self):
-        report = self_entanglement_feasible(3)
-        table = {b.dim: b for b in report.blocks}
-        assert table[2].multiplicity == 2 and table[2].feasible
-        assert table[4].multiplicity == 1 and not table[4].feasible
+        assert multiplicity_spectrum(3) == ((2, 2), (4, 1))
+        assert usable_dims(3) == (2,)
 
     def test_n5(self):
-        report = self_entanglement_feasible(5)
-        assert report.usable_dims == (2, 4)
-        flags = {b.dim: b.feasible for b in report.blocks}
-        assert flags == {2: True, 4: True, 6: False}
+        assert usable_dims(5) == (2, 4)
+        assert design_optimal(5, "self-entangled").blocks.block_dims == (2, 4, 6)
 
     def test_n1_no_usable_blocks(self):
-        report = self_entanglement_feasible(1)
-        assert report.usable_dims == ()
-        assert report.achievable_error is None
+        assert usable_dims(1) == ()
+        with pytest.raises(ValueError):
+            design_optimal(1, "self-entangled")
 
     @pytest.mark.parametrize("n", range(3, 42, 2))
     def test_odd_feasibility_pattern(self, n):
-        report = self_entanglement_feasible(n)
         d = (n + 1) // 2
-        for b in report.blocks:
-            assert b.feasible == (b.dim < 2 * d)
+        for dim, mult in multiplicity_spectrum(n):
+            assert (mult >= dim) == (dim < 2 * d)
 
     def test_matches_multiplicity_spectrum(self):
-        report = self_entanglement_feasible(9)
-        spec = dict(multiplicity_spectrum(9).entries)
-        for b in report.blocks:
-            assert b.multiplicity == spec[b.dim]
-            assert b.feasible == (b.multiplicity >= b.dim)
+        # the amplitudes in use are exactly the blocks with multiplicity >= dim
+        design = design_optimal(9, "self-entangled")
+        spec = multiplicity_spectrum(9)
+        assert design.blocks.block_dims == tuple(dim for dim, _ in spec)
+        for (dim, mult), amp in zip(spec, design.blocks.amplitudes):
+            assert (amp > 0.0) == (mult >= dim)
 
 
 class TestBruteForceOracle:
