@@ -14,6 +14,10 @@ from .phase import PhaseDesign
 from .su2_design import Su2Design
 
 _NEG_TOL = 1e-10
+# trials drawn and kept in temporaries at a time
+_CHUNK = 1 << 16
+# guide-table cells, a power of two so that u * _CELLS is exact
+_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -160,6 +164,34 @@ def _coefficients(design):
     raise TypeError("simulate requires a PhaseDesign or an Su2Design")
 
 
+def _guide_table(cdf):
+    """Guide table of a CDF over g bins (Chen & Asau 1974; Devroye, III.2.4).
+
+    lo[c] is the bin of the uniform c/_CELLS, and sure[c] says that every
+    uniform in [c/_CELLS, (c+1)/_CELLS) has that bin: the bin is monotone
+    in the uniform, so a cell whose two ends share a bin holds no CDF point.
+    _CELLS is a power of two, so the cell edges c/_CELLS are exact.
+    """
+    g = cdf.size - 1
+    ends = np.arange(_CELLS + 1) / _CELLS
+    lo = np.minimum(np.searchsorted(cdf, ends, side="right") - 1, g - 1)
+    return lo, lo[:-1] == lo[1:]
+
+
+def _bins(cdf, lo, sure, u):
+    """clip(searchsorted(cdf, u, "right") - 1, 0, g - 1) for uniforms u in [0, 1).
+
+    u * _CELLS is exact, so its integer part is u's cell; only the uniforms
+    in cells that hold a CDF point are searched.
+    """
+    cell = (u * _CELLS).astype(np.intp)
+    idx = lo[cell]
+    unsure = ~sure[cell]
+    found = np.searchsorted(cdf, u[unsure], side="right") - 1
+    idx[unsure] = np.clip(found, 0, cdf.size - 2)
+    return idx
+
+
 def simulate(config, design):
     """Sample the outcome density and compare the empirical error to the closed form.
 
@@ -167,9 +199,21 @@ def simulate(config, design):
     interpolation within bins; the density comes from its Fourier
     coefficients by one FFT.  `law_bias` is the exact mean loss of that
     discretized law minus the closed form, the z-score's expected offset
-    times the standard error.  All trials come from the one stream
-    np.random.default_rng([seed, 0]), so the result depends only on the
-    design and the config.  The closed form is the design's own error.
+    times the standard error.  The closed form is the design's own error.
+
+    All trials come from the one stream np.random.default_rng([seed, 0]),
+    drawn in chunks of _CHUNK: a float64 draw takes one 64-bit word, so the
+    chunks are the values one draw of every trial would give, and the
+    result depends only on the design and the config.  Each uniform u
+    finds its bin through a guide table of _CELLS cells (_guide_table,
+    _bins): a cell that holds no CDF point gives every uniform in it the
+    bin of its left edge, and only the uniforms in the other cells are
+    binary-searched.  _CELLS is a power of two, so u * _CELLS and the cell
+    edges are exact and the bin is always the one a binary search over the
+    whole CDF gives.  The losses fill one array of `trials` floats, and the
+    mean and variance are the same pairwise sums over it as over a one-shot
+    array, so every field has the bits of drawing, searching and summing
+    all trials at once, in about 8 bytes per trial.
     """
     coefficients, closed = _coefficients(design), design.error
 
@@ -188,13 +232,18 @@ def simulate(config, design):
     bin_loss = 0.5 - (np.sin(edges[1:]) - np.sin(edges[:-1])) / (2.0 * width)
     law_bias = float(np.dot(mass, bin_loss)) - closed
 
-    u = np.random.default_rng([config.seed, 0]).random(config.trials)
-    idx = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, g - 1)
-    frac = (u - cdf[idx]) / np.where(mass[idx] > 0.0, mass[idx], 1.0)
-    angles = edges[idx] + np.clip(frac, 0.0, 1.0) * width
-    losses = np.sin(angles / 2.0) ** 2
+    rng = np.random.default_rng([config.seed, 0])
+    lo, sure = _guide_table(cdf)
+    losses = np.empty(config.trials)
+    for start in range(0, config.trials, _CHUNK):
+        u = rng.random(min(_CHUNK, config.trials - start))
+        idx = _bins(cdf, lo, sure, u)
+        frac = (u - cdf[idx]) / np.where(mass[idx] > 0.0, mass[idx], 1.0)
+        angles = edges[idx] + np.clip(frac, 0.0, 1.0) * width
+        losses[start : start + u.size] = np.sin(angles / 2.0) ** 2
     mean = float(losses.mean())
-    variance = float(np.sum((losses - mean) ** 2)) / (config.trials - 1)
+    losses -= mean
+    variance = float(np.sum(np.square(losses, out=losses))) / (config.trials - 1)
     se = math.sqrt(variance / config.trials)
     z = (mean - closed) / se
     return SimResult(mean, se, closed, z, law_bias)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -23,7 +24,11 @@ from covest import (
     su2_error,
 )
 from covest.simulate import (
+    _CELLS,
     _autocorrelation,
+    _bins,
+    _coefficients,
+    _guide_table,
     _on_grid,
     _padded_fft,
     _phase_coefficients,
@@ -205,6 +210,8 @@ class TestSelfConvolution:
 class TestLawBias:
     def test_accounts_for_large_n_grid_fault(self):
         res = simulate(SimConfig(1_000_000, 20040725), optimal_input(1000))
+        # the value of the one-shot sampler, pinned to the last bit
+        assert res.z_score == 14.359998513941788
         offset = res.law_bias / res.standard_error
         assert offset > 10.0
         assert abs(res.z_score - offset) < 4.0
@@ -298,3 +305,111 @@ class TestCovarianceReduction:
         se = losses.std(ddof=1) / math.sqrt(n_samples)
         z = (losses.mean() - su2_error(design.blocks, design.seed)) / se
         assert abs(z) < 4.0
+
+
+def reference_simulate(config, design):
+    """The one-shot sampler: every trial drawn, searched and summed at once."""
+    coefficients, closed = _coefficients(design), design.error
+    g = config.grid_size
+    edges = np.linspace(0.0, 2.0 * math.pi, g + 1)
+    pdf = np.clip(_on_grid(coefficients, g), 0.0, None)
+    width = 2.0 * math.pi / g
+    mass = 0.5 * (pdf[:-1] + pdf[1:]) * width
+    cdf = np.concatenate([[0.0], np.cumsum(mass)])
+    cdf /= cdf[-1]
+    mass = np.diff(cdf)
+    bin_loss = 0.5 - (np.sin(edges[1:]) - np.sin(edges[:-1])) / (2.0 * width)
+    law_bias = float(np.dot(mass, bin_loss)) - closed
+
+    u = np.random.default_rng([config.seed, 0]).random(config.trials)
+    idx = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, g - 1)
+    frac = (u - cdf[idx]) / np.where(mass[idx] > 0.0, mass[idx], 1.0)
+    angles = edges[idx] + np.clip(frac, 0.0, 1.0) * width
+    losses = np.sin(angles / 2.0) ** 2
+    mean = float(losses.mean())
+    variance = float(np.sum((losses - mean) ** 2)) / (config.trials - 1)
+    se = math.sqrt(variance / config.trials)
+    return (mean, se, closed, (mean - closed) / se, law_bias)
+
+
+def random_seed_su2_design(rng):
+    blocks = design_optimal(9).blocks
+    seed = random_seed(rng, blocks.amplitudes.size)
+    return Su2Design(blocks, seed, "external", su2_error(blocks, seed))
+
+
+BIT_DESIGNS = {
+    **{f"phase n={n}": functools.partial(optimal_input, n) for n in (1, 10, 1000)},
+    **{f"su2 n={n}": functools.partial(design_optimal, n) for n in (1, 2, 5, 601)},
+    "random phase seed": lambda: random_phase_design(np.random.default_rng(1), 6),
+    "random su2 seed": lambda: random_seed_su2_design(np.random.default_rng(2)),
+}
+
+
+def hostile_cdf(mass):
+    cdf = np.concatenate([[0.0], np.cumsum(mass)])
+    return cdf / cdf[-1]
+
+
+def zero_runs(g):
+    mass = np.ones(g)
+    mass[:5] = mass[40:90] = mass[g // 2] = mass[-30:-29] = 0.0
+    return mass
+
+
+HOSTILE_CDFS = {
+    "zero-mass runs": hostile_cdf(zero_runs(256)),
+    "all mass in one bin": hostile_cdf(np.eye(4096)[1234]),
+    "all mass in the first bin": hostile_cdf(np.eye(256)[0]),
+    "trailing zero mass": hostile_cdf(np.concatenate([np.ones(200), np.zeros(56)])),
+    # every CDF point on a cell edge c / 2^16
+    "points on cell edges, g = 256": np.arange(257) / 256,
+    "points on cell edges, g = 2^16": np.arange(2**16 + 1) / 2**16,
+    "two points per cell": np.arange(2**17 + 1) / 2**17,
+    "uneven, g = 4096": hostile_cdf(np.random.default_rng(3).exponential(size=4096) ** 4),
+}
+
+
+class TestBinLookup:
+    @pytest.mark.parametrize("name", list(HOSTILE_CDFS))
+    def test_matches_binary_search(self, name):
+        cdf = HOSTILE_CDFS[name]
+        g = cdf.size - 1
+        points = cdf[cdf < 1.0]
+        u = np.concatenate([
+            [0.0, np.nextafter(1.0, 0.0)],
+            np.arange(_CELLS) / _CELLS,
+            points,
+            np.nextafter(points, 1.0),
+            np.nextafter(points[points > 0.0], 0.0),
+            np.random.default_rng(7).random(100_000),
+        ])
+        want = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, g - 1)
+        lo, sure = _guide_table(cdf)
+        assert np.array_equal(_bins(cdf, lo, sure, u), want)
+
+
+class TestChunkedSampler:
+    @pytest.mark.parametrize("name", list(BIT_DESIGNS))
+    def test_bits_match_one_shot_sampler(self, name):
+        design = BIT_DESIGNS[name]()
+        # every chunk boundary case on the default grid, and both grid
+        # extremes on a short and a just-over-one-chunk run
+        cases = [(trials, 4096) for trials in (2, 3, 2**16 - 1, 2**16, 2**16 + 1, 200_001)]
+        cases += [(trials, g) for g in (256, 65536) for trials in (3, 2**16 + 1)]
+        for trials, g in cases:
+            config = SimConfig(trials, 11, g)
+            got = dataclasses.astuple(simulate(config, design))
+            assert list(map(repr, got)) == list(map(repr, reference_simulate(config, design)))
+
+    def test_memory_per_trial(self):
+        design = optimal_input(10)
+        peaks = []
+        for trials in (1_000_000, 4_000_000):
+            tracemalloc.start()
+            try:
+                simulate(SimConfig(trials, 3), design)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 3_000_000 <= 10.0
