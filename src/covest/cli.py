@@ -55,9 +55,10 @@ MAX_SIMULATE_N = 100_000
 # grid point: phase n = 1000 with 1000 trials takes 0.4 s and 39 MB at
 # 2^16, 0.5 s and 102 MB at 2^20, and 1.1 s and 318 MB at 2^22.
 MAX_GRID_SIZE = 1 << 22
-# simulate draws the trials in chunks but keeps every loss for the exact
-# pairwise mean and variance, about 8 bytes per trial: su2 n = 5 peaks at
-# 117 MB with 10^7 trials and 193 MB with 2 * 10^7.
+# simulate draws the trials in chunks, one thread per CPU, but keeps every
+# loss for the exact pairwise mean and variance, about 8 bytes per trial:
+# cold su2 n = 5 on 2 CPUs takes 0.8 s and 116 MB with 10^7 trials and
+# 1.2 s and 192 MB with 2 * 10^7.
 MAX_TRIALS = 20_000_000
 # scaling solves every n up to max-n, O(max_n^2) work in all: 1.2 s at 5000.
 MAX_SCALING_N = 10_000

@@ -6,6 +6,8 @@ samples the relative-angle density by inverse CDF on an equispaced grid.
 """
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,11 +172,15 @@ def _guide_table(cdf):
     lo[c] is the bin of the uniform c/_CELLS, and sure[c] says that every
     uniform in [c/_CELLS, (c+1)/_CELLS) has that bin: the bin is monotone
     in the uniform, so a cell whose two ends share a bin holds no CDF point.
-    _CELLS is a power of two, so the cell edges c/_CELLS are exact.
+    _CELLS is a power of two, so cdf * _CELLS is exact and cdf[i] <= c/_CELLS
+    exactly when ceil(cdf[i] * _CELLS) <= c: one bincount of those first
+    cells and one cumsum count the CDF points at or below every cell edge,
+    in O(g + _CELLS).
     """
     g = cdf.size - 1
-    ends = np.arange(_CELLS + 1) / _CELLS
-    lo = np.minimum(np.searchsorted(cdf, ends, side="right") - 1, g - 1)
+    first = np.minimum(np.ceil(cdf * _CELLS), _CELLS + 1).astype(np.intp)
+    count = np.cumsum(np.bincount(first, minlength=_CELLS + 2)[: _CELLS + 1])
+    lo = np.minimum(count - 1, g - 1)
     return lo, lo[:-1] == lo[1:]
 
 
@@ -192,6 +198,39 @@ def _bins(cdf, lo, sure, u):
     return idx
 
 
+def _cpu_count():
+    """CPUs this process may run on, the sampler's thread count before capping."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _run_split(task, ranges):
+    """task(start, stop) for every range: the first on this thread, each other
+    on a thread of its own, every error re-raised once all have ended.
+
+    numpy has already loaded threading, so this imports nothing, and a
+    single range starts no thread.
+    """
+    errors = []
+
+    def run(start, stop):
+        try:
+            task(start, stop)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=pair) for pair in ranges[1:]]
+    for thread in threads:
+        thread.start()
+    run(*ranges[0])
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
 def simulate(config, design):
     """Sample the outcome density and compare the empirical error to the closed form.
 
@@ -202,18 +241,23 @@ def simulate(config, design):
     times the standard error.  The closed form is the design's own error.
 
     All trials come from the one stream np.random.default_rng([seed, 0]),
-    drawn in chunks of _CHUNK: a float64 draw takes one 64-bit word, so the
-    chunks are the values one draw of every trial would give, and the
-    result depends only on the design and the config.  Each uniform u
-    finds its bin through a guide table of _CELLS cells (_guide_table,
-    _bins): a cell that holds no CDF point gives every uniform in it the
-    bin of its left edge, and only the uniforms in the other cells are
-    binary-searched.  _CELLS is a power of two, so u * _CELLS and the cell
-    edges are exact and the bin is always the one a binary search over the
-    whole CDF gives.  The losses fill one array of `trials` floats, and the
-    mean and variance are the same pairwise sums over it as over a one-shot
-    array, so every field has the bits of drawing, searching and summing
-    all trials at once, in about 8 bytes per trial.
+    drawn in chunks of _CHUNK.  The chunks are split into one contiguous
+    range per CPU this process may run on (_cpu_count), each filled on its
+    own thread from its own copy of the stream, advanced past the trials
+    before it: a float64 draw takes one 64-bit word, so PCG64.advance(start)
+    puts a range's draws exactly where one draw of every trial would.  Each
+    uniform u finds its bin through a guide table of _CELLS cells
+    (_guide_table, _bins): a cell that holds no CDF point gives every
+    uniform in it the bin of its left edge, and only the uniforms in the
+    other cells are binary-searched.  _CELLS is a power of two, so
+    u * _CELLS and the cell edges are exact and the bin is always the one a
+    binary search over the whole CDF gives.  A chunk's steps are done in
+    place on one buffer, each rounding as the one-shot expression does,
+    and write the losses into one array of `trials` floats.  The mean and
+    variance are the same serial pairwise sums over that array as over a
+    one-shot array, so every field has the bits of drawing, searching and
+    summing all trials at once, whatever the CPU count, in about 8 bytes
+    per trial.
     """
     coefficients, closed = _coefficients(design), design.error
 
@@ -232,15 +276,33 @@ def simulate(config, design):
     bin_loss = 0.5 - (np.sin(edges[1:]) - np.sin(edges[:-1])) / (2.0 * width)
     law_bias = float(np.dot(mass, bin_loss)) - closed
 
-    rng = np.random.default_rng([config.seed, 0])
     lo, sure = _guide_table(cdf)
+    safe = np.where(mass > 0.0, mass, 1.0)
     losses = np.empty(config.trials)
-    for start in range(0, config.trials, _CHUNK):
-        u = rng.random(min(_CHUNK, config.trials - start))
-        idx = _bins(cdf, lo, sure, u)
-        frac = (u - cdf[idx]) / np.where(mass[idx] > 0.0, mass[idx], 1.0)
-        angles = edges[idx] + np.clip(frac, 0.0, 1.0) * width
-        losses[start : start + u.size] = np.sin(angles / 2.0) ** 2
+
+    def fill(start, stop):
+        # trials start..stop-1 of the one stream, each step in place on one
+        # buffer and rounding as the one-shot expression does
+        rng = np.random.default_rng([config.seed, 0])
+        rng.bit_generator.advance(start)
+        buffer = np.empty(min(_CHUNK, stop - start))
+        for begin in range(start, stop, _CHUNK):
+            x = buffer[: min(_CHUNK, stop - begin)]
+            rng.random(out=x)
+            idx = _bins(cdf, lo, sure, x)
+            x -= cdf[idx]
+            x /= safe[idx]
+            np.clip(x, 0.0, 1.0, out=x)
+            x *= width
+            x += edges[idx]
+            x /= 2.0
+            np.sin(x, out=x)
+            np.square(x, out=losses[begin : begin + x.size])
+
+    chunks = -(-config.trials // _CHUNK)
+    workers = min(_cpu_count(), chunks)
+    bounds = [min(k * chunks // workers * _CHUNK, config.trials) for k in range(workers + 1)]
+    _run_split(fill, list(zip(bounds[:-1], bounds[1:])))
     mean = float(losses.mean())
     losses -= mean
     variance = float(np.sum(np.square(losses, out=losses))) / (config.trials - 1)

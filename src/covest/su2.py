@@ -11,13 +11,17 @@ irrep_matrix_batch builds them from Euler angles, u = e^{i alpha sigma_z/2}
 e^{i beta sigma_y/2} e^{i gamma sigma_z/2}: J_z is diagonal there, and
 e^{i beta J_y} is a real combination of the J_y eigenprojectors, which are
 computed once per j on first use and cached.  A batch of N elements costs
-one (N x 2j) @ (2j x j^2) product and O(N j^2) memory.
+one (N x 2j) @ (2j x j^2) product, made over blocks of about 2^19 matrix
+entries, and its memory is the N j^2 complex result plus one block.
 """
 
 import math
 from functools import lru_cache
 
 import numpy as np
+
+# matrix entries of d(beta) computed at a time in irrep_matrix_batch
+_BLOCK_ENTRIES = 1 << 19
 
 
 def class_angles(matrices):
@@ -92,10 +96,11 @@ def irrep_matrix_batch(j, matrices):
     beta = 2 atan2(|b|, |a|), (alpha+gamma)/2 = arg a, (alpha-gamma)/2 = arg b.
     In the weight basis, m_k = (j-1)/2 - k, the irrep is then
     D_kl = e^{i m_k alpha} d_kl(beta) e^{i m_l gamma} with d(beta) = e^{i beta J_y}.
-    d(beta) for the whole batch is one real (n x 2j) @ (2j x j^2) product with
-    the J_y projectors, computed once per j and cached; the two phases are
-    applied in place.  No per-element decomposition is made, and the work
-    memory is O(n j^2): the real d(beta) beside the complex result.
+    d(beta) is a real (rows x 2j) @ (2j x j^2) product with the J_y
+    projectors, computed once per j and cached, made for blocks of rows of
+    about _BLOCK_ENTRIES entries; each block's two phases are applied as it
+    is written into the result.  No per-element decomposition is made, and
+    the work memory beside the complex result is one block, whatever n.
     """
     if j < 1:
         raise ValueError("irrep dimension must be >= 1")
@@ -109,12 +114,17 @@ def irrep_matrix_batch(j, matrices):
     beta = 2.0 * np.arctan2(np.abs(b), np.abs(a))
     arg_a, arg_b = np.angle(a), np.angle(b)
     lam, w = _jy_eigensystem(j)
-    bl = np.multiply.outer(beta, lam)
-    d = (np.concatenate([np.cos(bl), np.sin(bl)], axis=1) @ w).reshape(n, j, j)
     m = _weights(j)
-    out = np.multiply(d, np.exp(1j * np.multiply.outer(arg_a + arg_b, m))[:, :, None],
-                      out=np.empty((n, j, j), dtype=complex))
-    out *= np.exp(1j * np.multiply.outer(arg_a - arg_b, m))[:, None, :]
+    left = np.exp(1j * np.multiply.outer(arg_a + arg_b, m))
+    right = np.exp(1j * np.multiply.outer(arg_a - arg_b, m))
+    out = np.empty((n, j, j), dtype=complex)
+    step = max(1, _BLOCK_ENTRIES // (j * j))
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        bl = np.multiply.outer(beta[rows], lam)
+        d = (np.concatenate([np.cos(bl), np.sin(bl)], axis=1) @ w).reshape(-1, j, j)
+        np.multiply(d, left[rows, :, None], out=out[rows])
+        out[rows] *= right[rows, None, :]
     return out
 
 

@@ -258,6 +258,46 @@ class TestSimulateCommand:
             assert abs(payload["result"]["z_score"]) < 4.0
 
 
+# The benchmark's simulate operations at reduced trials, one fixed seed each,
+# with the result fields the one-stream sampler printed for them: any drift
+# in a seeded bit fails here.
+PINNED_RUNS = {
+    ("phase", 10, 200_001, 91): (
+        0.016943595791444648, 8.324410322475995e-05, 0.017037086855465844,
+        -1.1230953352788107, 1.8940974585643366e-07),
+    ("su2", 5, 200_001, 92): (
+        0.14625742955985893, 0.00027832339619156385, 0.14644660940672624,
+        -0.679712339874948, 1.386575575745841e-07),
+    ("su2", 601, 100_000, 93): (
+        2.731939093850754e-05, 4.419524884439523e-07, 2.7053406096413445e-05,
+        0.6018403539950347, 1.9608078578849258e-07),
+}
+
+
+class TestPinnedSimulateBits:
+    @staticmethod
+    def argv(protocol, n, trials, seed):
+        return ["simulate", "--protocol", protocol, "--n", str(n),
+                "--trials", str(trials), "--seed", str(seed)]
+
+    @pytest.mark.parametrize("run", list(PINNED_RUNS))
+    def test_json_result(self, capsys, run):
+        mean, se, closed, z, law_bias = PINNED_RUNS[run]
+        code, payload = run_json(capsys, *self.argv(*run))
+        assert code == 0
+        assert payload["result"] == {
+            "empirical_mean_error": mean, "standard_error": se, "closed_form": closed,
+            "z_score": z, "law_bias": law_bias, "pass": True}
+
+    @pytest.mark.parametrize("run", list(PINNED_RUNS))
+    def test_csv_row(self, capsys, run):
+        protocol, n, trials, _ = run
+        fields = ",".join(map(repr, PINNED_RUNS[run][:4]))
+        code, out = run_cli(capsys, *self.argv(*run), "--format", "csv")
+        assert code == 0
+        assert csv_lines(out)[1] == f"{protocol},{n},{trials},{fields},True"
+
+
 class TestScaling:
     def test_csv_header_exact(self, capsys):
         code, out = run_cli(capsys, "scaling", "--max-n", "10", "--format", "csv")

@@ -1,6 +1,11 @@
 import dataclasses
 import functools
+import importlib
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,6 +18,7 @@ from covest import (
     Seed,
     SimConfig,
     Su2Design,
+    bdm_input,
     character,
     design_optimal,
     optimal_input,
@@ -32,10 +38,14 @@ from covest.simulate import (
     _on_grid,
     _padded_fft,
     _phase_coefficients,
+    _run_split,
     _self_convolution,
     _su2_coefficients,
 )
 from mc_oracle import povm_identity_deviation, sample_outcomes
+
+# the module, which the package's `simulate` function shadows as an attribute
+SIMULATE_MODULE = importlib.import_module("covest.simulate")
 
 GRID = np.linspace(0.0, 2.0 * math.pi, 4097)
 
@@ -223,6 +233,28 @@ class TestLawBias:
         assert abs(res.law_bias) < res.standard_error / 10.0
 
 
+def oracle_designs():
+    """Every kind of design simulate accepts, small n to large."""
+    designs = {f"phase n={n}": optimal_input(n) for n in (1, 10, 1000, 100_000)}
+    for n in (10, 1000):
+        x = bdm_input(n)
+        seed = optimal_seed(x)
+        designs[f"bdm n={n}"] = PhaseDesign(x, seed, phase_error(x, seed))
+    for n in (5, 601, 999, 2000):
+        for mode in ("external", "self-entangled"):
+            designs[f"su2 n={n} {mode}"] = design_optimal(n, mode)
+    return designs
+
+
+class TestMeanLossOracle:
+    def test_first_coefficient_gives_closed_form(self):
+        # E sin^2(phi/2) = (1 - E cos phi) / 2, and cos phi picks pi Re C_1
+        # out of the coefficient series of either density
+        for name, design in oracle_designs().items():
+            c1 = _coefficients(design)[1].real
+            assert abs(0.5 * (1.0 - math.pi * c1) - design.error) <= 1e-13, name
+
+
 class TestSimulate:
     def test_phase_optimal_design(self):
         res = simulate(SimConfig(100_000, 42), optimal_input(1))
@@ -388,6 +420,15 @@ class TestBinLookup:
         lo, sure = _guide_table(cdf)
         assert np.array_equal(_bins(cdf, lo, sure, u), want)
 
+    @pytest.mark.parametrize("name", list(HOSTILE_CDFS))
+    def test_guide_table_matches_searched_edges(self, name):
+        cdf = HOSTILE_CDFS[name]
+        ends = np.arange(_CELLS + 1) / _CELLS
+        lo = np.minimum(np.searchsorted(cdf, ends, side="right") - 1, cdf.size - 2)
+        got_lo, got_sure = _guide_table(cdf)
+        assert np.array_equal(got_lo, lo)
+        assert np.array_equal(got_sure, lo[:-1] == lo[1:])
+
 
 class TestChunkedSampler:
     @pytest.mark.parametrize("name", list(BIT_DESIGNS))
@@ -413,3 +454,59 @@ class TestChunkedSampler:
             finally:
                 tracemalloc.stop()
         assert (peaks[1] - peaks[0]) / 3_000_000 <= 10.0
+
+
+class TestParallelSampler:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    @pytest.mark.parametrize("name", ["phase n=10", "su2 n=5"])
+    def test_bits_match_one_shot_sampler(self, monkeypatch, name, workers):
+        monkeypatch.setattr(SIMULATE_MODULE, "_cpu_count", lambda: workers)
+        design = BIT_DESIGNS[name]()
+        for trials in (2, 3, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 1, 200_001):
+            for g in (256, 4096):
+                config = SimConfig(trials, 5, g)
+                got = dataclasses.astuple(simulate(config, design))
+                assert list(map(repr, got)) == list(
+                    map(repr, reference_simulate(config, design))), (trials, g)
+
+    def test_bits_under_fast_thread_switching(self, monkeypatch):
+        """More threads than cores, switching every microsecond."""
+        monkeypatch.setattr(SIMULATE_MODULE, "_cpu_count", lambda: 8)
+        design = BIT_DESIGNS["su2 n=5"]()
+        config = SimConfig(8 * 2**16 + 3, 23)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = dataclasses.astuple(simulate(config, design))
+        finally:
+            sys.setswitchinterval(interval)
+        assert list(map(repr, got)) == list(map(repr, reference_simulate(config, design)))
+
+    def test_error_on_a_thread_is_raised(self):
+        def task(start, stop):
+            if start:
+                raise ZeroDivisionError(start)
+
+        with pytest.raises(ZeroDivisionError):
+            _run_split(task, [(0, 1), (1, 2), (2, 3)])
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="no CPU affinity on this platform")
+    def test_cli_bits_on_one_cpu(self):
+        """A run pinned to one CPU prints what a run on every CPU prints."""
+        argv = ["simulate", "--protocol", "su2", "--n", "5",
+                "--trials", str(3 * 2**16 + 1), "--seed", "17"]
+        pin = "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+        src = os.path.dirname(os.path.dirname(SIMULATE_MODULE.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        results = []
+        for prefix in ("", pin):
+            code = (f"import os, sys; {prefix}from covest.cli import main; "
+                    "sys.exit(main(sys.argv[1:]))")
+            proc = subprocess.run([sys.executable, "-c", code, *argv],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            payload = json.loads(proc.stdout)
+            del payload["manifest"]["timestamp"]
+            results.append(payload)
+        assert results[0] == results[1]

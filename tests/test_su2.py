@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from scipy.stats import kstest
 
 import covest
+from covest import su2
 from covest import (
     character,
     class_angles,
@@ -236,6 +237,14 @@ class TestIrrepMatrix:
             dev = np.abs(irrep_matrix_batch(j, m) - reference_irrep_batch(j, m)).max()
             assert dev < 1e-11 * j, (j, dev)
 
+    def test_blocks_match_reference(self, rng, monkeypatch):
+        """Batches split over many row blocks, the last one short."""
+        m = np.concatenate([haar_matrices(rng, 100), degenerate_elements()])
+        for j in (3, 12, 25):
+            monkeypatch.setattr(su2, "_BLOCK_ENTRIES", 7 * j * j)
+            dev = np.abs(irrep_matrix_batch(j, m) - reference_irrep_batch(j, m)).max()
+            assert dev < 1e-11 * j, (j, dev)
+
     def test_minus_identity_sign(self):
         minus = -np.eye(2, dtype=complex)[None]
         for j in range(1, 11):
@@ -285,6 +294,22 @@ class TestIrrepStructure:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * v.nbytes
+
+    def test_work_memory_flat_in_batch_size(self, rng):
+        """Beside the result, memory grows by far less than the result does."""
+        irrep_matrix_batch(25, haar_matrices(rng, 1))  # warm the per-j cache
+        excess, result = [], []
+        for n in (2000, 4000):
+            m = haar_matrices(rng, n)
+            tracemalloc.start()
+            try:
+                v = irrep_matrix_batch(25, m)
+                excess.append(tracemalloc.get_traced_memory()[1] - v.nbytes)
+            finally:
+                tracemalloc.stop()
+            result.append(v.nbytes)
+            del v
+        assert excess[1] - excess[0] <= 0.25 * (result[1] - result[0])
 
 
 class TestDistance:
