@@ -15,8 +15,7 @@ from .phase import (
 from .simulate import (
     SimConfig,
     SimResult,
-    outcome_density_phase,
-    outcome_density_su2_class,
+    outcome_coefficients,
     simulate,
 )
 from .su2 import (
@@ -26,15 +25,7 @@ from .su2 import (
     irrep_matrix_batch,
     multiplicity_spectrum,
 )
-from .su2_design import (
-    Su2BlockAmplitudes,
-    Su2Design,
-    asymptotic_error_su2,
-    brute_force_su2_error,
-    design_optimal,
-    single_irrep_error,
-    su2_error,
-)
+from .su2_design import Su2Design, asymptotic_error_su2, design_optimal, su2_error
 
 __version__ = "0.1.0"
 
@@ -55,17 +46,13 @@ __all__ = [
     "phase_error",
     "phase_kernel_matrix",
     "su2_kernel_matrix",
-    "Su2BlockAmplitudes",
     "Su2Design",
     "asymptotic_error_su2",
-    "brute_force_su2_error",
     "design_optimal",
-    "single_irrep_error",
     "su2_error",
     "SimConfig",
     "SimResult",
-    "outcome_density_phase",
-    "outcome_density_su2_class",
+    "outcome_coefficients",
     "simulate",
     "__version__",
 ]

@@ -21,12 +21,7 @@ from . import __version__
 from .phase import asymptotic_error, bdm_input, min_covariant_error, optimal_input
 from .simulate import SimConfig, simulate
 from .su2 import multiplicity_spectrum
-from .su2_design import (
-    SELF_ENTANGLED,
-    asymptotic_error_su2,
-    design_optimal,
-    single_irrep_error,
-)
+from .su2_design import SELF_ENTANGLED, asymptotic_error_su2, design_optimal
 from .integrals import phase_kernel_matrix, su2_kernel_matrix
 
 # Fixed default so bare invocations are reproducible; override with --seed.
@@ -60,7 +55,8 @@ MAX_GRID_SIZE = 1 << 22
 # cold su2 n = 5 on 2 CPUs takes 0.8 s and 116 MB with 10^7 trials and
 # 1.2 s and 192 MB with 2 * 10^7.
 MAX_TRIALS = 20_000_000
-# scaling solves every n up to max-n, O(max_n^2) work in all: 1.2 s at 5000.
+# scaling solves every n up to max-n, O(max_n^2) work in all: 2.3-3.0 s and
+# 41 MB at 5000, 10-12 s and 51 MB at 10^4.
 MAX_SCALING_N = 10_000
 # verify-integrals builds three kernel matrices from character tables of
 # O(kmax^2) terms at O(kmax) nodes, O(kmax^3) work: 0.44 s at kmax = 60 and
@@ -173,11 +169,11 @@ def cmd_su2_design(args):
         design = design_optimal(n, mode)
     except ValueError as exc:
         raise _UsageError(str(exc))
-    # the spectrum lists the same dims as design.blocks, in the same order
+    # the spectrum lists the same dims as design.block_dims, in the same order
     spectrum = multiplicity_spectrum(n)
     blocks = [
         {"dim": dim, "multiplicity": mult, "amplitude": float(amp), "feasible": mult >= dim}
-        for (dim, mult), amp in zip(spectrum, design.blocks.amplitudes)
+        for (dim, mult), amp in zip(spectrum, design.input.amplitudes.real)
     ]
     usable = [b["dim"] for b in blocks if b["feasible"]]
     if not usable:
@@ -215,9 +211,10 @@ def _verify_rows(kmax):
     even, odd = range(2, 2 * kmax + 1, 2), range(1, 2 * kmax, 2)
     su2_even, su2_odd = su2_kernel_matrix(even), su2_kernel_matrix(odd)
     u1 = phase_kernel_matrix(range(kmax + 1))
-    # the diagonals hold the single-irrep integrals of dimensions 1..2 kmax
+    # the diagonals hold the single-irrep integrals of dimensions 1..2 kmax:
+    # the mean error with one block and a maximally entangled reference
     single = np.concatenate([np.diag(su2_odd), np.diag(su2_even)])
-    expected = [single_irrep_error(j) for j in (*odd, *even)]
+    expected = [0.75 if j == 1 else 0.5 for j in (*odd, *even)]
 
     def worst(got, want):
         return float(np.max(np.abs(got - want)))
@@ -233,8 +230,8 @@ def _verify_rows(kmax):
 def cmd_verify_integrals(args):
     if not 1 <= args.kmax <= MAX_KMAX:
         raise _UsageError(f"kmax must be between 1 and {MAX_KMAX}")
-    if args.tol <= 0.0:
-        raise _UsageError("tol must be positive")
+    if not 0.0 < args.tol < math.inf:
+        raise _UsageError("tol must be a positive finite number")
     checks = _verify_rows(args.kmax)
     all_pass = all(dev <= args.tol for _, dev in checks)
     result = {
@@ -261,7 +258,7 @@ def cmd_simulate(args):
         if args.protocol == "phase":
             design = optimal_input(args.n)
         else:
-            design = design_optimal(args.n, "external")
+            design = design_optimal(args.n)
         result_obj = simulate(config, design)
     except ValueError as exc:
         raise _UsageError(str(exc))
@@ -292,7 +289,7 @@ def cmd_scaling(args):
     for n in range(args.step, args.max_n + 1, args.step):
         phase_exact = optimal_input(n).error
         phase_bdm = min_covariant_error(bdm_input(n))
-        su2_err = design_optimal(n, "external").error
+        su2_err = design_optimal(n).error
         rows.append([
             n, phase_exact, phase_bdm, asymptotic_error(n),
             su2_err, asymptotic_error_su2(n),

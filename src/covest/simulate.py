@@ -1,8 +1,10 @@
 """Monte Carlo verification of the covariant estimation protocols.
 
 By covariance, the outcome law depends only on the angle relative to the
-true parameter, so the simulator fixes the truth at the identity and
-samples the relative-angle density by inverse CDF on an equispaced grid.
+true parameter.  For either design type it is a trigonometric polynomial,
+Re sum_m C_m e^{i m phi} on [0, 2 pi), and `outcome_coefficients` returns
+its coefficient vector C.  The simulator fixes the truth at the identity
+and samples that law by inverse CDF on an equispaced grid.
 """
 
 import math
@@ -75,46 +77,42 @@ def _self_convolution(spectrum, d):
     return np.fft.ifft(np.sum(spectrum * negated.conj(), axis=1))[: 2 * d - 1]
 
 
-def _phase_coefficients(design):
-    """C with p(phi) = Re sum_{m=0}^{d-1} C_m e^{i m phi} for a phase design.
+def outcome_coefficients(design):
+    """C with the relative-angle outcome law Re sum_m C_m e^{i m phi} on [0, 2 pi).
 
     With y = x ∘ F (row-wise), c_m = sum_k t_{k+m,k} x_{k+m} conj(x_k) is the
-    autocorrelation of y, the terms of frequency k - l = m; Hermiticity
-    gives c_{-m} = conj(c_m), so p = Re(c_0 + 2 sum_{m>=1} c_m e^{i m phi}) / (2 pi).
-    """
-    x = design.input.amplitudes
-    c = _autocorrelation(_padded_fft(x[:, None] * design.seed.factor), x.size)
-    c[1:] *= 2.0
-    return c / (2.0 * math.pi)
+    autocorrelation of y.  For a PhaseDesign the law is the phase density
+    p(phi) = sum_{k,l} t_{k,l} x_k conj(x_l) e^{i(k-l) phi} / (2 pi), whose
+    terms of frequency k - l = m sum to c_m, and c_{-m} = conj(c_m), so
+    C = (c_0, 2 c_1, ..., 2 c_{d-1}) / (2 pi).
 
-
-def _su2_coefficients(design):
-    """C with q(theta) = sum_m C_m cos(m theta) for an SU(2) design.
-
-    sin(theta/2) chi^d(theta) = sin(d theta/2), so with R_kl = Re(t_kl) x_k x_l
+    For an Su2Design it is the class-angle density
+    q(theta) = sin^2(theta/2)/pi * sum_{k,l} t_{k,l} x_l x_k chi^{d_k} chi^{d_l}
+    over the block dimensions d_k, a cosine series.  sin(theta/2) chi^d(theta)
+    = sin(d theta/2), so with R_kl = Re(t_kl) x_k x_l
     q = (1/2 pi) sum_{k,l} R_kl [cos((d_k - d_l) theta/2) - cos((d_k + d_l) theta/2)].
     The block dimensions are d_k = d_0 + 2k, so (d_k - d_l)/2 = k - l, whose
-    sums are the real autocorrelation of y = x ∘ F, and (d_k + d_l)/2 =
-    d_0 + k + l, whose sums are the real self-convolution of y and conj(y);
-    both come from one padded FFT of y.
+    sums are the real autocorrelation of y, and (d_k + d_l)/2 = d_0 + k + l,
+    whose sums are the real self-convolution of y and conj(y).
+
+    Either law is nonnegative for any PSD seed and normalized; both come from
+    one padded FFT of y, and no d x d array is formed.
     """
-    blocks = design.blocks
-    x = blocks.amplitudes
+    if not isinstance(design, (PhaseDesign, Su2Design)):
+        raise TypeError("outcome coefficients need a PhaseDesign or an Su2Design")
+    x = design.input.amplitudes
     spectrum = _padded_fft(x[:, None] * design.seed.factor)
-    d0 = blocks.block_dims[0]
+    lags = _autocorrelation(spectrum, x.size)
+    if isinstance(design, PhaseDesign):
+        lags[1:] *= 2.0
+        return lags / (2.0 * math.pi)
+    d0 = design.block_dims[0]
     c = np.zeros(d0 + 2 * x.size - 1)
-    diff = _autocorrelation(spectrum, x.size).real
+    diff = lags.real
     diff[1:] *= 2.0
     c[: x.size] = diff
     c[d0:] -= _self_convolution(spectrum, x.size).real
     return c / (2.0 * math.pi)
-
-
-def _evaluate(coefficients, phi):
-    """Re sum_m C_m e^{i m phi} at arbitrary angles, summed directly."""
-    phi = np.asarray(phi, dtype=float)
-    m = np.arange(coefficients.size)
-    return (np.exp(1j * np.multiply.outer(phi, m)) @ coefficients).real
 
 
 def _on_grid(coefficients, g):
@@ -126,44 +124,6 @@ def _on_grid(coefficients, g):
     folded = np.pad(coefficients, (0, -coefficients.size % g)).reshape(-1, g).sum(axis=0)
     values = g * np.fft.ifft(folded).real
     return np.append(values, values[0])
-
-
-def outcome_density_phase(design):
-    """Relative-angle outcome density p(phi) of a covariant phase design.
-
-    p(phi) = sum_{k,l} t_{k,l} x_k conj(x_l) e^{i(k-l) phi} / (2 pi);
-    nonnegative for any PSD seed and normalized on [0, 2*pi).
-    """
-    coefficients = _phase_coefficients(design)
-
-    def density(phi):
-        return _evaluate(coefficients, phi)
-
-    return density
-
-
-def outcome_density_su2_class(design):
-    """Relative class-angle density q(theta) of an SU(2) design of either parity.
-
-    q(theta) = sin^2(theta/2)/pi * sum_{k,l} t_{k,l} x_l x_k chi^{d_k} chi^{d_l}
-    over the block dimensions d_k (2, 4, ... for odd n; 1, 3, ... for even n).
-    """
-    coefficients = _su2_coefficients(design)
-
-    def density(theta):
-        return _evaluate(coefficients, theta)
-
-    return density
-
-
-def _coefficients(design):
-    # From the private helpers, never from the public density closures,
-    # which a caller or profiler may have wrapped.
-    if isinstance(design, PhaseDesign):
-        return _phase_coefficients(design)
-    if isinstance(design, Su2Design):
-        return _su2_coefficients(design)
-    raise TypeError("simulate requires a PhaseDesign or an Su2Design")
 
 
 def _guide_table(cdf):
@@ -235,8 +195,8 @@ def simulate(config, design):
     """Sample the outcome density and compare the empirical error to the closed form.
 
     Inverse-CDF sampling on a grid_size-bin discretization with linear
-    interpolation within bins; the density comes from its Fourier
-    coefficients by one FFT.  `law_bias` is the exact mean loss of that
+    interpolation within bins; the density on the grid comes from
+    outcome_coefficients by one FFT.  `law_bias` is the exact mean loss of that
     discretized law minus the closed form, the z-score's expected offset
     times the standard error.  The closed form is the design's own error.
 
@@ -259,7 +219,7 @@ def simulate(config, design):
     summing all trials at once, whatever the CPU count, in about 8 bytes
     per trial.
     """
-    coefficients, closed = _coefficients(design), design.error
+    coefficients, closed = outcome_coefficients(design), design.error
 
     g = config.grid_size
     edges = np.linspace(0.0, 2.0 * math.pi, g + 1)

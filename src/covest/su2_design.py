@@ -1,13 +1,16 @@
 """Estimation of an unknown SU(2) action from n uses.
 
-The covariant design over the irrep blocks of the n-fold tensor power
-reduces to the phase-estimation quadratic form (odd n exactly; even n with
-an extra a_0^2/4 penalty from the trivial block).  Both parities share one
-optimum: with D the largest block dimension in use, the block of dimension
-dim gets amplitude ∝ sin(pi dim/(D+2)) and the error is sin^2(pi/(D+2)).
-Self-entangled designs replace the external reference by the permutation
-multiplicity spaces, usable wherever multiplicity >= irrep dimension
-(see su2.multiplicity_spectrum).
+An SU(2) design is a phase design over the irrep blocks of the n-fold
+tensor power, dimensions 1 + n % 2, 3 + n % 2, ..., n + 1: `Su2Design`
+holds one amplitude per block as a PhaseInputState, with the same seed and
+error fields as PhaseDesign.  Its error is the phase functional of the
+block amplitudes (odd n exactly; even n with an extra a_0^2/4 penalty from
+the trivial block).  Both parities share one optimum: with D the largest
+block dimension in use, the block of dimension dim gets amplitude
+∝ sin(pi dim/(D+2)) and the error is sin^2(pi/(D+2)).  Self-entangled
+designs replace the external reference by the permutation multiplicity
+spaces, usable wherever multiplicity >= irrep dimension (see
+su2.multiplicity_spectrum).
 """
 
 import math
@@ -15,14 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import integrals
 from .phase import PhaseInputState, Seed, optimal_seed, phase_error
 
 EXTERNAL = "external"
 SELF_ENTANGLED = "self-entangled"
 
 _NORM_TOL = 1e-12
-_BRUTE_FORCE_MAX_BLOCKS = 11
 
 
 def _block_dims(n):
@@ -31,72 +32,48 @@ def _block_dims(n):
 
 
 @dataclass(frozen=True)
-class Su2BlockAmplitudes:
-    """Nonnegative amplitudes over the irrep blocks of the n-use problem."""
+class Su2Design:
+    """Block amplitudes, seed, number of uses, reference mode, and closed-form error.
 
+    `input` holds one real, nonnegative amplitude per irrep block, in the
+    order of `block_dims`.
+    """
+
+    input: PhaseInputState
+    seed: Seed
     n: int
-    amplitudes: np.ndarray
+    reference_mode: str
+    error: float
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        a = np.atleast_1d(np.array(self.amplitudes, dtype=float))
+        a = self.input.amplitudes
         expected = self.n // 2 + 1
         if a.size != expected:
             raise ValueError(
                 f"expected {expected} block amplitudes for n={self.n}, got {a.size}"
             )
-        if np.any(a < 0.0):
-            raise ValueError("block amplitudes must be nonnegative")
-        if abs(np.sum(a * a) - 1.0) > _NORM_TOL:
-            raise ValueError("block amplitudes must have unit norm")
-        a.setflags(write=False)
-        object.__setattr__(self, "amplitudes", a)
-
-    @property
-    def parity(self):
-        return "odd" if self.n % 2 == 1 else "even"
+        if np.any(a.imag != 0.0) or np.any(a.real < 0.0):
+            raise ValueError("block amplitudes must be real and nonnegative")
+        if abs(self.error - su2_error(self.input, self.seed, self.n)) > _NORM_TOL:
+            raise ValueError("design error inconsistent with its blocks and seed")
 
     @property
     def block_dims(self):
         return _block_dims(self.n)
 
 
-@dataclass(frozen=True)
-class Su2Design:
-    """Block amplitudes, seed, reference mode, and closed-form error."""
-
-    blocks: Su2BlockAmplitudes
-    seed: Seed
-    reference_mode: str
-    error: float
-
-    def __post_init__(self):
-        if abs(self.error - su2_error(self.blocks, self.seed)) > _NORM_TOL:
-            raise ValueError("design error inconsistent with its blocks and seed")
-
-
-def single_irrep_error(j):
-    """Mean error using one irrep block with a maximally entangled reference."""
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    return 0.75 if j == 1 else 0.5
-
-
-def _as_phase_state(blocks):
-    return PhaseInputState(blocks.amplitudes.astype(complex))
-
-
-def su2_error(blocks, seed):
-    """Mean error of the covariant design (blocks, T), either parity.
+def su2_error(x, seed, n):
+    """Mean error of the covariant design (x, T) over the blocks of n uses.
 
     The phase functional of the block amplitudes, plus the trivial-block
-    penalty a_0^2/4 for even n; with the optimal seed the phase functional
-    is (1/2)(1 - sum a_k a_{k+1}).
+    penalty |x_0|^2/4 for even n; with the optimal seed the phase functional
+    is (1/2)(1 - sum |x_k| |x_{k+1}|).
     """
-    err = phase_error(_as_phase_state(blocks), seed)
-    if blocks.parity == "even":
-        err += 0.25 * float(blocks.amplitudes[0]) ** 2
+    err = phase_error(x, seed)
+    if n % 2 == 0:
+        err += 0.25 * abs(x.amplitudes[0]) ** 2
     return err
 
 
@@ -135,37 +112,14 @@ def design_optimal(n, reference_mode=EXTERNAL):
         top = n - 1
     dims = np.array(_block_dims(n))
     a = np.where(dims <= top, np.sin(math.pi * dims / (top + 2)), 0.0)
-    blocks = Su2BlockAmplitudes(n, a / np.linalg.norm(a))
+    state = PhaseInputState(a / np.linalg.norm(a))
     err = _optimal_error(top)
     if n % 2 == 0:
         b = (top + 1) // 2  # blocks in use
         lower, upper = _optimal_error(2 * b), _optimal_error(2 * b - 2)
         if not (lower - 1e-10 <= err <= upper + 1e-10):
             raise RuntimeError("even-case design violated the sandwich bound")
-    return Su2Design(blocks, optimal_seed(_as_phase_state(blocks)), reference_mode, err)
-
-
-def brute_force_su2_error(blocks, seed):
-    """Quadrature oracle for the error of either parity.
-
-    Assembles sum_{k,l} conj(x_k) x_l t_{l,k} K_{k,l} from the dense
-    T = F F^H, where K is su2_kernel_matrix over the block dimensions, the
-    class integrals of sin^2(theta/2) chi^{dim_k} chi^{dim_l} evaluated by
-    quadrature instead of any closed-form pattern.
-    """
-    x = blocks.amplitudes
-    d = x.size
-    if d > _BRUTE_FORCE_MAX_BLOCKS:
-        raise ValueError(f"oracle limited to d <= {_BRUTE_FORCE_MAX_BLOCKS}")
-    f = seed.factor
-    if f.shape[0] != d:
-        raise ValueError("seed dimension mismatch")
-    tm = f @ f.conj().T
-    kernel = integrals.su2_kernel_matrix(blocks.block_dims)
-    total = np.sum(np.outer(np.conj(x), x) * tm.T * kernel)
-    if abs(total.imag) > 1e-10:
-        raise ArithmeticError("oracle error has a non-negligible imaginary part")
-    return float(total.real)
+    return Su2Design(state, optimal_seed(state), n, reference_mode, err)
 
 
 def asymptotic_error_su2(n):

@@ -1,16 +1,50 @@
-"""Matrix-level Monte Carlo oracle for the SU(2) designs of either parity.
+"""Matrix-level oracles for the SU(2) designs of either parity.
 
-Everything here is built from explicit objects: the maximally entangled
-block states as vectors, the irrep matrices of the sampled group elements,
-and rejection sampling of the measurement outcome against the Haar
-distribution.  No closed-form error expression is used on this path.  The
-blocks are those of a design's `Su2BlockAmplitudes`: dimensions 2, 4, ...
-for odd n and 1, 3, 5, ... for even n.
+Everything in the Haar oracle is built from explicit objects: the maximally
+entangled block states as vectors and the irrep matrices
+(`irrep_matrix_batch`) of group elements at the nodes of a product rule in
+Euler angles.  The rule averages every polynomial of bounded degree in the
+entries of g and conj(g) exactly over the Haar measure, so the total
+probability, the mean loss and the POVM integral of a design come out exact
+to roundoff, with no sampling and no closed-form error expression.  The
+blocks are those of an `Su2Design`: dimensions 2, 4, ... for odd n and
+1, 3, 5, ... for even n.
+
+`brute_force_su2_error` is the error functional itself, assembled from the
+dense seed matrix and the class-angle kernel matrix.
 """
 
 import numpy as np
 
-from covest import class_angles, haar_matrices, irrep_matrix_batch
+from covest import class_angles, irrep_matrix_batch, su2_kernel_matrix
+
+_BRUTE_FORCE_MAX_BLOCKS = 11
+
+
+def haar_rule(degree):
+    """Nodes g (shape (N, 2, 2)) and weights (N,) of an exact Haar rule.
+
+    g = e^{i alpha sigma_z/2} e^{i beta sigma_y/2} e^{i gamma sigma_z/2},
+    with alpha and gamma over [0, 4 pi), a double cover of SU(2) on which
+    the Haar measure is proportional to d alpha d(cos beta) d gamma.  A
+    monomial of degree <= `degree` = K in the entries of g and conj(g) has
+    alpha and gamma frequencies m/2 with |m| <= K, which K + 1 equispaced
+    nodes average exactly; what survives is a polynomial of degree <= K/2
+    in cos beta, which K//2 + 2 Gauss-Legendre nodes integrate exactly.
+    """
+    m = degree + 1
+    turns = 4.0 * np.pi * np.arange(m) / m
+    cos_beta, beta_weights = np.polynomial.legendre.leggauss(degree // 2 + 2)
+    alpha, cb, gamma = np.meshgrid(turns, cos_beta, turns, indexing="ij")
+    _, wb, _ = np.meshgrid(turns, beta_weights, turns, indexing="ij")
+    c, s = np.sqrt((1.0 + cb) / 2.0), np.sqrt((1.0 - cb) / 2.0)
+    g = np.empty(alpha.shape + (2, 2), dtype=complex)
+    g[..., 0, 0] = np.exp(0.5j * (alpha + gamma)) * c
+    g[..., 0, 1] = np.exp(0.5j * (alpha - gamma)) * s
+    g[..., 1, 0] = -np.exp(-0.5j * (alpha - gamma)) * s
+    g[..., 1, 1] = np.exp(-0.5j * (alpha + gamma)) * c
+    # the Gauss-Legendre weights sum to 2 over cos beta in [-1, 1]
+    return g.reshape(-1, 2, 2), wb.reshape(-1) / (2.0 * m * m)
 
 
 def entangled_block_states(dims):
@@ -18,17 +52,17 @@ def entangled_block_states(dims):
     return [np.eye(j, dtype=complex).reshape(-1) / np.sqrt(j) for j in dims]
 
 
-def povm_amplitudes(blocks, relative):
-    """<eta| U_h |x_in> for a batch of relative elements h, via explicit matrices.
+def povm_amplitudes(design, g):
+    """<eta| U_g |x_in> for a batch of elements g, via explicit matrices.
 
     |x_in> carries amplitude x_k on the maximally entangled state of block k;
     <eta| carries the weight j_k on the same state (the rank-one optimal seed
     for nonnegative amplitudes).
     """
-    dims = blocks.block_dims
-    amps = np.zeros(relative.shape[0], dtype=complex)
-    for xk, j, e in zip(blocks.amplitudes, dims, entangled_block_states(dims)):
-        v = irrep_matrix_batch(j, relative)
+    dims = design.block_dims
+    amps = np.zeros(g.shape[0], dtype=complex)
+    for xk, j, e in zip(design.input.amplitudes, dims, entangled_block_states(dims)):
+        v = irrep_matrix_batch(j, g)
         em = e.reshape(j, j)
         proj = em @ em.conj().T
         # <x_E| (V x I) |x_E> as an explicit contraction
@@ -36,58 +70,57 @@ def povm_amplitudes(blocks, relative):
     return amps
 
 
-def sample_outcomes(blocks, seed, n_samples, chunk=200_000):
-    """Rejection-sample POVM outcomes for a Haar-random true element.
+def haar_mean_loss(design):
+    """(total probability, mean loss) of the design's outcome law, exact.
 
-    Returns (losses, true_matrix, n_proposals): losses are the distances
-    d(g, ghat) of the accepted outcomes.
+    The outcome density relative to the true element is |<eta| U_g |x_in>|^2,
+    of degree 2(D - 1) with D the top block dimension, and the loss
+    sin^2(theta_g/2) = 1 - |Tr g|^2/4 has degree 2, so the rule of degree
+    2D integrates both exactly.
     """
-    rng = np.random.default_rng(seed)
-    g_true = haar_matrices(rng, 1)[0]
-    bound = float(np.sum(blocks.amplitudes * np.array(blocks.block_dims))) ** 2
-    losses = []
-    n_proposals = 0
-    collected = 0
-    while collected < n_samples:
-        ghat = haar_matrices(rng, chunk)
-        n_proposals += chunk
-        relative = ghat.conj().swapaxes(-1, -2) @ g_true  # ghat^{-1} g
-        density = np.abs(povm_amplitudes(blocks, relative)) ** 2
-        keep = rng.random(chunk) * bound < density
-        angles = class_angles(relative[keep])
-        losses.append(np.sin(angles / 2.0) ** 2)
-        collected += int(keep.sum())
-    losses = np.concatenate(losses)[:n_samples]
-    return losses, g_true, n_proposals
+    g, weights = haar_rule(2 * max(design.block_dims))
+    density = np.abs(povm_amplitudes(design, g)) ** 2
+    loss = np.sin(class_angles(g) / 2.0) ** 2
+    return float(weights @ density), float(weights @ (density * loss))
 
 
-def povm_identity_deviation(blocks, seed, n_samples):
-    """Max deviation of the Monte Carlo POVM integral from the identity.
+def povm_identity_deviation(design):
+    """Max deviation of the Haar integral of U_g |eta><eta| U_g^dag from the identity.
 
-    Averages U_ghat |eta><eta| U_ghat^dag over Haar samples on the full
-    space of the blocks (sum of j x j over the block dimensions j) and
-    compares with the identity matrix.
+    The integral runs over the full space of the blocks (sum of j x j over
+    the block dimensions j); its entries have degree <= 2(D - 1).
     """
-    dims = blocks.block_dims
-    rng = np.random.default_rng(seed)
-    eta = np.concatenate([j * e for j, e in zip(dims, entangled_block_states(dims))])
-    dim = eta.size
-    acc = np.zeros((dim, dim), dtype=complex)
-    done = 0
-    chunk = 20_000
-    while done < n_samples:
-        m = min(chunk, n_samples - done)
-        ghat = haar_matrices(rng, m)
-        # U_ghat eta: block j is (V^j x I) applied to j * vec(I_j)/sqrt(j),
-        # which vectorizes to sqrt(j) * V^j
-        u_eta = np.concatenate(
-            [
-                (np.sqrt(j) * irrep_matrix_batch(j, ghat)).reshape(m, j * j)
-                for j in dims
-            ],
-            axis=1,
-        )
-        acc += np.einsum("bi,bj->ij", u_eta, u_eta.conj())
-        done += m
-    acc /= n_samples
-    return float(np.max(np.abs(acc - np.eye(dim))))
+    dims = design.block_dims
+    g, weights = haar_rule(2 * max(dims))
+    # U_g eta: block j is (V^j x I) applied to j * vec(I_j)/sqrt(j),
+    # which vectorizes to sqrt(j) * V^j
+    u_eta = np.concatenate(
+        [(np.sqrt(j) * irrep_matrix_batch(j, g)).reshape(g.shape[0], j * j) for j in dims],
+        axis=1,
+    )
+    acc = (weights[:, None] * u_eta).T @ u_eta.conj()
+    return float(np.max(np.abs(acc - np.eye(acc.shape[0]))))
+
+
+def brute_force_su2_error(x, seed, n):
+    """Quadrature oracle for su2_error(x, seed, n), either parity.
+
+    Assembles sum_{k,l} conj(x_k) x_l t_{l,k} K_{k,l} from the dense
+    T = F F^H, where K is su2_kernel_matrix over the block dimensions of n
+    uses, the class integrals of sin^2(theta/2) chi^{dim_k} chi^{dim_l}
+    evaluated by quadrature instead of any closed-form pattern.
+    """
+    a = x.amplitudes
+    d = a.size
+    if d > _BRUTE_FORCE_MAX_BLOCKS:
+        raise ValueError(f"oracle limited to d <= {_BRUTE_FORCE_MAX_BLOCKS}")
+    dims = range(1 + n % 2, n + 2, 2)
+    f = seed.factor
+    if f.shape[0] != d or len(dims) != d:
+        raise ValueError("amplitudes, seed and n differ in dimension")
+    tm = f @ f.conj().T
+    kernel = su2_kernel_matrix(dims)
+    total = np.sum(np.outer(np.conj(a), a) * tm.T * kernel)
+    if abs(total.imag) > 1e-10:
+        raise ArithmeticError("oracle error has a non-negligible imaginary part")
+    return float(total.real)

@@ -14,9 +14,7 @@ from conftest import random_phase_design, random_seed
 from covest import (
     PhaseInputState,
     SimConfig,
-    Su2BlockAmplitudes,
     bdm_input,
-    brute_force_su2_error,
     design_optimal,
     min_covariant_error,
     multiplicity_spectrum,
@@ -27,7 +25,7 @@ from covest import (
     su2_kernel_matrix,
     su2_error,
 )
-from mc_oracle import sample_outcomes
+from mc_oracle import brute_force_su2_error, haar_mean_loss
 
 
 class _Criterion:
@@ -86,20 +84,19 @@ def test_criterion_4_su2_phase_reduction():
         for _ in range(100):
             d = int(rng.integers(1, 11))
             a = np.abs(rng.normal(size=d)) + 1e-3
-            blocks = Su2BlockAmplitudes(2 * d - 1, a / np.linalg.norm(a))
+            x, n = PhaseInputState(a / np.linalg.norm(a)), 2 * d - 1
             t = random_seed(rng, d)
-            block_err = su2_error(blocks, t)
-            assert abs(block_err - brute_force_su2_error(blocks, t)) < 1e-8
-            phase_val = phase_error(PhaseInputState(blocks.amplitudes + 0j), t)
-            assert abs(block_err - phase_val) < 1e-12
+            block_err = su2_error(x, t, n)
+            assert abs(block_err - brute_force_su2_error(x, t, n)) < 1e-8
+            assert abs(block_err - phase_error(x, t)) < 1e-12
 
 
 def test_criterion_5_matrix_level_oracle():
     with _Criterion(5, 60.0):
         design = design_optimal(3)
-        losses, _, _ = sample_outcomes(design.blocks, seed=2718, n_samples=100_000)
-        se = losses.std(ddof=1) / math.sqrt(losses.size)
-        assert abs(losses.mean() - design.error) < 3.0 * se
+        total, mean = haar_mean_loss(design)
+        assert abs(total - 1.0) < 1e-12
+        assert abs(mean - design.error) < 1e-12
 
 
 def test_criterion_6_su2_scaling():

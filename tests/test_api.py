@@ -11,13 +11,11 @@ PUBLIC = [
     "Seed",
     "SimConfig",
     "SimResult",
-    "Su2BlockAmplitudes",
     "Su2Design",
     "__version__",
     "asymptotic_error",
     "asymptotic_error_su2",
     "bdm_input",
-    "brute_force_su2_error",
     "character",
     "class_angles",
     "design_optimal",
@@ -27,12 +25,10 @@ PUBLIC = [
     "multiplicity_spectrum",
     "optimal_input",
     "optimal_seed",
-    "outcome_density_phase",
-    "outcome_density_su2_class",
+    "outcome_coefficients",
     "phase_error",
     "phase_kernel_matrix",
     "simulate",
-    "single_irrep_error",
     "su2_error",
     "su2_kernel_matrix",
 ]
@@ -58,6 +54,11 @@ REMOVED = [
     "BlockFeasibility",
     "FeasibilityReport",
     "self_entanglement_feasible",
+    "Su2BlockAmplitudes",
+    "single_irrep_error",
+    "brute_force_su2_error",
+    "outcome_density_phase",
+    "outcome_density_su2_class",
 ]
 
 

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -167,6 +168,10 @@ class TestVerifyIntegrals:
     def test_kmax_above_limit_is_usage_error(self):
         assert_usage_error("verify-integrals", "--kmax", str(MAX_KMAX + 1))
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_tol_not_positive_finite_is_usage_error(self, tol):
+        assert_usage_error("verify-integrals", "--kmax", "3", "--tol", tol)
+
     def test_limit_runs_cold_within_1e_12(self):
         start = time.perf_counter()
         proc = run_subprocess("verify-integrals", "--kmax", str(MAX_KMAX), timeout=60)
@@ -296,6 +301,114 @@ class TestPinnedSimulateBits:
         code, out = run_cli(capsys, *self.argv(*run), "--format", "csv")
         assert code == 0
         assert csv_lines(out)[1] == f"{protocol},{n},{trials},{fields},True"
+
+
+# The design commands' results as printed at the time they were pinned, each
+# as the sha256 of json.dumps(result, sort_keys=True): any drift in a printed
+# digit fails here.
+PINNED_RESULTS = {
+    ('phase-opt', '--n', '0'):
+        "6dc1a901738515c18c5fcafc17cb0b01bdf4fb55dbc2086ad9bebd64be978d56",
+    ('phase-opt', '--n', '1'):
+        "0462fc271068a3c706bf6bb35973438fdc1aec0d7726810c464f5bd5302e06be",
+    ('phase-opt', '--n', '2'):
+        "196b5723c710ad62880210d0c0e65aadaa96a9220bd8f11b0cf8d30868864bcf",
+    ('phase-opt', '--n', '10'):
+        "0c572c76e12bc7468f0fa402278e9fb7649b0bf2522728d42bc3afc4b4a7eacd",
+    ('phase-opt', '--n', '999'):
+        "6c1c560626f65963ed246122a048657eef8c72fd547fac984fb8f4578ce0c018",
+    ('phase-opt', '--n', '1000'):
+        "b0b69561419587ef4739299b661ae62f4fbc37194e67026b5efd0b7a26629b1e",
+    ('phase-opt', '--n', '1', '--method', 'bdm'):
+        "63a1a0bbc4fab985c9426f94db4f9a2d1d6bd6d11bf48cbb3ddc7f5558b723d3",
+    ('phase-opt', '--n', '2', '--method', 'bdm'):
+        "9f3b4c8f61a5d060f8e3d45b0387f642cc77c54ccb87c074d2a3f9d2826e565b",
+    ('phase-opt', '--n', '10', '--method', 'bdm'):
+        "810a0ca38de89f8bef7dbf41d2787b9e37d37768cbcaa7cde803e65bb7db12da",
+    ('phase-opt', '--n', '999', '--method', 'bdm'):
+        "f3cf161e1efbabdbcfae49bcbecf9a4ad92c169829899ebaad8f3612c08addcb",
+    ('phase-opt', '--n', '1000', '--method', 'bdm'):
+        "6eca526a9ee91c2e94af7d76304835d2d8f71224a15bc782e9af6825076e7528",
+    ('su2-design', '--n', '2', '--mode', 'external'):
+        "4b7784310cb5e03983893c84f1645227a7b2009e258eb0e563d172f8c5bcda7b",
+    ('su2-design', '--n', '3', '--mode', 'external'):
+        "a81bbcbc236c8f34f26de31da2a920af2cf9ccfbee7e735f649ba266416a9611",
+    ('su2-design', '--n', '4', '--mode', 'external'):
+        "ea60dc62e6884ba35e1bbbcdd6b10bc3d19b34c330262e55d478337a912dbdba",
+    ('su2-design', '--n', '10', '--mode', 'external'):
+        "6d19cd043dd067d95dbf3e2c6911d2d3f134473418f4bf56037bc097498bbd07",
+    ('su2-design', '--n', '11', '--mode', 'external'):
+        "9413c825eda9bec6f68e74f2714a096aa56d57b11c5e96526f10888dc1305dc4",
+    ('su2-design', '--n', '1999', '--mode', 'external'):
+        "cef4882af671a84e975484b59a34cfc1daab546db8fb347c5583f9477b14834d",
+    ('su2-design', '--n', '2000', '--mode', 'external'):
+        "4c9b6c035360c8274f3d8731e492695d8c7d390cfca00cae2a131a858e4ab4fd",
+    ('su2-design', '--n', '2', '--mode', 'self-entangled'):
+        "a34dc23ce64d5c1c8f5be33c57567d5a3efa1d337fe344cfbeed5a9773cf09dc",
+    ('su2-design', '--n', '3', '--mode', 'self-entangled'):
+        "ff92e713e160df514d9597d85020e592e401236790d4e0fc96bae095e80158d4",
+    ('su2-design', '--n', '4', '--mode', 'self-entangled'):
+        "65ad8e1116d9cf0d824c8677d585c793f248d2595b88b899b5f04abf0031d25f",
+    ('su2-design', '--n', '10', '--mode', 'self-entangled'):
+        "43c3cc260833973a7886026f547c993fd0b0d443cb547b2b9d7ed64d7f1be54d",
+    ('su2-design', '--n', '11', '--mode', 'self-entangled'):
+        "2452e57ebc69cc616c700ff6a51cfa8082023b75f891d30b15eb8f4727db5aff",
+    ('su2-design', '--n', '1999', '--mode', 'self-entangled'):
+        "1b9f65bd6f4679cee62bba667870957154b80e9d9ea483c2688071000fb71196",
+    ('su2-design', '--n', '2000', '--mode', 'self-entangled'):
+        "f0028ab0ef4c1debae0c6657f75ac67c74f46d3346a7f076cfdf5d350ae3d2d4",
+    ('su2-design', '--n', '1', '--mode', 'external'):
+        "8fca7fe07a6c7a2c3ad89cd5a1a769d9e83a614ae5edc6efc477aa0dc65d0413",
+    ('scaling', '--max-n', '100'):
+        "1cb275daff3ab9d998d282b53193b6928dcc643c54ac2ba417087fb4b066b746",
+}
+
+# CSV bodies (the lines after the # manifest comments) of one run per command.
+PINNED_CSV = {
+    ('phase-opt', '--n', '3'): (
+        'n,method,k,amplitude,error,asymptote,ratio\r\n'
+        '3,exact,0,0.37174803446018445,0.09549150281252627,0.27415567780803773,0.3483112353390284\r\n'
+        '3,exact,1,0.6015009550075456,0.09549150281252627,0.27415567780803773,0.3483112353390284\r\n'
+        '3,exact,2,0.6015009550075456,0.09549150281252627,0.27415567780803773,0.3483112353390284\r\n'
+        '3,exact,3,0.37174803446018456,0.09549150281252627,0.27415567780803773,0.3483112353390284\r\n'
+    ),
+    ('phase-opt', '--n', '3', '--method', 'bdm'): (
+        'n,method,k,amplitude,error,asymptote,ratio\r\n'
+        '3,bdm,0,0.2705980500730985,0.10983495705504459,0.27415567780803773,0.4006298827484084\r\n'
+        '3,bdm,1,0.6532814824381883,0.10983495705504459,0.27415567780803773,0.4006298827484084\r\n'
+        '3,bdm,2,0.6532814824381883,0.10983495705504459,0.27415567780803773,0.4006298827484084\r\n'
+        '3,bdm,3,0.2705980500730986,0.10983495705504459,0.27415567780803773,0.4006298827484084\r\n'
+    ),
+    ('su2-design', '--n', '4', '--mode', 'self-entangled'): (
+        'n,mode,dim,multiplicity,amplitude,feasible,error,asymptote\r\n'
+        '4,self-entangled,1,2,0.5257311121191336,True,0.3454915028125263,0.6168502750680849\r\n'
+        '4,self-entangled,3,3,0.85065080835204,True,0.3454915028125263,0.6168502750680849\r\n'
+        '4,self-entangled,5,1,0.0,False,0.3454915028125263,0.6168502750680849\r\n'
+    ),
+    ('scaling', '--max-n', '4'): (
+        'n,phase_exact,phase_bdm,phase_asymptote,su2_error,su2_asymptote\r\n'
+        '1,0.24999999999999994,0.25,2.4674011002723395,0.4999999999999999,9.869604401089358\r\n'
+        '2,0.1464466094067262,0.16666666666666669,0.6168502750680849,0.3454915028125263,2.4674011002723395\r\n'
+        '3,0.09549150281252627,0.10983495705504459,0.27415567780803773,0.24999999999999994,1.096622711232151\r\n'
+        '4,0.06698729810778065,0.07639320225002105,0.15421256876702122,0.18825509907063323,0.6168502750680849\r\n'
+    ),
+}
+
+
+class TestPinnedDesignOutputs:
+    @pytest.mark.parametrize("argv", list(PINNED_RESULTS), ids=" ".join)
+    def test_json_result(self, capsys, argv):
+        code, payload = run_json(capsys, *argv)
+        assert code == 0
+        text = json.dumps(payload["result"], sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_RESULTS[argv]
+
+    @pytest.mark.parametrize("argv", list(PINNED_CSV), ids=" ".join)
+    def test_csv_body(self, capsys, argv):
+        code, out = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        lines = out.splitlines(keepends=True)
+        assert "".join(line for line in lines if not line.startswith("#")) == PINNED_CSV[argv]
 
 
 class TestScaling:

@@ -23,8 +23,7 @@ from covest import (
     design_optimal,
     optimal_input,
     optimal_seed,
-    outcome_density_phase,
-    outcome_density_su2_class,
+    outcome_coefficients,
     phase_error,
     simulate,
     su2_error,
@@ -33,16 +32,13 @@ from covest.simulate import (
     _CELLS,
     _autocorrelation,
     _bins,
-    _coefficients,
     _guide_table,
     _on_grid,
     _padded_fft,
-    _phase_coefficients,
     _run_split,
     _self_convolution,
-    _su2_coefficients,
 )
-from mc_oracle import povm_identity_deviation, sample_outcomes
+from mc_oracle import haar_mean_loss, povm_identity_deviation
 
 # the module, which the package's `simulate` function shadows as an attribute
 SIMULATE_MODULE = importlib.import_module("covest.simulate")
@@ -61,90 +57,90 @@ def reference_phase_density(design, phi):
 
 def reference_su2_density(design, theta):
     """sin^2(theta/2)/pi times the quadratic form in v_k = x_k chi^{d_k}(theta)."""
-    chi = np.stack([character(dim, theta) for dim in design.blocks.block_dims], axis=-1)
-    v = design.blocks.amplitudes * chi
+    chi = np.stack([character(dim, theta) for dim in design.block_dims], axis=-1)
+    v = design.input.amplitudes * chi
     quad = np.einsum("...k,kl,...l->...", v, gram(design.seed), v.conj()).real
     return np.sin(theta / 2.0) ** 2 / math.pi * quad
 
 
+def law(design, phi):
+    """Re sum_m C_m e^{i m phi} at arbitrary angles, summed directly from the
+    design's outcome coefficients."""
+    coefficients = outcome_coefficients(design)
+    m = np.arange(coefficients.size)
+    return (np.exp(1j * np.multiply.outer(phi, m)) @ coefficients).real
+
+
 def assert_matches_reference(design, grid_size=4096):
-    """FFT grid values and the public callable agree with the quadratic form."""
+    """FFT grid values and the directly summed law agree with the quadratic form."""
     if isinstance(design, PhaseDesign):
-        coefficients, density = _phase_coefficients(design), outcome_density_phase(design)
         reference = reference_phase_density
     else:
-        coefficients, density = _su2_coefficients(design), outcome_density_su2_class(design)
         reference = reference_su2_density
     edges = np.linspace(0.0, 2.0 * math.pi, grid_size + 1)
     want = reference(design, edges)
     tol = 1e-10 * np.max(np.abs(want))
-    assert np.max(np.abs(_on_grid(coefficients, grid_size) - want)) <= tol
-    assert np.max(np.abs(density(edges) - want)) <= tol
+    assert np.max(np.abs(_on_grid(outcome_coefficients(design), grid_size) - want)) <= tol
+    assert np.max(np.abs(law(design, edges) - want)) <= tol
 
 
-def quadrature_mean(density, f):
-    vals = density(GRID) * f(GRID)
+def quadrature_mean(design, f):
+    vals = law(design, GRID) * f(GRID)
     return float(np.trapezoid(vals, GRID))
 
 
 class TestPhaseDensity:
     def test_single_level_uniform(self):
         design = optimal_input(0)
-        p = outcome_density_phase(design)
-        assert np.allclose(p(GRID), 1.0 / (2.0 * math.pi), atol=1e-14)
+        assert np.allclose(law(design, GRID), 1.0 / (2.0 * math.pi), atol=1e-14)
 
     def test_two_level_cosine(self):
         x = PhaseInputState(np.ones(2) / math.sqrt(2))
         design = PhaseDesign(x, Seed(np.ones((2, 1))), 0.25)
-        p = outcome_density_phase(design)
         expected = (1.0 + np.cos(GRID)) / (2.0 * math.pi)
-        assert np.allclose(p(GRID), expected, atol=1e-12)
+        assert np.allclose(law(design, GRID), expected, atol=1e-12)
 
     def test_normalized_and_nonnegative(self, rng):
         for d in [1, 3, 6]:
             design = random_phase_design(rng, d)
-            p = outcome_density_phase(design)
-            vals = p(GRID)
+            vals = law(design, GRID)
             assert vals.min() > -1e-10
-            assert quadrature_mean(p, np.ones_like) == pytest.approx(1.0, abs=1e-10)
+            assert quadrature_mean(design, np.ones_like) == pytest.approx(1.0, abs=1e-10)
 
     def test_mean_loss_matches_phase_error(self, rng):
         design = random_phase_design(rng, 5)
-        p = outcome_density_phase(design)
-        mean = quadrature_mean(p, lambda t: np.sin(t / 2.0) ** 2)
+        mean = quadrature_mean(design, lambda t: np.sin(t / 2.0) ** 2)
         assert mean == pytest.approx(design.error, abs=1e-10)
 
     def test_optimal_seed_reduces_to_squared_sum(self, rng):
         design = optimal_input(4)
-        p = outcome_density_phase(design)
         mags = np.abs(design.input.amplitudes)
         k = np.arange(mags.size)
         direct = (
             np.abs(np.exp(1j * np.multiply.outer(GRID, k)) @ mags) ** 2
             / (2.0 * math.pi)
         )
-        assert np.allclose(p(GRID), direct, atol=1e-12)
+        assert np.allclose(law(design, GRID), direct, atol=1e-12)
 
 
 class TestSu2ClassDensity:
     def test_single_block(self):
         design = design_optimal(1)
-        q = outcome_density_su2_class(design)
         expected = (
             4.0 / math.pi * np.sin(GRID / 2.0) ** 2 * np.cos(GRID / 2.0) ** 2
         )
-        assert np.allclose(q(GRID), expected, atol=1e-12)
+        assert np.allclose(law(design, GRID), expected, atol=1e-12)
 
     def test_normalized(self):
-        q = outcome_density_su2_class(design_optimal(3))
-        assert quadrature_mean(q, np.ones_like) == pytest.approx(1.0, abs=1e-8)
+        assert quadrature_mean(design_optimal(3), np.ones_like) == pytest.approx(
+            1.0, abs=1e-8
+        )
 
     def test_mean_loss_matches_closed_form(self):
         design = design_optimal(7)
-        q = outcome_density_su2_class(design)
-        mean = quadrature_mean(q, lambda t: np.sin(t / 2.0) ** 2)
+        mean = quadrature_mean(design, lambda t: np.sin(t / 2.0) ** 2)
         assert mean == pytest.approx(
-            su2_error(design.blocks, design.seed), abs=1e-8
+            su2_error(design.input, design.seed, design.n), abs=1e-8
         )
 
     def test_even_designs_pass_z_test(self):
@@ -172,16 +168,16 @@ class TestFourierDensity:
     @pytest.mark.parametrize("n", [5, 6, 41, 42])
     def test_su2_random_seeds(self, rng, n):
         design = design_optimal(n)
-        seed = random_seed(rng, design.blocks.amplitudes.size)
-        blocks = design.blocks
-        assert_matches_reference(Su2Design(blocks, seed, "external", su2_error(blocks, seed)))
+        seed = random_seed(rng, design.input.dim)
+        x = design.input
+        assert_matches_reference(Su2Design(x, seed, n, "external", su2_error(x, seed, n)))
 
     def test_no_dense_seed_in_design_or_coefficients(self):
         # a dense seed at d = 4001 would take 256 MB
         tracemalloc.start()
         try:
-            _phase_coefficients(optimal_input(4000))
-            _su2_coefficients(design_optimal(8001))
+            outcome_coefficients(optimal_input(4000))
+            outcome_coefficients(design_optimal(8001))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -251,7 +247,7 @@ class TestMeanLossOracle:
         # E sin^2(phi/2) = (1 - E cos phi) / 2, and cos phi picks pi Re C_1
         # out of the coefficient series of either density
         for name, design in oracle_designs().items():
-            c1 = _coefficients(design)[1].real
+            c1 = outcome_coefficients(design)[1].real
             assert abs(0.5 * (1.0 - math.pi * c1) - design.error) <= 1e-13, name
 
 
@@ -285,12 +281,12 @@ class TestSimulate:
             SimConfig(1, 0)
 
     def test_mismatched_design_rejected(self):
-        # an input state or a bare block vector is not a design
+        # an input state, phase or over the blocks, is not a design
         config = SimConfig(100, 0)
         with pytest.raises(TypeError):
             simulate(config, optimal_input(3).input)
         with pytest.raises(TypeError):
-            simulate(config, design_optimal(3).blocks)
+            simulate(config, design_optimal(3).input)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -305,43 +301,37 @@ class TestSimulate:
 
 class TestCovarianceReduction:
     def test_class_sampler_agrees_with_full_sampler(self):
-        """n = 3: the class-angle shortcut and the explicit 3D rejection
-        sampler must estimate the same mean error."""
-        n_samples = 100_000
+        """n = 3: the class-angle sampler estimates the mean loss of the full
+        matrix-level outcome law, integrated exactly over the group."""
         design = design_optimal(3)
-        class_res = simulate(SimConfig(n_samples, 1234), design)
-        losses, _, _ = sample_outcomes(design.blocks, seed=5678, n_samples=n_samples)
-        full_mean = float(losses.mean())
-        full_se = float(losses.std(ddof=1) / math.sqrt(n_samples))
-        comb = math.hypot(class_res.standard_error, full_se)
-        assert abs(class_res.empirical_mean_error - full_mean) < 3.0 * comb
+        class_res = simulate(SimConfig(100_000, 1234), design)
+        _, full_mean = haar_mean_loss(design)
+        assert abs(class_res.empirical_mean_error - full_mean) < 3.0 * class_res.standard_error
 
     def test_povm_resolves_identity(self):
-        blocks = design_optimal(3).blocks
-        assert povm_identity_deviation(blocks, seed=99, n_samples=40_000) < 0.05
+        assert povm_identity_deviation(design_optimal(3)) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_povm_resolves_identity_even_n(self, n):
         """Blocks 1, 3 (n = 2) and 1, 3, 5 (n = 4), trivial block included."""
-        blocks = design_optimal(n).blocks
-        assert blocks.block_dims == tuple(range(1, n + 2, 2))
-        assert povm_identity_deviation(blocks, seed=99, n_samples=40_000) < 0.05
+        design = design_optimal(n)
+        assert design.block_dims == tuple(range(1, n + 2, 2))
+        assert povm_identity_deviation(design) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_full_sampler_matches_closed_form_even_n(self, n):
-        """The explicit rejection sampler, with no class-angle shortcut,
-        reproduces su2_error for even n, trivial-block penalty included."""
-        n_samples = 100_000
+        """The matrix-level outcome law, with no class-angle shortcut, is
+        normalized and has su2_error as its mean loss for even n,
+        trivial-block penalty included."""
         design = design_optimal(n)
-        losses, _, _ = sample_outcomes(design.blocks, seed=2718, n_samples=n_samples)
-        se = losses.std(ddof=1) / math.sqrt(n_samples)
-        z = (losses.mean() - su2_error(design.blocks, design.seed)) / se
-        assert abs(z) < 4.0
+        total, mean = haar_mean_loss(design)
+        assert abs(total - 1.0) < 1e-12
+        assert abs(mean - su2_error(design.input, design.seed, n)) < 1e-12
 
 
 def reference_simulate(config, design):
     """The one-shot sampler: every trial drawn, searched and summed at once."""
-    coefficients, closed = _coefficients(design), design.error
+    coefficients, closed = outcome_coefficients(design), design.error
     g = config.grid_size
     edges = np.linspace(0.0, 2.0 * math.pi, g + 1)
     pdf = np.clip(_on_grid(coefficients, g), 0.0, None)
@@ -365,9 +355,9 @@ def reference_simulate(config, design):
 
 
 def random_seed_su2_design(rng):
-    blocks = design_optimal(9).blocks
-    seed = random_seed(rng, blocks.amplitudes.size)
-    return Su2Design(blocks, seed, "external", su2_error(blocks, seed))
+    x = design_optimal(9).input
+    seed = random_seed(rng, x.dim)
+    return Su2Design(x, seed, 9, "external", su2_error(x, seed, 9))
 
 
 BIT_DESIGNS = {

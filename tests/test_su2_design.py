@@ -7,18 +7,16 @@ from conftest import random_seed
 from covest import (
     PhaseInputState,
     Seed,
-    Su2BlockAmplitudes,
     Su2Design,
-    brute_force_su2_error,
     design_optimal,
     min_covariant_error,
     multiplicity_spectrum,
     optimal_input,
     optimal_seed,
     phase_error,
-    single_irrep_error,
     su2_error,
 )
+from mc_oracle import brute_force_su2_error
 
 
 def usable_dims(n):
@@ -27,83 +25,61 @@ def usable_dims(n):
 
 
 def random_blocks(rng, n):
+    """Random nonnegative unit amplitudes over the n // 2 + 1 blocks of n uses."""
     size = n // 2 + 1
     a = np.abs(rng.normal(size=size)) + 1e-3
-    return Su2BlockAmplitudes(n, a / np.linalg.norm(a))
+    return PhaseInputState(a / np.linalg.norm(a))
 
 
-def block_seed(blocks):
-    """The optimal seed of the block amplitudes."""
-    return optimal_seed(PhaseInputState(blocks.amplitudes + 0j))
-
-
-def block_formula_error(blocks):
+def block_formula_error(x, n):
     """Optimal-seed error (1/2)(1 - sum a_k a_{k+1}), plus a_0^2/4 for even n."""
-    a = blocks.amplitudes
+    a = x.amplitudes.real
     err = 0.5 * (1.0 - float(np.sum(a[:-1] * a[1:])))
-    return err + (0.25 * float(a[0]) ** 2 if blocks.n % 2 == 0 else 0.0)
-
-
-class TestSingleIrrepError:
-    def test_values(self):
-        assert single_irrep_error(1) == pytest.approx(0.75)
-        assert single_irrep_error(2) == pytest.approx(0.5)
-        assert single_irrep_error(17) == pytest.approx(0.5)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            single_irrep_error(0)
+    return err + (0.25 * float(a[0]) ** 2 if n % 2 == 0 else 0.0)
 
 
 class TestSu2ErrorOdd:
     """su2_error on odd n: the phase functional of the block amplitudes."""
 
     def test_single_block(self):
-        blocks = Su2BlockAmplitudes(1, [1.0])
-        assert su2_error(blocks, Seed([[1.0]])) == pytest.approx(0.5)
-        assert single_irrep_error(2) == pytest.approx(0.5)
+        assert su2_error(PhaseInputState([1.0]), Seed([[1.0]]), 1) == pytest.approx(0.5)
 
     def test_two_blocks_all_ones(self):
-        blocks = Su2BlockAmplitudes(3, np.ones(2) / math.sqrt(2))
-        assert su2_error(blocks, Seed(np.ones((2, 1)))) == pytest.approx(
-            0.25, abs=1e-15
-        )
+        x = PhaseInputState(np.ones(2) / math.sqrt(2))
+        assert su2_error(x, Seed(np.ones((2, 1))), 3) == pytest.approx(0.25, abs=1e-15)
 
     def test_identity_seed_no_interference(self, rng):
-        blocks = random_blocks(rng, 9)
-        assert su2_error(blocks, Seed(np.eye(5))) == pytest.approx(0.5, abs=1e-12)
+        x = random_blocks(rng, 9)
+        assert su2_error(x, Seed(np.eye(5)), 9) == pytest.approx(0.5, abs=1e-12)
 
     def test_phase_problem_equivalence(self, rng):
         for _ in range(50):
             n = int(rng.integers(1, 10)) * 2 - 1
-            blocks = random_blocks(rng, n)
-            t = random_seed(rng, blocks.amplitudes.size)
-            phase_val = phase_error(PhaseInputState(blocks.amplitudes + 0j), t)
-            assert su2_error(blocks, t) == pytest.approx(phase_val, abs=1e-12)
+            x = random_blocks(rng, n)
+            t = random_seed(rng, x.dim)
+            assert su2_error(x, t, n) == pytest.approx(phase_error(x, t), abs=1e-12)
 
 
 class TestMinSu2ErrorOdd:
     """su2_error with the optimal seed on odd n: the minimum covariant error."""
 
     def test_single_block(self):
-        blocks = Su2BlockAmplitudes(1, [1.0])
-        assert su2_error(blocks, block_seed(blocks)) == pytest.approx(0.5)
+        x = PhaseInputState([1.0])
+        assert su2_error(x, optimal_seed(x), 1) == pytest.approx(0.5)
 
     def test_matches_optimal_seed(self, rng):
         for _ in range(20):
             n = int(rng.integers(1, 9)) * 2 - 1
-            blocks = random_blocks(rng, n)
-            minimum = min_covariant_error(PhaseInputState(blocks.amplitudes + 0j))
-            assert su2_error(blocks, block_seed(blocks)) == pytest.approx(
-                minimum, abs=1e-12
-            )
-            assert block_formula_error(blocks) == pytest.approx(minimum, abs=1e-12)
+            x = random_blocks(rng, n)
+            minimum = min_covariant_error(x)
+            assert su2_error(x, optimal_seed(x), n) == pytest.approx(minimum, abs=1e-12)
+            assert block_formula_error(x, n) == pytest.approx(minimum, abs=1e-12)
 
     def test_optimal_amplitudes_reach_phase_optimum(self):
         d = 4
         pd = optimal_input(d - 1)
-        blocks = Su2BlockAmplitudes(2 * d - 1, pd.input.amplitudes.real)
-        assert su2_error(blocks, block_seed(blocks)) == pytest.approx(
+        x = PhaseInputState(pd.input.amplitudes.real)
+        assert su2_error(x, optimal_seed(x), 2 * d - 1) == pytest.approx(
             pd.error, abs=1e-12
         )
 
@@ -117,13 +93,13 @@ class TestSu2ErrorEven:
     """su2_error on even n: the phase functional plus a_0^2/4."""
 
     def test_single_block_no_trivial_mass(self):
-        blocks = Su2BlockAmplitudes(2, [0.0, 1.0])
-        assert su2_error(blocks, block_seed(blocks)) == pytest.approx(0.5, abs=1e-15)
+        x = PhaseInputState([0.0, 1.0])
+        assert su2_error(x, optimal_seed(x), 2) == pytest.approx(0.5, abs=1e-15)
 
     def test_uniform_two_blocks(self):
-        blocks = Su2BlockAmplitudes(2, np.ones(2) / math.sqrt(2))
-        expected = brute_force_su2_error(blocks, Seed(np.ones((2, 1))))
-        assert su2_error(blocks, block_seed(blocks)) == pytest.approx(expected, abs=1e-12)
+        x = PhaseInputState(np.ones(2) / math.sqrt(2))
+        expected = brute_force_su2_error(x, Seed(np.ones((2, 1))), 2)
+        assert su2_error(x, optimal_seed(x), 2) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.375, abs=1e-12)
 
 
@@ -146,7 +122,7 @@ class TestDesignOptimal:
         # usable blocks: dim 2 (mult 5) and dim 4 (mult 4); two-level phase problem
         design = design_optimal(5, "self-entangled")
         assert design.error == pytest.approx(0.25, abs=1e-12)
-        assert design.blocks.amplitudes[-1] == 0.0
+        assert design.input.amplitudes[-1] == 0.0
 
     def test_self_entangled_infeasible(self):
         with pytest.raises(ValueError):
@@ -163,10 +139,10 @@ class TestDesignOptimal:
     def test_error_consistent_with_block_formula(self):
         for n in (6, 7):
             design = design_optimal(n)
-            assert su2_error(design.blocks, design.seed) == pytest.approx(
+            assert su2_error(design.input, design.seed, n) == pytest.approx(
                 design.error, abs=1e-12
             )
-            assert block_formula_error(design.blocks) == pytest.approx(
+            assert block_formula_error(design.input, n) == pytest.approx(
                 design.error, abs=1e-12
             )
 
@@ -177,10 +153,10 @@ class TestDesignOptimal:
     def test_closed_form_regression(self):
         for n in range(1, 401):
             design = design_optimal(n)
-            a = design.blocks.amplitudes
+            a = design.input.amplitudes
             assert abs(design.error - math.sin(math.pi / (n + 3)) ** 2) <= 1e-12
-            assert np.all(a >= 0.0)
-            assert block_formula_error(design.blocks) == pytest.approx(
+            assert np.all(a.real >= 0.0) and np.all(a.imag == 0.0)
+            assert block_formula_error(design.input, n) == pytest.approx(
                 design.error, abs=1e-12
             )
 
@@ -192,31 +168,31 @@ class TestDesignOptimal:
             expected = math.sin(math.pi / (max(usable) + 2)) ** 2
             design = design_optimal(n, "self-entangled")
             assert design.error == pytest.approx(expected, abs=1e-12)
-            in_use = design.blocks.block_dims[: len(usable)]
+            in_use = design.block_dims[: len(usable)]
             assert in_use == usable
-            assert np.all(design.blocks.amplitudes[: len(usable)] > 0.0)
-            assert np.all(design.blocks.amplitudes[len(usable):] == 0.0)
+            assert np.all(design.input.amplitudes[: len(usable)].real > 0.0)
+            assert np.all(design.input.amplitudes[len(usable):] == 0.0)
 
     def test_block_dims_match_multiplicity_spectrum(self):
         for n in range(1, 401):
-            dims = design_optimal(n).blocks.block_dims
+            dims = design_optimal(n).block_dims
             assert dims == tuple(d for d, _ in multiplicity_spectrum(n))
 
 
 class TestSu2DesignErrorCheck:
     def test_off_by_one_design_rejected(self):
         # n = 3 amplitudes built on the wrong block dims: true error 0.30, not 0.25
-        blocks = Su2BlockAmplitudes(3, np.array([1.0, 2.0]) / math.sqrt(5.0))
-        seed = optimal_seed(PhaseInputState(blocks.amplitudes))
-        assert su2_error(blocks, seed) == pytest.approx(0.3, abs=1e-12)
+        x = PhaseInputState(np.array([1.0, 2.0]) / math.sqrt(5.0))
+        seed = optimal_seed(x)
+        assert su2_error(x, seed, 3) == pytest.approx(0.3, abs=1e-12)
         with pytest.raises(ValueError):
-            Su2Design(blocks, seed, "external", 0.25)
+            Su2Design(x, seed, 3, "external", 0.25)
 
     def test_self_entangled_designs_pass_check(self):
         # external designs pass it in test_closed_form_regression (n <= 400)
         for n in range(2, 301):
             design = design_optimal(n, "self-entangled")
-            assert abs(su2_error(design.blocks, design.seed) - design.error) <= 1e-12
+            assert abs(su2_error(design.input, design.seed, n) - design.error) <= 1e-12
 
 
 class TestSelfEntanglementFeasible:
@@ -228,7 +204,7 @@ class TestSelfEntanglementFeasible:
 
     def test_n5(self):
         assert usable_dims(5) == (2, 4)
-        assert design_optimal(5, "self-entangled").blocks.block_dims == (2, 4, 6)
+        assert design_optimal(5, "self-entangled").block_dims == (2, 4, 6)
 
     def test_n1_no_usable_blocks(self):
         assert usable_dims(1) == ()
@@ -245,63 +221,79 @@ class TestSelfEntanglementFeasible:
         # the amplitudes in use are exactly the blocks with multiplicity >= dim
         design = design_optimal(9, "self-entangled")
         spec = multiplicity_spectrum(9)
-        assert design.blocks.block_dims == tuple(dim for dim, _ in spec)
-        for (dim, mult), amp in zip(spec, design.blocks.amplitudes):
+        assert design.block_dims == tuple(dim for dim, _ in spec)
+        for (dim, mult), amp in zip(spec, design.input.amplitudes.real):
             assert (amp > 0.0) == (mult >= dim)
 
 
 class TestBruteForceOracle:
     def test_single_block(self):
-        blocks = Su2BlockAmplitudes(1, [1.0])
-        assert brute_force_su2_error(blocks, Seed([[1.0]])) == pytest.approx(
-            0.5, abs=1e-12
-        )
+        x = PhaseInputState([1.0])
+        assert brute_force_su2_error(x, Seed([[1.0]]), 1) == pytest.approx(0.5, abs=1e-12)
 
     def test_identity_seed(self, rng):
-        blocks = random_blocks(rng, 7)
-        assert brute_force_su2_error(blocks, Seed(np.eye(4))) == pytest.approx(
+        x = random_blocks(rng, 7)
+        assert brute_force_su2_error(x, Seed(np.eye(4)), 7) == pytest.approx(
             0.5, abs=1e-12
         )
 
     def test_matches_closed_form(self, rng):
         for _ in range(25):
             d = int(rng.integers(1, 11))
-            blocks = random_blocks(rng, 2 * d - 1)
+            x = random_blocks(rng, 2 * d - 1)
             t = random_seed(rng, d)
-            assert brute_force_su2_error(blocks, t) == pytest.approx(
-                su2_error(blocks, t), abs=1e-8
+            assert brute_force_su2_error(x, t, 2 * d - 1) == pytest.approx(
+                su2_error(x, t, 2 * d - 1), abs=1e-8
             )
 
     @pytest.mark.parametrize("n", range(2, 21, 2))
     def test_even_matches_closed_form(self, n, rng):
-        blocks = random_blocks(rng, n)
-        assert brute_force_su2_error(blocks, block_seed(blocks)) == pytest.approx(
-            block_formula_error(blocks), abs=1e-10
+        x = random_blocks(rng, n)
+        assert brute_force_su2_error(x, optimal_seed(x), n) == pytest.approx(
+            block_formula_error(x, n), abs=1e-10
         )
         design = design_optimal(n)
-        assert brute_force_su2_error(design.blocks, design.seed) == pytest.approx(
+        assert brute_force_su2_error(design.input, design.seed, n) == pytest.approx(
             design.error, abs=1e-10
         )
 
     def test_scale_limit(self, rng):
-        blocks = random_blocks(rng, 23)
+        x = random_blocks(rng, 23)
         with pytest.raises(ValueError):
-            brute_force_su2_error(blocks, Seed(np.eye(12)))
+            brute_force_su2_error(x, Seed(np.eye(12)), 23)
+
+
+def single_block_design(n, amplitudes):
+    """An Su2Design on the given amplitudes with their optimal seed."""
+    x = PhaseInputState(amplitudes)
+    seed = optimal_seed(x)
+    return Su2Design(x, seed, n, "external", su2_error(x, seed, n))
 
 
 class TestBlockAmplitudeValidation:
+    """The input checks of Su2Design, and the unit norm of its PhaseInputState."""
+
     def test_wrong_length(self):
-        with pytest.raises(ValueError):
-            Su2BlockAmplitudes(3, [1.0])
+        with pytest.raises(ValueError, match="block amplitudes"):
+            single_block_design(3, [1.0])
 
     def test_negative_entry(self):
-        with pytest.raises(ValueError):
-            Su2BlockAmplitudes(3, [-0.6, 0.8])
+        with pytest.raises(ValueError, match="nonnegative"):
+            single_block_design(3, [-0.6, 0.8])
+
+    def test_complex_entry(self):
+        with pytest.raises(ValueError, match="real"):
+            single_block_design(3, [0.6j, 0.8])
 
     def test_unnormalized(self):
-        with pytest.raises(ValueError):
-            Su2BlockAmplitudes(3, [1.0, 1.0])
+        with pytest.raises(ValueError, match="unit norm"):
+            single_block_design(3, [1.0, 1.0])
+
+    def test_nonpositive_n(self):
+        x = PhaseInputState([1.0])
+        with pytest.raises(ValueError, match="n must be"):
+            Su2Design(x, optimal_seed(x), 0, "external", 0.5)
 
     def test_block_dims(self):
-        assert Su2BlockAmplitudes(5, [1.0, 0, 0]).block_dims == (2, 4, 6)
-        assert Su2BlockAmplitudes(4, [1.0, 0, 0]).block_dims == (1, 3, 5)
+        assert single_block_design(5, [1.0, 0, 0]).block_dims == (2, 4, 6)
+        assert single_block_design(4, [1.0, 0, 0]).block_dims == (1, 3, 5)
