@@ -106,8 +106,12 @@ def _emit(text, output):
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(_resolve_output(output), "w") as fh:
-            fh.write(text)
+        path = _resolve_output(output)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _render_csv(manifest, header, rows):
@@ -169,7 +173,6 @@ def cmd_su2_design(args):
         design = design_optimal(n, mode)
     except ValueError as exc:
         raise _UsageError(str(exc))
-    # the spectrum lists the same dims as design.block_dims, in the same order
     spectrum = multiplicity_spectrum(n)
     blocks = [
         {"dim": dim, "multiplicity": mult, "amplitude": float(amp), "feasible": mult >= dim}
@@ -359,10 +362,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         result, header, rows, code = args.func(args)
+        _emit(_render(_manifest(args), result, args.format, header, rows), args.output)
     except _UsageError as exc:
         print(f"covest: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(_render(_manifest(args), result, args.format, header, rows), args.output)
     return code
 
 

@@ -80,8 +80,6 @@ def phase_error(x, seed):
     if f.shape[0] != xv.size:
         raise ValueError("input state and seed dimensions differ")
     diag = 0.5 * float(np.sum(np.abs(xv) ** 2))
-    if xv.size == 1:
-        return diag
     sub = np.sum(f[1:] * np.conj(f[:-1]), axis=1)
     cross = np.sum(np.conj(xv[:-1]) * xv[1:] * sub)
     return diag - 0.5 * float(np.real(cross))

@@ -128,18 +128,24 @@ def irrep_matrix_batch(j, matrices):
     return out
 
 
-def multiplicity_spectrum(n):
-    """The n-qubit tensor power as ((dim, multiplicity), ...) in increasing dim.
+def _block_dims(n):
+    """Irrep dimensions 1 + n % 2, 3 + n % 2, ..., n + 1 of the n-qubit tensor power."""
+    return tuple(range(1 + n % 2, n + 2, 2))
 
-    The block of dimension n+1-2i has multiplicity C(n, i) - C(n, i-1), in
-    exact integer arithmetic; the dimension identity sum(dim * mult) = 2**n
+
+def multiplicity_spectrum(n):
+    """The n-qubit tensor power as ((dim, multiplicity), ...) over _block_dims(n).
+
+    The block of dimension dim = n+1-2i has multiplicity C(n, i) - C(n, i-1),
+    in exact integer arithmetic; the dimension identity sum(dim * mult) = 2**n
     holds by construction.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     spectrum = tuple(
-        (n + 1 - 2 * i, math.comb(n, i) - (math.comb(n, i - 1) if i else 0))
-        for i in range(n // 2, -1, -1)
+        (dim, math.comb(n, i) - (math.comb(n, i - 1) if i else 0))
+        for dim in _block_dims(n)
+        for i in [(n + 1 - dim) // 2]
     )
     assert sum(dim * mult for dim, mult in spectrum) == 2**n
     return spectrum

@@ -5,12 +5,10 @@ tensor power, dimensions 1 + n % 2, 3 + n % 2, ..., n + 1: `Su2Design`
 holds one amplitude per block as a PhaseInputState, with the same seed and
 error fields as PhaseDesign.  Its error is the phase functional of the
 block amplitudes (odd n exactly; even n with an extra a_0^2/4 penalty from
-the trivial block).  Both parities share one optimum: with D the largest
-block dimension in use, the block of dimension dim gets amplitude
-∝ sin(pi dim/(D+2)) and the error is sin^2(pi/(D+2)).  Self-entangled
-designs replace the external reference by the permutation multiplicity
-spaces, usable wherever multiplicity >= irrep dimension (see
-su2.multiplicity_spectrum).
+the trivial block), and design_optimal gives one sine-profile optimum for
+both parities.  Self-entangled designs replace the external reference by
+the permutation multiplicity spaces, usable wherever multiplicity >= irrep
+dimension (see su2.multiplicity_spectrum).
 """
 
 import math
@@ -19,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .phase import PhaseInputState, Seed, optimal_seed, phase_error
+from .su2 import _block_dims
 
 EXTERNAL = "external"
 SELF_ENTANGLED = "self-entangled"
@@ -26,34 +25,21 @@ SELF_ENTANGLED = "self-entangled"
 _NORM_TOL = 1e-12
 
 
-def _block_dims(n):
-    """Irrep dimensions 1 + n % 2, 3 + n % 2, ..., n + 1 of the n-qubit tensor power."""
-    return tuple(range(1 + n % 2, n + 2, 2))
-
-
 @dataclass(frozen=True)
 class Su2Design:
-    """Block amplitudes, seed, number of uses, reference mode, and closed-form error.
+    """Block amplitudes, seed, number of uses, and closed-form error.
 
     `input` holds one real, nonnegative amplitude per irrep block, in the
-    order of `block_dims`.
+    order of `block_dims`; its count and n are checked by su2_error.
     """
 
     input: PhaseInputState
     seed: Seed
     n: int
-    reference_mode: str
     error: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
         a = self.input.amplitudes
-        expected = self.n // 2 + 1
-        if a.size != expected:
-            raise ValueError(
-                f"expected {expected} block amplitudes for n={self.n}, got {a.size}"
-            )
         if np.any(a.imag != 0.0) or np.any(a.real < 0.0):
             raise ValueError("block amplitudes must be real and nonnegative")
         if abs(self.error - su2_error(self.input, self.seed, self.n)) > _NORM_TOL:
@@ -69,20 +55,17 @@ def su2_error(x, seed, n):
 
     The phase functional of the block amplitudes, plus the trivial-block
     penalty |x_0|^2/4 for even n; with the optimal seed the phase functional
-    is (1/2)(1 - sum |x_k| |x_{k+1}|).
+    is (1/2)(1 - sum |x_k| |x_{k+1}|).  Raises ValueError for n < 1 and when
+    x does not hold the n//2 + 1 amplitudes of the blocks of n uses.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if x.dim != n // 2 + 1:
+        raise ValueError(f"expected {n // 2 + 1} block amplitudes for n={n}, got {x.dim}")
     err = phase_error(x, seed)
     if n % 2 == 0:
         err += 0.25 * abs(x.amplitudes[0]) ** 2
     return err
-
-
-def _optimal_error(top):
-    """sin^2(pi/(D+2)), the optimum over the blocks of dimension <= D = top.
-
-    The phase optimum with m+1 levels, D_opt^m, is _optimal_error(2m+2).
-    """
-    return math.sin(math.pi / (top + 2)) ** 2
 
 
 def design_optimal(n, reference_mode=EXTERNAL):
@@ -90,9 +73,9 @@ def design_optimal(n, reference_mode=EXTERNAL):
 
     With D the largest block dimension in use, the block of dimension
     dim <= D gets amplitude ∝ sin(pi dim/(D+2)) and the error is
-    sin^2(pi/(D+2)), for either parity.  Even designs with b blocks in use
-    are checked against the sandwich bound D_opt^{b-1} <= error <= D_opt^{b-2}
-    between adjacent phase optima.
+    sin^2(pi/(D+2)), for either parity.  Even n uses b = (D+1)/2 blocks, and
+    2b < D+2 < 2b+2, so its error lies strictly between the phase optima for
+    b-1 and b-2 uses, sin^2(pi/(2b+2)) and sin^2(pi/(2b)).
 
     An external reference uses every block, D = n+1.  A self-entangled one
     uses the blocks whose permutation multiplicity can host the reference
@@ -113,13 +96,7 @@ def design_optimal(n, reference_mode=EXTERNAL):
     dims = np.array(_block_dims(n))
     a = np.where(dims <= top, np.sin(math.pi * dims / (top + 2)), 0.0)
     state = PhaseInputState(a / np.linalg.norm(a))
-    err = _optimal_error(top)
-    if n % 2 == 0:
-        b = (top + 1) // 2  # blocks in use
-        lower, upper = _optimal_error(2 * b), _optimal_error(2 * b - 2)
-        if not (lower - 1e-10 <= err <= upper + 1e-10):
-            raise RuntimeError("even-case design violated the sandwich bound")
-    return Su2Design(state, optimal_seed(state), n, reference_mode, err)
+    return Su2Design(state, optimal_seed(state), n, math.sin(math.pi / (top + 2)) ** 2)
 
 
 def asymptotic_error_su2(n):

@@ -479,6 +479,15 @@ class TestOutputContracts:
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["result"]["error"] == pytest.approx(0.25, abs=1e-12)
 
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        code = main(["phase-opt", "--n", "3", "--output", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"covest: error: cannot write {path}: No such file or directory\n")
+
     def test_csv_carries_manifest_comments(self, capsys):
         _, out = run_cli(capsys, "phase-opt", "--n", "1", "--format", "csv")
         assert "# command=phase-opt" in out

@@ -170,7 +170,7 @@ class TestFourierDensity:
         design = design_optimal(n)
         seed = random_seed(rng, design.input.dim)
         x = design.input
-        assert_matches_reference(Su2Design(x, seed, n, "external", su2_error(x, seed, n)))
+        assert_matches_reference(Su2Design(x, seed, n, su2_error(x, seed, n)))
 
     def test_no_dense_seed_in_design_or_coefficients(self):
         # a dense seed at d = 4001 would take 256 MB
@@ -261,6 +261,13 @@ class TestSimulate:
         design = design_optimal(3)
         res = simulate(SimConfig(100_000, 42), design)
         assert res.closed_form == design.error == pytest.approx(0.25, abs=1e-12)
+        assert abs(res.z_score) < 4.0
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the |z| < 4 gate standardises heavy-tailed su2 losses by their empirical "
+        "standard error (ROADMAP item 2); this is round 5 of bench/run.py --seed 24"))
+    def test_su2_n601_gate_on_heavy_tailed_seed(self):
+        res = simulate(SimConfig(100_000, 1245426431), design_optimal(601))
         assert abs(res.z_score) < 4.0
 
     def test_deterministic_replay(self, rng):
@@ -357,7 +364,7 @@ def reference_simulate(config, design):
 def random_seed_su2_design(rng):
     x = design_optimal(9).input
     seed = random_seed(rng, x.dim)
-    return Su2Design(x, seed, 9, "external", su2_error(x, seed, 9))
+    return Su2Design(x, seed, 9, su2_error(x, seed, 9))
 
 
 BIT_DESIGNS = {

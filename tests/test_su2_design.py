@@ -186,7 +186,18 @@ class TestSu2DesignErrorCheck:
         seed = optimal_seed(x)
         assert su2_error(x, seed, 3) == pytest.approx(0.3, abs=1e-12)
         with pytest.raises(ValueError):
-            Su2Design(x, seed, 3, "external", 0.25)
+            Su2Design(x, seed, 3, 0.25)
+
+    def test_su2_error_rejects_wrong_block_count(self):
+        # n = 4 has three blocks (dims 1, 3, 5)
+        x = PhaseInputState([0.6, 0.8])
+        with pytest.raises(ValueError, match="expected 3 block amplitudes for n=4, got 2"):
+            su2_error(x, optimal_seed(x), 4)
+
+    def test_su2_error_rejects_nonpositive_n(self):
+        x = PhaseInputState([1.0])
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            su2_error(x, optimal_seed(x), 0)
 
     def test_self_entangled_designs_pass_check(self):
         # external designs pass it in test_closed_form_regression (n <= 400)
@@ -267,7 +278,7 @@ def single_block_design(n, amplitudes):
     """An Su2Design on the given amplitudes with their optimal seed."""
     x = PhaseInputState(amplitudes)
     seed = optimal_seed(x)
-    return Su2Design(x, seed, n, "external", su2_error(x, seed, n))
+    return Su2Design(x, seed, n, su2_error(x, seed, n))
 
 
 class TestBlockAmplitudeValidation:
@@ -292,7 +303,7 @@ class TestBlockAmplitudeValidation:
     def test_nonpositive_n(self):
         x = PhaseInputState([1.0])
         with pytest.raises(ValueError, match="n must be"):
-            Su2Design(x, optimal_seed(x), 0, "external", 0.5)
+            Su2Design(x, optimal_seed(x), 0, 0.5)
 
     def test_block_dims(self):
         assert single_block_design(5, [1.0, 0, 0]).block_dims == (2, 4, 6)
