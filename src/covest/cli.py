@@ -42,18 +42,16 @@ MAX_SU2_N = 10_000
 # at n = 10^6, so 10^7 would need about 4 GB.
 MAX_PHASE_N = 1_000_000
 # simulate builds the density's Fourier coefficients (the autocorrelation
-# and, for su2, the self-convolution) from one zero-padded FFT, O(n log n):
-# at n = 10^5 the phase protocol takes 0.2-0.3 s (58 MB) and the su2
-# protocol 0.4 s (50 MB).
+# and, for su2, the self-convolution) from one zero-padded FFT, O(n log n),
+# and sizes its grid from the law and the trial count, at about 90 bytes per
+# bin: phase n = 10^5 at 10^5 trials needs 2^22 bins, 1.8 s and 362 MB.
 MAX_SIMULATE_N = 100_000
-# simulate tabulates the density and its CDF on the grid, about 75 bytes per
-# grid point: phase n = 1000 with 1000 trials takes 0.4 s and 39 MB at
-# 2^16, 0.5 s and 102 MB at 2^20, and 1.1 s and 318 MB at 2^22.
-MAX_GRID_SIZE = 1 << 22
-# simulate draws the trials in chunks, one thread per CPU, but keeps every
-# loss for the exact pairwise mean and variance, about 8 bytes per trial:
-# cold su2 n = 5 on 2 CPUs takes 0.8 s and 116 MB with 10^7 trials and
-# 1.2 s and 192 MB with 2 * 10^7.
+# A law that needs more than MAX_GRID_SIZE bins (src/covest/simulate.py) is
+# a usage error, as phase n = 10^5 is at 2 * 10^7 trials.  simulate draws the
+# trials in chunks, one thread per CPU up to one per 8 chunks, and keeps per
+# chunk only its mean and squared deviations, so memory does not grow with
+# the trial count: cold su2 n = 5 on 2 CPUs takes 0.5 s and 41 MB at 10^7
+# trials and 0.7 s and 41 MB at 2 * 10^7.
 MAX_TRIALS = 20_000_000
 # scaling solves every n up to max-n, O(max_n^2) work in all: 2.3-3.0 s and
 # 41 MB at 5000, 10-12 s and 51 MB at 10^4.
@@ -254,10 +252,8 @@ def cmd_simulate(args):
         raise _UsageError(f"trials must be between 2 and {MAX_TRIALS}")
     if args.n > MAX_SIMULATE_N:
         raise _UsageError(f"n must be <= {MAX_SIMULATE_N}")
-    if args.grid_size > MAX_GRID_SIZE:
-        raise _UsageError(f"grid-size must be <= {MAX_GRID_SIZE}")
     try:
-        config = SimConfig(args.trials, args.seed, args.grid_size)
+        config = SimConfig(args.trials, args.seed)
         if args.protocol == "phase":
             design = optimal_input(args.n)
         else:
@@ -343,7 +339,6 @@ def _build_parser():
     p.add_argument("--protocol", choices=["phase", "su2"], required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--grid-size", type=int, default=4096)
     add_common(p)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_simulate)

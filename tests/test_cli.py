@@ -15,7 +15,6 @@ import pytest
 import covest
 from covest import __version__
 from covest.cli import (
-    MAX_GRID_SIZE,
     MAX_KMAX,
     MAX_PHASE_N,
     MAX_SCALING_N,
@@ -26,6 +25,7 @@ from covest.cli import (
     _build_parser,
     main,
 )
+from covest.simulate import MAX_GRID_SIZE
 
 
 def run_cli(capsys, *argv):
@@ -71,6 +71,7 @@ def assert_usage_error(*argv):
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
     assert time.perf_counter() - start < 10.0
+    return proc
 
 
 class TestPhaseOpt:
@@ -236,8 +237,16 @@ class TestSimulateCommand:
                            "--n", str(MAX_SIMULATE_N + 1), "--trials", "1000")
 
     def test_grid_size_above_limit_is_usage_error(self):
-        assert_usage_error("simulate", "--protocol", "phase", "--n", "1", "--trials", "10",
-                           "--grid-size", str(2 * MAX_GRID_SIZE))
+        """The grid is sized from the law; phase n = 10^5 at the most trials
+        would need more than MAX_GRID_SIZE bins, and stops before sampling."""
+        proc = assert_usage_error("simulate", "--protocol", "phase", "--n", str(MAX_SIMULATE_N),
+                                  "--trials", str(MAX_TRIALS))
+        assert f"more than {MAX_GRID_SIZE} bins" in proc.stderr
+
+    def test_grid_size_option_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--protocol", "phase", "--n", "1", "--grid-size", "4096"])
+        assert exc.value.code == 1
 
     def test_trials_above_limit_is_usage_error(self):
         assert_usage_error("simulate", "--protocol", "su2", "--n", "5",
@@ -252,7 +261,7 @@ class TestSimulateCommand:
         _, payload = run_json(capsys, "simulate", "--protocol", "phase", "--n", "1",
                               "--trials", "100")
         assert set(payload["manifest"]["parameters"]) == {
-            "protocol", "n", "trials", "grid_size", "format"}
+            "protocol", "n", "trials", "format"}
 
     def test_even_n_su2_passes(self, capsys):
         for n in ("4", "6"):
@@ -264,18 +273,18 @@ class TestSimulateCommand:
 
 
 # The benchmark's simulate operations at reduced trials, one fixed seed each,
-# with the result fields the one-stream sampler printed for them: any drift
-# in a seeded bit fails here.
+# with the result fields the spawned-stream mixture sampler printed for them:
+# any drift in a seeded bit fails here.
 PINNED_RUNS = {
     ("phase", 10, 200_001, 91): (
-        0.016943595791444648, 8.324410322475995e-05, 0.017037086855465844,
-        -1.1230953352788107, 1.8940974585643366e-07),
+        0.017053322111727255, 4.5438043380979365e-05, 0.017037086855465844,
+        0.35730535589495543, 9.470487674287376e-08),
     ("su2", 5, 200_001, 92): (
-        0.14625742955985893, 0.00027832339619156385, 0.14644660940672624,
-        -0.679712339874948, 1.386575575745841e-07),
+        0.14635642647233807, 0.00025100170731075016, 0.14644660940672624,
+        -0.3592921153979326, 6.932878152121624e-08),
     ("su2", 601, 100_000, 93): (
-        2.731939093850754e-05, 4.419524884439523e-07, 2.7053406096413445e-05,
-        0.6018403539950347, 1.9608078578849258e-07),
+        2.693437127335889e-05, 1.249577499902433e-07, 2.7053406096413445e-05,
+        -0.9526005635012615, 6.127525306859322e-09),
 }
 
 

@@ -29,10 +29,19 @@ from covest import (
     su2_error,
 )
 from covest.simulate import (
-    _CELLS,
+    _CELLS_PER_BIN,
+    _CHUNK,
+    _MIN_GRID,
+    _SIN,
+    _VERSIN,
+    MAX_GRID_SIZE,
     _autocorrelation,
+    _bin_masses,
+    _bin_moments,
     _bins,
+    _grid_size,
     _guide_table,
+    _mixture,
     _on_grid,
     _padded_fft,
     _run_split,
@@ -87,6 +96,20 @@ def assert_matches_reference(design, grid_size=4096):
 def quadrature_mean(design, f):
     vals = law(design, GRID) * f(GRID)
     return float(np.trapezoid(vals, GRID))
+
+
+def random_seed_su2_design(rng):
+    x = design_optimal(9).input
+    seed = random_seed(rng, x.dim)
+    return Su2Design(x, seed, 9, su2_error(x, seed, 9))
+
+
+BIT_DESIGNS = {
+    **{f"phase n={n}": functools.partial(optimal_input, n) for n in (1, 10, 1000)},
+    **{f"su2 n={n}": functools.partial(design_optimal, n) for n in (1, 2, 5, 601)},
+    "random phase seed": lambda: random_phase_design(np.random.default_rng(1), 6),
+    "random su2 seed": lambda: random_seed_su2_design(np.random.default_rng(2)),
+}
 
 
 class TestPhaseDensity:
@@ -215,18 +238,131 @@ class TestSelfConvolution:
 
 class TestLawBias:
     def test_accounts_for_large_n_grid_fault(self):
-        res = simulate(SimConfig(1_000_000, 20040725), optimal_input(1000))
-        # the value of the one-shot sampler, pinned to the last bit
-        assert res.z_score == 14.359998513941788
+        """On the old 4096-bin grid, phase n = 1000 fails its z-gate by the
+        law's bias; the grid sized from the law removes it."""
+        design = optimal_input(1000)
+        res = simulate(SimConfig(1_000_000, 20040725, 4096), design)
+        # pinned to the last bit
+        assert res.z_score == 17.24148720253304
         offset = res.law_bias / res.standard_error
         assert offset > 10.0
         assert abs(res.z_score - offset) < 4.0
+        res = simulate(SimConfig(1_000_000, 20040725), design)
+        assert abs(res.law_bias) < res.standard_error / 10.0
+        assert abs(res.z_score) < 4.0
 
     @pytest.mark.parametrize("protocol, n", [("phase", 10), ("su2", 5)])
     def test_negligible_at_small_n(self, protocol, n):
         design = optimal_input(n) if protocol == "phase" else design_optimal(n)
         res = simulate(SimConfig(100_000, 42), design)
         assert abs(res.law_bias) < res.standard_error / 10.0
+
+    @pytest.mark.parametrize("name", ["phase n=10", "phase n=1000", "su2 n=601"])
+    @pytest.mark.parametrize("g", [4096, 65536])
+    def test_matches_second_order_form(self, name, g):
+        """With exact bin masses only the uniform draw within a bin biases
+        the law, by about h^2 (1 - 2 D)/24 (the mean of the loss's second
+        derivative times the within-bin variance)."""
+        design = BIT_DESIGNS[name]()
+        h = 2.0 * math.pi / g
+        law_bias = float(np.dot(_bin_masses(outcome_coefficients(design), g),
+                                _bin_moments(g)[0])) - design.error
+        assert law_bias == pytest.approx(h * h * (1.0 - 2.0 * design.error) / 24.0, rel=2e-3)
+
+
+class TestBinnedLaw:
+    @pytest.mark.parametrize("name", list(BIT_DESIGNS))
+    def test_bin_masses_are_the_law_integrals(self, name):
+        """Every seventh bin's mass against 12-node Gauss-Legendre quadrature
+        of the directly summed law, which is exact to roundoff for at most
+        1.5 radians of the top frequency per bin."""
+        design = BIT_DESIGNS[name]()
+        coefficients = outcome_coefficients(design)
+        g = 256 if coefficients.size <= 64 else 4096
+        nodes, weights = np.polynomial.legendre.leggauss(12)
+        h = 2.0 * math.pi / g
+        bins = np.arange(0, g, 7)
+        phi = (bins[:, None] + (nodes + 1.0) / 2.0) * h
+        want = law(design, phi) @ weights * (h / 2.0)
+        got = _bin_masses(coefficients, g)[bins]
+        assert np.abs(got - want).max() < 1e-12 * want.max()
+
+    @pytest.mark.parametrize("name", list(BIT_DESIGNS))
+    def test_total_mass_is_one(self, name):
+        """F(2 pi) = 2 pi C_0 = 1: the masses telescope, up to the rounding of
+        each mass."""
+        coefficients = outcome_coefficients(BIT_DESIGNS[name]())
+        for g in (256, 4096, 65536):
+            masses = _bin_masses(coefficients, g)
+            assert abs(math.fsum(masses) - 1.0) < 1e-15 + g * 1e-18
+
+    def test_bin_moments_match_quadrature(self):
+        nodes, weights = np.polynomial.legendre.leggauss(12)
+        for g in (256, 4096):
+            h = 2.0 * math.pi / g
+            phi = (np.arange(g)[:, None] + (nodes + 1.0) / 2.0) * h
+            loss = np.sin(phi / 2.0) ** 2
+            loss_mean, square_mean = _bin_moments(g)
+            # relative, since both means fall to about h^2/12 and h^4/80 at 0
+            assert np.allclose(loss_mean, loss @ weights / 2.0, rtol=2e-12, atol=0.0)
+            assert np.allclose(square_mean, loss**2 @ weights / 2.0, rtol=2e-12, atol=0.0)
+
+    def test_mixture_weights(self):
+        p = np.array([0.0, 0.25, 0.75, 0.0])
+        cdf, q, weight = _mixture(p)
+        assert np.allclose(q, 0.5 * p + 0.125, rtol=0, atol=1e-16)
+        assert np.array_equal(cdf, np.concatenate([[0.0], np.cumsum(q)]))
+        assert np.allclose(weight * q, p, rtol=0, atol=1e-16)
+
+    def test_scores_match_direct_loss(self):
+        """The Taylor-series score equals p/q sin^2(phi/2) of the angle the
+        within-bin uniform gives, on the coarsest and a fine grid."""
+        design = optimal_input(10)
+        for g in (256, 65536):
+            cdf, q, weight = _mixture(_bin_masses(outcome_coefficients(design), g))
+            u = np.random.default_rng(4).random(100_000)
+            got = reference_scores(u, cdf, q, weight)
+            idx = np.searchsorted(cdf, u, side="right") - 1
+            h = 2.0 * math.pi / g
+            phi = (idx + (u - cdf[idx]) / q[idx]) * h
+            want = weight[idx] * np.sin(phi / 2.0) ** 2
+            assert np.abs(got - want).max() <= 4e-16 * weight.max()
+
+
+class TestGridSize:
+    @pytest.mark.parametrize("name, trials, g", [
+        ("phase n=10", 10_000_000, 4096), ("su2 n=5", 10_000_000, 4096),
+        ("su2 n=601", 100_000, 16384), ("phase n=1000", 1_000_000, 65536)])
+    def test_benchmark_grids(self, monkeypatch, name, trials, g):
+        """The grid is the first power of two whose bias h^2/24 is a tenth of
+        the exact standard error on that grid, and simulate stops there."""
+        coefficients = outcome_coefficients(BIT_DESIGNS[name]())
+        for size in (_MIN_GRID, g):
+            p = _bin_masses(coefficients, size)
+            assert _grid_size(p, *_bin_moments(size), trials) == g
+        grids = []
+        masses = SIMULATE_MODULE._bin_masses
+        monkeypatch.setattr(SIMULATE_MODULE, "_bin_masses",
+                            lambda c, size: grids.append(size) or masses(c, size))
+        simulate(SimConfig(trials, 1), BIT_DESIGNS[name]())
+        assert grids == sorted({_MIN_GRID, g})
+
+    def test_large_n_refines_to_its_own_standard_error(self, monkeypatch):
+        """At n = 10^4 the 4096-bin law is wider than the true one, so its
+        standard error overstates the estimator's fourfold; the grid is
+        refined on the finer law until the bias is a tenth of its own."""
+        grids = []
+        masses = SIMULATE_MODULE._bin_masses
+        monkeypatch.setattr(SIMULATE_MODULE, "_bin_masses",
+                            lambda c, size: grids.append(size) or masses(c, size))
+        res = simulate(SimConfig(100_000, 3), optimal_input(10_000))
+        assert grids == [4096, 131072, 524288]
+        assert abs(res.law_bias) < res.standard_error / 10.0
+        assert abs(res.z_score) < 4.0
+
+    def test_past_the_limit_is_an_error(self):
+        with pytest.raises(ValueError, match=f"more than {MAX_GRID_SIZE} bins"):
+            simulate(SimConfig(20_000_000, 1), optimal_input(100_000))
 
 
 def oracle_designs():
@@ -263,10 +399,9 @@ class TestSimulate:
         assert res.closed_form == design.error == pytest.approx(0.25, abs=1e-12)
         assert abs(res.z_score) < 4.0
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the |z| < 4 gate standardises heavy-tailed su2 losses by their empirical "
-        "standard error (ROADMAP item 2); this is round 5 of bench/run.py --seed 24"))
     def test_su2_n601_gate_on_heavy_tailed_seed(self):
+        """Round 5 of bench/run.py --seed 24, where the plain sample mean of
+        the heavy-tailed losses once gave z = -4.40."""
         res = simulate(SimConfig(100_000, 1245426431), design_optimal(601))
         assert abs(res.z_score) < 4.0
 
@@ -296,14 +431,45 @@ class TestSimulate:
             simulate(config, design_optimal(3).input)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SimConfig(10, 0, grid_size=100)
-        with pytest.raises(ValueError):
-            SimConfig(10, 0, grid_size=1000)
+        for g in (100, 1000, 128, 2 * MAX_GRID_SIZE):
+            with pytest.raises(ValueError):
+                SimConfig(10, 0, grid_size=g)
         with pytest.raises(ValueError):
             SimConfig(0, 0)
+        assert SimConfig(10, 0).grid_size is None
+        assert SimConfig(10, 0, MAX_GRID_SIZE).grid_size == MAX_GRID_SIZE
         assert [f.name for f in dataclasses.fields(SimConfig)] == [
             "trials", "seed", "grid_size"]
+
+    @pytest.mark.parametrize("args, name", [
+        ((2.5, 1), "trials"), ((10, 1.0), "seed"), ((10, 1, 4096.0), "grid_size"),
+        (("10", 1), "trials")])
+    def test_config_integers(self, args, name):
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            SimConfig(*args)
+
+    def test_numpy_integers_accepted(self):
+        assert SimConfig(np.int64(10), np.uint32(3)).trials == 10
+
+    def test_nan_error_rejected(self):
+        # the design's own error check lets a NaN through
+        bad = dataclasses.replace(optimal_input(3), error=math.nan)
+        with pytest.raises(ValueError, match="not a finite number"):
+            simulate(SimConfig(100, 0), bad)
+
+    def test_nan_law_rejected(self):
+        """A NaN amplitude gets past the design's own checks; the bin-mass
+        check stops it before the sampler."""
+        x = PhaseInputState(np.array([math.nan, 1.0]))
+        seed = Seed(np.ones((2, 1)))
+        design = PhaseDesign(x, seed, 0.25)
+        with pytest.raises(ValueError, match="negative bin mass"):
+            simulate(SimConfig(100, 0), design)
+
+    def test_negative_law_rejected(self):
+        # 1/(2 pi) + cos(phi) is normalized but negative near phi = pi
+        with pytest.raises(ValueError, match="negative bin mass"):
+            _bin_masses(np.array([1.0 / (2.0 * math.pi), 1.0]), 256)
 
 
 class TestCovarianceReduction:
@@ -336,43 +502,60 @@ class TestCovarianceReduction:
         assert abs(mean - su2_error(design.input, design.seed, n)) < 1e-12
 
 
-def reference_simulate(config, design):
-    """The one-shot sampler: every trial drawn, searched and summed at once."""
-    coefficients, closed = outcome_coefficients(design), design.error
-    g = config.grid_size
-    edges = np.linspace(0.0, 2.0 * math.pi, g + 1)
-    pdf = np.clip(_on_grid(coefficients, g), 0.0, None)
+def reference_scores(u, cdf, q, weight):
+    """p/q sin^2(phi/2) for uniforms u, each bin found by a binary search over
+    the whole CDF and each score written as one expression, in the sampler's
+    order of operations."""
+    g = q.size
     width = 2.0 * math.pi / g
-    mass = 0.5 * (pdf[:-1] + pdf[1:]) * width
-    cdf = np.concatenate([[0.0], np.cumsum(mass)])
-    cdf /= cdf[-1]
-    mass = np.diff(cdf)
-    bin_loss = 0.5 - (np.sin(edges[1:]) - np.sin(edges[:-1])) / (2.0 * width)
-    law_bias = float(np.dot(mass, bin_loss)) - closed
-
-    u = np.random.default_rng([config.seed, 0]).random(config.trials)
     idx = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, g - 1)
-    frac = (u - cdf[idx]) / np.where(mass[idx] > 0.0, mass[idx], 1.0)
-    angles = edges[idx] + np.clip(frac, 0.0, 1.0) * width
-    losses = np.sin(angles / 2.0) ** 2
-    mean = float(losses.mean())
-    variance = float(np.sum((losses - mean) ** 2)) / (config.trials - 1)
-    se = math.sqrt(variance / config.trials)
+    d = ((u - cdf[idx]) / q[idx] - 0.5) * width
+    t = d * d
+    sin_d = (((t * _SIN[0] + _SIN[1]) * t + _SIN[2]) * t + 1.0) * d
+    versin_d = (((t * _VERSIN[0] + _VERSIN[1]) * t + _VERSIN[2]) * t + _VERSIN[3]) * t
+    centre = (np.arange(g) + 0.5) * width
+    level = weight * np.sin(centre / 2.0) ** 2
+    even, odd = 0.5 * weight * np.cos(centre), 0.5 * weight * np.sin(centre)
+    return versin_d * even[idx] + sin_d * odd[idx] + level[idx]
+
+
+def reference_simulate(config, design):
+    """The sampler on one thread and without a guide table: each chunk's
+    uniforms from its own spawned stream, scored by reference_scores, and the
+    chunk means and squared deviations merged in chunk order."""
+    coefficients, closed = outcome_coefficients(design), design.error
+    trials = config.trials
+    g = config.grid_size or _MIN_GRID
+    p = _bin_masses(coefficients, g)
+    while config.grid_size is None and _grid_size(p, *_bin_moments(g), trials) > g:
+        g = _grid_size(p, *_bin_moments(g), trials)
+        p = _bin_masses(coefficients, g)
+    law_bias = float(np.dot(p, _bin_moments(g)[0])) - closed
+    cdf, q, weight = _mixture(p)
+    chunks = -(-trials // _CHUNK)
+    count, mean, m2 = 0, 0.0, 0.0
+    for stream in np.random.SeedSequence(config.seed).spawn(chunks):
+        u = np.random.default_rng(stream).random(min(_CHUNK, trials - count))
+        y = reference_scores(u, cdf, q, weight)
+        chunk_mean = y.sum() / y.size
+        chunk_m2 = ((y - chunk_mean) ** 2).sum()
+        total = count + y.size
+        delta = float(chunk_mean) - mean
+        mean += delta * y.size / total
+        m2 += float(chunk_m2) + delta * delta * count * y.size / total
+        count = total
+    se = math.sqrt(m2 / (trials - 1) / trials)
     return (mean, se, closed, (mean - closed) / se, law_bias)
 
 
-def random_seed_su2_design(rng):
-    x = design_optimal(9).input
-    seed = random_seed(rng, x.dim)
-    return Su2Design(x, seed, 9, su2_error(x, seed, 9))
+@functools.lru_cache(maxsize=None)
+def reference_bits(name, trials, seed, g):
+    return list(map(repr, reference_simulate(SimConfig(trials, seed, g), BIT_DESIGNS[name]())))
 
 
-BIT_DESIGNS = {
-    **{f"phase n={n}": functools.partial(optimal_input, n) for n in (1, 10, 1000)},
-    **{f"su2 n={n}": functools.partial(design_optimal, n) for n in (1, 2, 5, 601)},
-    "random phase seed": lambda: random_phase_design(np.random.default_rng(1), 6),
-    "random su2 seed": lambda: random_seed_su2_design(np.random.default_rng(2)),
-}
+def bits(name, trials, seed, g):
+    return list(map(repr, dataclasses.astuple(
+        simulate(SimConfig(trials, seed, g), BIT_DESIGNS[name]()))))
 
 
 def hostile_cdf(mass):
@@ -385,6 +568,9 @@ def zero_runs(g):
     mass[:5] = mass[40:90] = mass[g // 2] = mass[-30:-29] = 0.0
     return mass
 
+
+# the sampler's cell count at 4096 bins, and the old fixed one
+CELLS = 2**16
 
 HOSTILE_CDFS = {
     "zero-mass runs": hostile_cdf(zero_runs(256)),
@@ -407,50 +593,65 @@ class TestBinLookup:
         points = cdf[cdf < 1.0]
         u = np.concatenate([
             [0.0, np.nextafter(1.0, 0.0)],
-            np.arange(_CELLS) / _CELLS,
+            np.arange(CELLS) / CELLS,
             points,
             np.nextafter(points, 1.0),
             np.nextafter(points[points > 0.0], 0.0),
             np.random.default_rng(7).random(100_000),
         ])
         want = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, g - 1)
-        lo, sure = _guide_table(cdf)
-        assert np.array_equal(_bins(cdf, lo, sure, u), want)
+        lo, steps = _guide_table(cdf, CELLS)
+        work = np.empty(u.size, np.intp), np.empty(u.size, np.intp), np.empty(u.size)
+        assert np.array_equal(_bins(cdf, lo, steps, u, *work), want)
 
     @pytest.mark.parametrize("name", list(HOSTILE_CDFS))
     def test_guide_table_matches_searched_edges(self, name):
         cdf = HOSTILE_CDFS[name]
-        ends = np.arange(_CELLS + 1) / _CELLS
+        ends = np.arange(CELLS + 1) / CELLS
         lo = np.minimum(np.searchsorted(cdf, ends, side="right") - 1, cdf.size - 2)
-        got_lo, got_sure = _guide_table(cdf)
+        inside = np.searchsorted(cdf, ends[1:], side="left") - np.searchsorted(
+            cdf, ends[:-1], side="right")
+        got_lo, got_steps = _guide_table(cdf, CELLS)
         assert np.array_equal(got_lo, lo)
-        assert np.array_equal(got_sure, lo[:-1] == lo[1:])
+        assert got_steps == max(inside.max(), 0)
+
+    @pytest.mark.parametrize("name", list(BIT_DESIGNS))
+    def test_one_comparison_on_every_mixture(self, name):
+        """Every mixture bin spans at least one of the sampler's cells, so no
+        cell holds two CDF points strictly inside it."""
+        coefficients = outcome_coefficients(BIT_DESIGNS[name]())
+        for g in (256, 4096, 65536):
+            cdf = _mixture(_bin_masses(coefficients, g))[0]
+            assert _guide_table(cdf, _CELLS_PER_BIN * g)[1] <= 1
 
 
 class TestChunkedSampler:
     @pytest.mark.parametrize("name", list(BIT_DESIGNS))
     def test_bits_match_one_shot_sampler(self, name):
-        design = BIT_DESIGNS[name]()
-        # every chunk boundary case on the default grid, and both grid
+        # every chunk boundary case on the automatic grid, and both grid
         # extremes on a short and a just-over-one-chunk run
-        cases = [(trials, 4096) for trials in (2, 3, 2**16 - 1, 2**16, 2**16 + 1, 200_001)]
+        cases = [(trials, None) for trials in (2, 3, 2**16 - 1, 2**16, 2**16 + 1, 200_001)]
         cases += [(trials, g) for g in (256, 65536) for trials in (3, 2**16 + 1)]
         for trials, g in cases:
-            config = SimConfig(trials, 11, g)
-            got = dataclasses.astuple(simulate(config, design))
-            assert list(map(repr, got)) == list(map(repr, reference_simulate(config, design)))
+            assert bits(name, trials, 11, g) == reference_bits(name, trials, 11, g), (trials, g)
 
-    def test_memory_per_trial(self):
+    def test_memory_per_trial(self, monkeypatch):
+        """Peak traced memory does not grow with the trial count, on one thread."""
+        monkeypatch.setattr(SIMULATE_MODULE, "_cpu_count", lambda: 1)
         design = optimal_input(10)
         peaks = []
-        for trials in (1_000_000, 4_000_000):
+        for trials in (100_000, 4_000_000):
             tracemalloc.start()
             try:
                 simulate(SimConfig(trials, 3), design)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert (peaks[1] - peaks[0]) / 3_000_000 <= 10.0
+        assert abs(peaks[1] - peaks[0]) < 2**20
+
+
+# enough chunks for 5 threads of 8
+MANY_CHUNKS = 40 * 2**16 + 1
 
 
 class TestParallelSampler:
@@ -458,26 +659,45 @@ class TestParallelSampler:
     @pytest.mark.parametrize("name", ["phase n=10", "su2 n=5"])
     def test_bits_match_one_shot_sampler(self, monkeypatch, name, workers):
         monkeypatch.setattr(SIMULATE_MODULE, "_cpu_count", lambda: workers)
-        design = BIT_DESIGNS[name]()
-        for trials in (2, 3, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 1, 200_001):
-            for g in (256, 4096):
-                config = SimConfig(trials, 5, g)
-                got = dataclasses.astuple(simulate(config, design))
-                assert list(map(repr, got)) == list(
-                    map(repr, reference_simulate(config, design))), (trials, g)
+        cases = [(trials, g) for trials in (2, 2**16 + 1, 3 * 2**16 + 1, 200_001)
+                 for g in (256, None)]
+        for trials, g in cases + [(MANY_CHUNKS, None)]:
+            assert bits(name, trials, 5, g) == reference_bits(name, trials, 5, g), (trials, g)
 
     def test_bits_under_fast_thread_switching(self, monkeypatch):
         """More threads than cores, switching every microsecond."""
         monkeypatch.setattr(SIMULATE_MODULE, "_cpu_count", lambda: 8)
-        design = BIT_DESIGNS["su2 n=5"]()
-        config = SimConfig(8 * 2**16 + 3, 23)
+        trials = 64 * 2**16 + 3
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = dataclasses.astuple(simulate(config, design))
+            got = bits("su2 n=5", trials, 23, None)
         finally:
             sys.setswitchinterval(interval)
-        assert list(map(repr, got)) == list(map(repr, reference_simulate(config, design)))
+        assert got == reference_bits("su2 n=5", trials, 23, None)
+
+    @pytest.mark.parametrize("chunks, workers", [(1, 1), (7, 1), (16, 2), (40, 5), (153, 19)])
+    def test_threads_get_at_least_eight_chunks(self, monkeypatch, chunks, workers):
+        """On a host with 1000 CPUs each thread still gets 8 chunks or more;
+        the ranges run here one after another, so no thread starts."""
+        monkeypatch.setattr(SIMULATE_MODULE, "_cpu_count", lambda: 1000)
+        calls = []
+
+        def serial(task, ranges):
+            calls.append(ranges)
+            for start, stop in ranges:
+                task(start, stop)
+
+        monkeypatch.setattr(SIMULATE_MODULE, "_run_split", serial)
+        config = SimConfig((chunks - 1) * 2**16 + 5, 9)
+        got = simulate(config, optimal_input(2))
+        [ranges] = calls
+        assert len(ranges) == workers
+        assert ranges[0][0] == 0 and ranges[-1][1] == chunks
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        assert all(stop - start >= 8 for start, stop in ranges) or workers == 1
+        monkeypatch.undo()
+        assert repr(got) == repr(simulate(config, optimal_input(2)))
 
     def test_error_on_a_thread_is_raised(self):
         def task(start, stop):
@@ -490,9 +710,10 @@ class TestParallelSampler:
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                         reason="no CPU affinity on this platform")
     def test_cli_bits_on_one_cpu(self):
-        """A run pinned to one CPU prints what a run on every CPU prints."""
+        """A run pinned to one CPU prints what a run on every CPU prints, each
+        in its own process."""
         argv = ["simulate", "--protocol", "su2", "--n", "5",
-                "--trials", str(3 * 2**16 + 1), "--seed", "17"]
+                "--trials", str(MANY_CHUNKS), "--seed", "17"]
         pin = "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
         src = os.path.dirname(os.path.dirname(SIMULATE_MODULE.__file__))
         env = dict(os.environ, PYTHONPATH=src)
@@ -507,3 +728,5 @@ class TestParallelSampler:
             del payload["manifest"]["timestamp"]
             results.append(payload)
         assert results[0] == results[1]
+        assert results[0]["result"]["empirical_mean_error"] == float(
+            reference_bits("su2 n=5", MANY_CHUNKS, 17, None)[0])

@@ -51,6 +51,7 @@ def argument_lists():
         ["simulate", "--protocol", "phase", "--n", "2", "--trials", "1"],
         ["simulate", "--protocol", "phase", "--n", "2", "--grid-size", "100"],
         ["simulate", "--protocol", "phase", "--n", "2", "--grid-size", "1125899906842624"],
+        ["simulate", "--protocol", "phase", "--n", "100000", "--trials", "20000000"],
         ["phase-opt", "--n", "3", "--output", "/nonexistent/dir/x.json"],
     ]
     return lists + csv + usage
