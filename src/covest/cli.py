@@ -50,8 +50,8 @@ MAX_SIMULATE_N = 100_000
 # a usage error, as phase n = 10^5 is at 2 * 10^7 trials.  simulate draws the
 # trials in chunks, one thread per CPU up to one per 8 chunks, and keeps per
 # chunk only its mean and squared deviations, so memory does not grow with
-# the trial count: cold su2 n = 5 on 2 CPUs takes 0.5 s and 41 MB at 10^7
-# trials and 0.7 s and 41 MB at 2 * 10^7.
+# the trial count: cold su2 n = 5 on 2 CPUs takes 0.52 s and 39 MB at 10^7
+# trials and 0.78 s and 39 MB at 2 * 10^7 (medians of 5 runs).
 MAX_TRIALS = 20_000_000
 # scaling solves every n up to max-n, O(max_n^2) work in all: 2.3-3.0 s and
 # 41 MB at 5000, 10-12 s and 51 MB at 10^4.

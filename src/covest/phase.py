@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import as_index
+
 _NORM_TOL = 1e-12
 
 
@@ -26,7 +28,7 @@ class PhaseInputState:
         x = np.atleast_1d(np.array(self.amplitudes, dtype=complex))
         if x.ndim != 1 or x.size < 1:
             raise ValueError("amplitudes must be a nonempty vector")
-        if abs(np.sum(np.abs(x) ** 2) - 1.0) > _NORM_TOL:
+        if not abs(np.sum(np.abs(x) ** 2) - 1.0) <= _NORM_TOL:
             raise ValueError("amplitudes must have unit norm")
         x.setflags(write=False)
         object.__setattr__(self, "amplitudes", x)
@@ -50,7 +52,7 @@ class Seed:
         f = np.array(self.factor, dtype=complex)
         if f.ndim != 2 or f.size == 0:
             raise ValueError("seed factor must be a nonempty d x r matrix")
-        if np.max(np.abs(np.sum(np.abs(f) ** 2, axis=1) - 1.0)) > _NORM_TOL:
+        if not np.max(np.abs(np.sum(np.abs(f) ** 2, axis=1) - 1.0)) <= _NORM_TOL:
             raise ValueError("seed factor rows must have unit norm")
         f.setflags(write=False)
         object.__setattr__(self, "factor", f)
@@ -65,7 +67,7 @@ class PhaseDesign:
     error: float
 
     def __post_init__(self):
-        if abs(self.error - phase_error(self.input, self.seed)) > _NORM_TOL:
+        if not abs(self.error - phase_error(self.input, self.seed)) <= _NORM_TOL:
             raise ValueError("design error inconsistent with its input and seed")
 
 
@@ -88,12 +90,16 @@ def phase_error(x, seed):
 def optimal_seed(x):
     """Rank-one seed t_{k,l} = conj(u_k) u_l, u_k = x_k / |x_k|: factor conj(u).
 
-    Zero amplitudes get a unit phase placeholder; any unit-modulus choice
-    attains the same error because the affected terms carry the factor |x_k|.
+    The division is made only where |x_k| is a normal number, since complex
+    division by a subnormal overflows; a subnormal x_k gets exp(i arg x_k),
+    and a zero one the unit placeholder 1.  Any unit-modulus choice there
+    attains the same error because the affected terms carry |x_k|.
     """
     xv = x.amplitudes
     mags = np.abs(xv)
-    u = np.where(mags > 0.0, xv / np.where(mags > 0.0, mags, 1.0), 1.0)
+    normal = mags >= np.finfo(float).tiny
+    u = np.where(normal, xv / np.where(normal, mags, 1.0), np.exp(1j * np.angle(xv)))
+    u[mags == 0.0] = 1.0
     return Seed(np.conj(u)[:, None])
 
 
@@ -111,7 +117,7 @@ def optimal_input(n):
     matrix with zero diagonal and 1/2 off-diagonal, whose eigenvalue is
     lambda_max = cos(pi/(n+2)).  The error is (1/2)(1 - lambda_max).
     """
-    if n < 0:
+    if as_index(n, "n") < 0:
         raise ValueError("n must be >= 0")
     amps = np.sin(math.pi * np.arange(1, n + 2) / (n + 2))
     state = PhaseInputState(amps / np.linalg.norm(amps))
@@ -121,7 +127,7 @@ def optimal_input(n):
 
 def bdm_input(n):
     """Sine-profile amplitudes a_k = sqrt(2/(n+1)) sin(pi (k+1/2)/(n+1))."""
-    if n < 1:
+    if as_index(n, "n") < 1:
         raise ValueError("n must be >= 1")
     k = np.arange(n + 1)
     amps = math.sqrt(2.0 / (n + 1)) * np.sin(math.pi * (k + 0.5) / (n + 1))

@@ -9,21 +9,22 @@ the binned law by importance sampling.
 """
 
 import math
-import operator
 import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import as_index
 from .phase import PhaseDesign
 from .su2_design import Su2Design
 
 _NEG_TOL = 1e-10
-# trials per chunk, each chunk drawn from its own stream and scored in
-# blocks of _BLOCK, whose work arrays stay in cache
+# trials per chunk, each drawn from its own stream, and trials per scoring
+# pass: a numpy call on 2^14 elements or fewer ends about as soon as a waiting
+# thread gets the GIL back, so the threads' calls would take turns, not overlap
 _CHUNK = 1 << 16
-_BLOCK = 1 << 14
+_PASS = _CHUNK // 2
 # chunks a thread runs at least, so that a short run starts no thread that
 # would only wait for its start-up
 _CHUNKS_PER_THREAD = 8
@@ -45,13 +46,6 @@ _CELLS_PER_BIN = 2
 _MAX_CELLS = 1 << 22
 
 
-def _index(value, name):
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, not {type(value).__name__}") from None
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """A run of `trials` draws from the stream of `seed`; `grid_size` fixes the
@@ -62,12 +56,12 @@ class SimConfig:
     grid_size: int | None = None
 
     def __post_init__(self):
-        if _index(self.trials, "trials") < 2:
+        if as_index(self.trials, "trials") < 2:
             raise ValueError("at least two trials are needed for a standard error")
-        _index(self.seed, "seed")
+        as_index(self.seed, "seed")
         g = self.grid_size
         if g is not None and not (
-            256 <= _index(g, "grid_size") <= MAX_GRID_SIZE and g & (g - 1) == 0
+            256 <= as_index(g, "grid_size") <= MAX_GRID_SIZE and g & (g - 1) == 0
         ):
             raise ValueError(f"grid_size must be a power of two from 256 to {MAX_GRID_SIZE}")
 
@@ -263,21 +257,22 @@ def _guide_table(cdf, cells):
     return lo, int(runs.max(initial=0))
 
 
-def _bins(cdf, lo, steps, u, idx, cell, above):
+def _bins(cdf, lo, steps, u, idx, above):
     """clip(searchsorted(cdf, u, "right") - 1, 0, g - 1) for uniforms u in [0, 1),
-    written to idx, with cell and above work arrays of u's size.
+    written to idx, with above a float work array of u's size.
 
     u times the power-of-two cell count is exact, so its integer part is u's
     cell; from lo of that cell, each of steps comparisons with the next CDF
     point moves the bin past one point at or below u.
     """
     np.multiply(u, lo.size - 1, out=above)
-    np.copyto(cell, above, casting="unsafe")
-    # every index is in range, so no take needs its bounds check
-    np.take(lo, cell, out=idx, mode="clip")
+    np.copyto(idx, above, casting="unsafe")
+    # every index is in range, so no take needs its bounds check; the take
+    # from lo reads each cell before it writes that cell's bin in its place
+    np.take(lo, idx, out=idx, mode="clip")
+    upper = cdf[1:]
     for _ in range(steps):
-        np.add(idx, 1, out=cell)
-        np.take(cdf, cell, out=above, mode="clip")
+        np.take(upper, idx, out=above, mode="clip")
         idx += u >= above
     return idx
 
@@ -367,7 +362,11 @@ def simulate(config, design):
     CPU count.  Each uniform finds its bin through a guide table of 2 cells
     per bin and one comparison (_guide_table, _bins), which gives the bin a
     binary search over the whole CDF gives, and its score comes from the
-    bin's centre and short Taylor series of the offset, with no call of sin.
+    bin's centre, the bin's mass in q and short Taylor series of the offset,
+    with no call of sin.  A thread scores its chunk in two passes of _PASS
+    trials, about 30 numpy calls each: numpy releases the GIL inside a call,
+    and a call on 2^15 elements runs long enough that the threads' calls
+    overlap, where calls on 2^14 elements mostly wait for the GIL in turn.
     """
     coefficients, closed = outcome_coefficients(design), design.error
     if not math.isfinite(closed):
@@ -382,7 +381,7 @@ def simulate(config, design):
     width = 2.0 * math.pi / g
     law_bias = float(np.dot(p, losses[0])) - closed
 
-    cdf, _, weight = _mixture(p)
+    cdf, q, weight = _mixture(p)
     lo, steps = _guide_table(cdf, min(_CELLS_PER_BIN * g, _MAX_CELLS))
     # with d the angle's offset from its bin's centre c, a score is
     # p/q sin^2((c + d)/2) = level + even (1 - cos d) + odd sin d
@@ -394,26 +393,21 @@ def simulate(config, design):
     moments = np.empty((chunks, 2))
 
     def fill(first, last):
-        # chunks first..last-1 of uniforms, scored in place a block at a time
-        # on this thread's work arrays, which then stay in cache
+        # chunks first..last-1 of uniforms, scored in place a pass at a time
+        # on this thread's three work arrays
         chunk = np.empty(min(_CHUNK, trials - first * _CHUNK))
-        work = np.empty((2, min(_BLOCK, chunk.size)))
-        index = np.empty((2, work.shape[1]), np.intp)
+        work = np.empty((2, min(_PASS, chunk.size)))
+        index = np.empty(work.shape[1], np.intp)
         for c in range(first, last):
             size = min(_CHUNK, trials - c * _CHUNK)
             np.random.default_rng(streams[c]).random(out=chunk[:size])
-            for start in range(0, size, _BLOCK):
-                x = chunk[start : min(start + _BLOCK, size)]
+            for start in range(0, size, _PASS):
+                x = chunk[start : min(start + _PASS, size)]
                 t, s = work[:, : x.size]
-                idx, cell = index[:, : x.size]
-                _bins(cdf, lo, steps, x, idx, cell, t)
-                # the offset within the bin, with the bin's mass as the same
-                # difference of CDF values that q holds
-                np.add(idx, 1, out=cell)
-                np.take(cdf, cell, out=s, mode="clip")
-                s -= np.take(cdf, idx, out=t, mode="clip")
-                x -= t
-                x /= s
+                idx = _bins(cdf, lo, steps, x, index[: x.size], t)
+                # the offset within the bin, over the bin's mass in q
+                x -= np.take(cdf, idx, out=t, mode="clip")
+                x /= np.take(q, idx, out=s, mode="clip")
                 x -= 0.5
                 x *= width
                 np.multiply(x, x, out=t)

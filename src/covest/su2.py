@@ -20,6 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._checks import as_index
+
 # matrix entries of d(beta) computed at a time in irrep_matrix_batch
 _BLOCK_ENTRIES = 1 << 19
 
@@ -55,7 +57,7 @@ def character(j, theta):
     avoids the removable singularity of sin(j theta/2)/sin(theta/2) at
     theta in {0, 2*pi}.  Accepts scalars or arrays.
     """
-    if j < 1:
+    if as_index(j, "j") < 1:
         raise ValueError("irrep dimension must be >= 1")
     theta = np.asarray(theta, dtype=float)
     m = np.arange(1, j + 1) - 0.5 * (j + 1)
@@ -102,7 +104,7 @@ def irrep_matrix_batch(j, matrices):
     is written into the result.  No per-element decomposition is made, and
     the work memory beside the complex result is one block, whatever n.
     """
-    if j < 1:
+    if as_index(j, "j") < 1:
         raise ValueError("irrep dimension must be >= 1")
     matrices = np.asarray(matrices, dtype=complex)
     n = matrices.shape[0]
@@ -140,7 +142,7 @@ def multiplicity_spectrum(n):
     in exact integer arithmetic; the dimension identity sum(dim * mult) = 2**n
     holds by construction.
     """
-    if n < 1:
+    if as_index(n, "n") < 1:
         raise ValueError("n must be >= 1")
     spectrum = tuple(
         (dim, math.comb(n, i) - (math.comb(n, i - 1) if i else 0))

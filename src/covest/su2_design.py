@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import as_index
 from .phase import PhaseInputState, Seed, optimal_seed, phase_error
 from .su2 import _block_dims
 
@@ -42,7 +43,7 @@ class Su2Design:
         a = self.input.amplitudes
         if np.any(a.imag != 0.0) or np.any(a.real < 0.0):
             raise ValueError("block amplitudes must be real and nonnegative")
-        if abs(self.error - su2_error(self.input, self.seed, self.n)) > _NORM_TOL:
+        if not abs(self.error - su2_error(self.input, self.seed, self.n)) <= _NORM_TOL:
             raise ValueError("design error inconsistent with its blocks and seed")
 
     @property
@@ -58,7 +59,7 @@ def su2_error(x, seed, n):
     is (1/2)(1 - sum |x_k| |x_{k+1}|).  Raises ValueError for n < 1 and when
     x does not hold the n//2 + 1 amplitudes of the blocks of n uses.
     """
-    if n < 1:
+    if as_index(n, "n") < 1:
         raise ValueError("n must be >= 1")
     if x.dim != n // 2 + 1:
         raise ValueError(f"expected {n // 2 + 1} block amplitudes for n={n}, got {x.dim}")
@@ -83,7 +84,7 @@ def design_optimal(n, reference_mode=EXTERNAL):
     has multiplicity 1, and the block of dimension n+1-2k, k >= 1, has
     multiplicity C(n,k)(n-2k+1)/(n-k+1) >= n+1-2k.  n = 1 has none.
     """
-    if n < 1:
+    if as_index(n, "n") < 1:
         raise ValueError("n must be >= 1")
     if reference_mode not in (EXTERNAL, SELF_ENTANGLED):
         raise ValueError(f"unknown reference mode {reference_mode!r}")

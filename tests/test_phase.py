@@ -97,6 +97,23 @@ class TestOptimalSeed:
         assert np.allclose(np.diag(gram(t)), 1.0)
         assert phase_error(x, t) == pytest.approx(min_covariant_error(x), abs=1e-12)
 
+    def test_real_nonnegative_amplitudes_give_exactly_one(self):
+        tiny = np.finfo(float).tiny
+        x = PhaseInputState([1.0, 1e-310, 5e-324, tiny, 0.0, -0.0])
+        assert np.array_equal(optimal_seed(x).factor, np.ones((6, 1)))
+
+    @pytest.mark.parametrize("amplitude, phase", [
+        (1e-310, 1.0), (-1e-310, -1.0), (1e-310j, 1j), (-3e-320 + 3e-320j, (-1 + 1j) / math.sqrt(2)),
+    ])
+    def test_subnormal_amplitudes(self, amplitude, phase):
+        """Complex division by a subnormal |x_k| overflows; the seed still
+        carries the amplitude's phase."""
+        x = PhaseInputState([1.0, amplitude])
+        factor = optimal_seed(x).factor
+        assert factor[0, 0] == 1.0
+        assert factor[1, 0] == pytest.approx(np.conj(phase), abs=1e-15)
+        assert phase_error(x, optimal_seed(x)) == pytest.approx(min_covariant_error(x), abs=1e-15)
+
 
 class TestMinCovariantError:
     def test_single_level(self):
@@ -223,3 +240,29 @@ class TestValidation:
         x = PhaseInputState(np.ones(2) / math.sqrt(2))
         with pytest.raises(ValueError):
             PhaseDesign(x, optimal_seed(x), 0.3)
+
+    @pytest.mark.parametrize("amplitudes", [[math.nan, 1.0], [1.0, complex(math.nan, math.nan)]])
+    def test_nan_amplitude_rejected(self, amplitudes):
+        with pytest.raises(ValueError, match="unit norm"):
+            PhaseInputState(amplitudes)
+
+    @pytest.mark.parametrize("factor", [[[math.nan], [1.0]], [[1.0, math.nan]]])
+    def test_nan_seed_rejected(self, factor):
+        with pytest.raises(ValueError, match="unit norm"):
+            Seed(factor)
+
+    def test_nan_design_error_rejected(self):
+        x = PhaseInputState(np.ones(2) / math.sqrt(2))
+        with pytest.raises(ValueError, match="inconsistent"):
+            PhaseDesign(x, optimal_seed(x), math.nan)
+
+    @pytest.mark.parametrize("make, n", [
+        (optimal_input, 2.0), (bdm_input, 1.5), (optimal_input, "3"), (bdm_input, None),
+    ])
+    def test_non_integer_n_rejected(self, make, n):
+        with pytest.raises(TypeError, match="n must be an integer"):
+            make(n)
+
+    def test_numpy_integer_n_accepted(self):
+        assert optimal_input(np.int64(4)).error == optimal_input(4).error
+        assert np.array_equal(bdm_input(np.uint8(4)).amplitudes, bdm_input(4).amplitudes)

@@ -387,6 +387,14 @@ class TestMeanLossOracle:
             assert abs(0.5 * (1.0 - math.pi * c1) - design.error) <= 1e-13, name
 
 
+def unchecked(cls, **fields):
+    """An instance of a frozen dataclass made without its __post_init__ checks."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 class TestSimulate:
     def test_phase_optimal_design(self):
         res = simulate(SimConfig(100_000, 42), optimal_input(1))
@@ -452,17 +460,18 @@ class TestSimulate:
         assert SimConfig(np.int64(10), np.uint32(3)).trials == 10
 
     def test_nan_error_rejected(self):
-        # the design's own error check lets a NaN through
-        bad = dataclasses.replace(optimal_input(3), error=math.nan)
+        # the constructor rejects a NaN error; simulate does too, on a design
+        # that bypassed it
+        good = optimal_input(3)
+        bad = unchecked(PhaseDesign, input=good.input, seed=good.seed, error=math.nan)
         with pytest.raises(ValueError, match="not a finite number"):
             simulate(SimConfig(100, 0), bad)
 
     def test_nan_law_rejected(self):
-        """A NaN amplitude gets past the design's own checks; the bin-mass
-        check stops it before the sampler."""
-        x = PhaseInputState(np.array([math.nan, 1.0]))
-        seed = Seed(np.ones((2, 1)))
-        design = PhaseDesign(x, seed, 0.25)
+        """A NaN amplitude that bypassed the constructors' checks is stopped by
+        the bin-mass check before the sampler."""
+        x = unchecked(PhaseInputState, amplitudes=np.array([math.nan, 1.0], complex))
+        design = unchecked(PhaseDesign, input=x, seed=Seed(np.ones((2, 1))), error=0.25)
         with pytest.raises(ValueError, match="negative bin mass"):
             simulate(SimConfig(100, 0), design)
 
@@ -601,7 +610,7 @@ class TestBinLookup:
         ])
         want = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, g - 1)
         lo, steps = _guide_table(cdf, CELLS)
-        work = np.empty(u.size, np.intp), np.empty(u.size, np.intp), np.empty(u.size)
+        work = np.empty(u.size, np.intp), np.empty(u.size)
         assert np.array_equal(_bins(cdf, lo, steps, u, *work), want)
 
     @pytest.mark.parametrize("name", list(HOSTILE_CDFS))
@@ -663,6 +672,28 @@ class TestParallelSampler:
                  for g in (256, None)]
         for trials, g in cases + [(MANY_CHUNKS, None)]:
             assert bits(name, trials, 5, g) == reference_bits(name, trials, 5, g), (trials, g)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("size", [1000, 2**16])
+    def test_bits_on_any_pass_size(self, monkeypatch, size, workers):
+        """Passes that do not divide a chunk, and passes of a whole chunk."""
+        monkeypatch.setattr(SIMULATE_MODULE, "_PASS", size)
+        monkeypatch.setattr(SIMULATE_MODULE, "_cpu_count", lambda: workers)
+        for name in ("phase n=10", "su2 n=5"):
+            for trials, g in [(2, 256), (2**16 + 1, None), (17 * 2**16 - 5, None)]:
+                assert bits(name, trials, 5, g) == reference_bits(name, trials, 5, g), (trials, g)
+
+    def test_memory_on_two_threads(self, monkeypatch):
+        """Peak traced memory with two threads, each holding a chunk and its
+        pass-size work arrays, beside the grid's tables."""
+        monkeypatch.setattr(SIMULATE_MODULE, "_cpu_count", lambda: 2)
+        tracemalloc.start()
+        try:
+            simulate(SimConfig(4_000_000, 3), optimal_input(10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.3 * 2**20
 
     def test_bits_under_fast_thread_switching(self, monkeypatch):
         """More threads than cores, switching every microsecond."""

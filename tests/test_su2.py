@@ -187,6 +187,13 @@ class TestCharacter:
         vals = character(3, theta)
         assert vals.shape == theta.shape
 
+    @pytest.mark.parametrize("j", [2.5, 3.0, np.float64(2.0)])
+    def test_non_integer_dimension_rejected(self, j):
+        with pytest.raises(TypeError, match="j must be an integer"):
+            character(j, 0.0)
+        with pytest.raises(TypeError, match="j must be an integer"):
+            irrep_matrix_batch(j, np.eye(2)[None])
+
 
 class TestIrrepMatrix:
     def test_defining_rep_is_matrix_itself(self, rng):
@@ -361,6 +368,10 @@ class TestMultiplicitySpectrum:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             multiplicity_spectrum(0)
+
+    def test_rejects_non_integer(self):
+        with pytest.raises(TypeError, match="n must be an integer"):
+            multiplicity_spectrum(2.0)
 
     def test_large_n_exact(self):
         # exact integer arithmetic well past 64 tensor factors

@@ -305,6 +305,19 @@ class TestBlockAmplitudeValidation:
         with pytest.raises(ValueError, match="n must be"):
             Su2Design(x, optimal_seed(x), 0, 0.5)
 
+    def test_nan_error_rejected(self):
+        x = PhaseInputState([0.6, 0.8])
+        with pytest.raises(ValueError, match="inconsistent"):
+            Su2Design(x, optimal_seed(x), 3, math.nan)
+
+    def test_non_integer_n_rejected(self):
+        x = PhaseInputState([0.6, 0.8])
+        seed = optimal_seed(x)
+        with pytest.raises(TypeError, match="n must be an integer"):
+            Su2Design(x, seed, 3.0, su2_error(x, seed, 3))
+        with pytest.raises(TypeError, match="n must be an integer"):
+            design_optimal(3.0)
+
     def test_block_dims(self):
         assert single_block_design(5, [1.0, 0, 0]).block_dims == (2, 4, 6)
         assert single_block_design(4, [1.0, 0, 0]).block_dims == (1, 3, 5)

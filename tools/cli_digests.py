@@ -3,7 +3,7 @@
     python3 tools/cli_digests.py SRC_DIR > digests.txt
 
 Each argument list runs `covest.cli.main` in a fresh interpreter with
-SRC_DIR first on sys.path.  One line per list: the argv, the exit code, the
+SRC_DIR first on sys.path, writing no bytecode cache into SRC_DIR.  One line per list: the argv, the exit code, the
 sha256 of stdout without the manifest `timestamp` line, and the sha256 of
 stderr.  Two source trees give the same CLI contract when `diff` of their
 digest files is empty.
@@ -39,6 +39,9 @@ def argument_lists():
             lists.append(["simulate", "--protocol", protocol, "--n", str(n), "--seed", seed])
     csv = [argv + ["--format", "csv"] for argv in lists
            if argv[0] not in ("phase-opt", "su2-design") or int(argv[2]) in CSV_SIZES]
+    # enough chunks that the sampler splits them over threads on a multi-CPU host
+    threaded = [["simulate", "--protocol", protocol, "--n", str(n), "--trials", "10000000",
+                 "--seed", "20040725"] for protocol, n in [("phase", 10), ("su2", 5)]]
     usage = [
         [], ["nonsense"], ["phase-opt"], ["phase-opt", "--n", "-1"],
         ["phase-opt", "--n", "1000001"],
@@ -54,7 +57,7 @@ def argument_lists():
         ["simulate", "--protocol", "phase", "--n", "100000", "--trials", "20000000"],
         ["phase-opt", "--n", "3", "--output", "/nonexistent/dir/x.json"],
     ]
-    return lists + csv + usage
+    return lists + csv + threaded + usage
 
 
 def digest(text):
@@ -64,7 +67,7 @@ def digest(text):
 def main():
     src = sys.argv[1]
     for argv in argument_lists():
-        proc = subprocess.run([sys.executable, "-I", "-c", RUN, src, *argv],
+        proc = subprocess.run([sys.executable, "-I", "-B", "-c", RUN, src, *argv],
                               capture_output=True, text=True)
         stdout = "".join(line for line in proc.stdout.splitlines(keepends=True)
                          if '"timestamp":' not in line and not line.startswith("# timestamp="))
