@@ -2,8 +2,10 @@
 
 Every run emits a manifest (command, parameters, seed, version, timestamp)
 alongside the result, as JSON (one object per run) or CSV (manifest in
-leading comment lines).  Exit codes: 0 success/pass, 1 usage error,
-2 verification failure.
+leading comment lines).  Each command builds only its JSON result, typed per
+command in schemas/run.schema.json; the CSV table is derived from that
+result by the one rule of `_csv_table`.  Exit codes: 0 success/pass,
+1 usage error, 2 verification failure.
 """
 
 import argparse
@@ -13,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
@@ -65,9 +68,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY_FAIL = 2
 
-SCALING_HEADER = "n,phase_exact,phase_bdm,phase_asymptote,su2_error,su2_asymptote"
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits with code 2 on usage errors; the contract here is 1."""
 
@@ -112,24 +112,60 @@ def _emit(text, output):
             raise _UsageError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _render_csv(manifest, header, rows):
+def _cells(prefix, obj):
+    """(dotted path, cell) for every value of the JSON object obj, in key order."""
+    for key, value in obj.items():
+        if isinstance(value, dict):
+            yield from _cells(f"{prefix}{key}.", value)
+        else:
+            yield prefix + key, json.dumps(value) if isinstance(value, list) else value
+
+
+def _csv_table(result):
+    """The CSV header and rows of a JSON result, by one rule.
+
+    - Rows: the result's one list field gives the rows; a result without
+      one gives one row.
+    - Repeated values: every other value repeats on each row.
+    - Column names: dotted JSON paths, in the result's key order, such as
+      blocks.dim and feasibility.achievable_error.
+    - Lists of numbers: a list of plain numbers adds an `index` column
+      before its value column.
+    - Nested lists: a list inside an object, such as
+      feasibility.usable_dims, is one cell holding its JSON text.
+    - Cell values: null is an empty cell; numbers, strings and booleans are
+      written by csv.writer, so floats as their repr and True/False.
+    """
+    listed = next((k for k, v in result.items() if isinstance(v, list)), None)
+    table = []
+    for i, item in enumerate(result[listed] if listed else [None]):
+        row = []
+        for key, value in result.items():
+            if key != listed:
+                row += _cells("", {key: value})
+            elif isinstance(item, dict):
+                row += _cells(f"{key}.", item)
+            else:
+                row += [("index", i), (key, item)]
+        table.append(row)
+    return [name for name, _ in table[0]], [[cell for _, cell in row] for row in table]
+
+
+def _render(manifest, result, fmt):
+    if fmt == "json":
+        return json.dumps({"manifest": manifest, "result": result}, indent=2)
     buf = io.StringIO()
     for key in ("command", "seed", "version", "timestamp"):
         buf.write(f"# {key}={manifest[key]}\n")
     buf.write(f"# parameters={json.dumps(manifest['parameters'], sort_keys=True)}\n")
-    buf.write(header + "\r\n")
+    header, rows = _csv_table(result)
     writer = csv.writer(buf)
+    writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
 
 
-def _render(manifest, result, fmt, header, rows):
-    if fmt == "json":
-        return json.dumps({"manifest": manifest, "result": result}, indent=2)
-    return _render_csv(manifest, header, rows)
-
-
-# Each cmd_* returns (result, CSV header, CSV rows, exit code) to main.
+# Each cmd_* returns (JSON result, exit code) to main.
 
 
 def cmd_phase_opt(args):
@@ -149,18 +185,9 @@ def cmd_phase_opt(args):
     amps = [float(a.real) for a in state.amplitudes]
     asym = asymptotic_error(n) if n >= 1 else None
     ratio = error * 4.0 * n * n / math.pi**2 if n >= 1 else None
-    result = {
-        "n": n,
-        "method": method,
-        "amplitudes": amps,
-        "error": error,
-        "asymptote": asym,
-        "ratio": ratio,
-    }
-    rows = [
-        [n, method, k, amp, error, asym, ratio] for k, amp in enumerate(amps)
-    ]
-    return result, "n,method,k,amplitude,error,asymptote,ratio", rows, EXIT_OK
+    result = {"n": n, "method": method, "amplitudes": amps, "error": error,
+              "asymptote": asym, "ratio": ratio}
+    return result, EXIT_OK
 
 
 def cmd_su2_design(args):
@@ -183,24 +210,10 @@ def cmd_su2_design(args):
         achievable = design.error
     else:
         achievable = design_optimal(n, SELF_ENTANGLED).error
-    asym = asymptotic_error_su2(n)
-    result = {
-        "n": n,
-        "mode": mode,
-        "error": design.error,
-        "asymptote": asym,
-        "ratio": design.error * n * n / math.pi**2,
-        "seed_matrix": "rank-one optimal seed built from the amplitude phases",
-        "blocks": blocks,
-        "feasibility": {"usable_dims": usable, "achievable_error": achievable},
-    }
-    rows = [
-        [n, mode, b["dim"], b["multiplicity"], b["amplitude"], b["feasible"],
-         design.error, asym]
-        for b in blocks
-    ]
-    return (result, "n,mode,dim,multiplicity,amplitude,feasible,error,asymptote", rows,
-            EXIT_OK)
+    result = {"n": n, "mode": mode, "error": design.error, "asymptote": asymptotic_error_su2(n),
+              "ratio": design.error * n * n / math.pi**2, "blocks": blocks,
+              "feasibility": {"usable_dims": usable, "achievable_error": achievable}}
+    return result, EXIT_OK
 
 
 def _tridiagonal(m):
@@ -242,9 +255,7 @@ def cmd_verify_integrals(args):
             for name, dev in checks
         ],
     }
-    rows = [[name, dev, dev <= args.tol] for name, dev in checks]
-    return (result, "identity,worst_abs_deviation,pass", rows,
-            EXIT_OK if all_pass else EXIT_VERIFY_FAIL)
+    return result, EXIT_OK if all_pass else EXIT_VERIFY_FAIL
 
 
 def cmd_simulate(args):
@@ -258,44 +269,25 @@ def cmd_simulate(args):
             design = optimal_input(args.n)
         else:
             design = design_optimal(args.n)
-        result_obj = simulate(config, design)
+        sim = simulate(config, design)
     except ValueError as exc:
         raise _UsageError(str(exc))
-    passed = abs(result_obj.z_score) < 4.0
-    result = {
-        "empirical_mean_error": result_obj.empirical_mean_error,
-        "standard_error": result_obj.standard_error,
-        "closed_form": result_obj.closed_form,
-        "z_score": result_obj.z_score,
-        "law_bias": result_obj.law_bias,
-        "pass": passed,
-    }
-    rows = [[
-        args.protocol, args.n, args.trials,
-        result_obj.empirical_mean_error, result_obj.standard_error,
-        result_obj.closed_form, result_obj.z_score, passed,
-    ]]
-    header = "protocol,n,trials,empirical_mean_error,standard_error,closed_form,z_score,pass"
-    return result, header, rows, EXIT_OK if passed else EXIT_VERIFY_FAIL
+    passed = abs(sim.z_score) < 4.0
+    return {**asdict(sim), "pass": passed}, EXIT_OK if passed else EXIT_VERIFY_FAIL
 
 
 def cmd_scaling(args):
     if not 2 <= args.max_n <= MAX_SCALING_N:
         raise _UsageError(f"max-n must be between 2 and {MAX_SCALING_N}")
-    if args.step < 1:
-        raise _UsageError("step must be >= 1")
-    rows = []
-    for n in range(args.step, args.max_n + 1, args.step):
-        phase_exact = optimal_input(n).error
-        phase_bdm = min_covariant_error(bdm_input(n))
-        su2_err = design_optimal(n).error
-        rows.append([
-            n, phase_exact, phase_bdm, asymptotic_error(n),
-            su2_err, asymptotic_error_su2(n),
-        ])
-    keys = SCALING_HEADER.split(",")
-    result = {"rows": [dict(zip(keys, row)) for row in rows]}
-    return result, SCALING_HEADER, rows, EXIT_OK
+    if not 1 <= args.step <= args.max_n:
+        raise _UsageError("step must be between 1 and max-n")
+    rows = [
+        {"n": n, "phase_exact": optimal_input(n).error,
+         "phase_bdm": min_covariant_error(bdm_input(n)), "phase_asymptote": asymptotic_error(n),
+         "su2_error": design_optimal(n).error, "su2_asymptote": asymptotic_error_su2(n)}
+        for n in range(args.step, args.max_n + 1, args.step)
+    ]
+    return {"rows": rows}, EXIT_OK
 
 
 class _UsageError(Exception):
@@ -356,8 +348,8 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        result, header, rows, code = args.func(args)
-        _emit(_render(_manifest(args), result, args.format, header, rows), args.output)
+        result, code = args.func(args)
+        _emit(_render(_manifest(args), result, args.format), args.output)
     except _UsageError as exc:
         print(f"covest: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -24,6 +24,8 @@ from ._checks import as_index
 
 # matrix entries of d(beta) computed at a time in irrep_matrix_batch
 _BLOCK_ENTRIES = 1 << 19
+# largest deviation from SU(2) form that irrep_matrix_batch accepts
+_SU2_TOL = 1e-12
 
 
 def class_angles(matrices):
@@ -103,16 +105,28 @@ def irrep_matrix_batch(j, matrices):
     about _BLOCK_ENTRIES entries; each block's two phases are applied as it
     is written into the result.  No per-element decomposition is made, and
     the work memory beside the complex result is one block, whatever n.
+
+    Raises ValueError unless every element has a unit first row (a, b) and
+    the second row (-conj(b), conj(a)), each within _SU2_TOL; NaN fails.
     """
     if as_index(j, "j") < 1:
         raise ValueError("irrep dimension must be >= 1")
     matrices = np.asarray(matrices, dtype=complex)
+    if matrices.ndim != 3 or matrices.shape[1:] != (2, 2):
+        raise ValueError("matrices must have shape (n, 2, 2)")
     n = matrices.shape[0]
+    a, b = matrices[:, 0, 0], matrices[:, 0, 1]
+    # each deviation is freed once tested, before the result is allocated
+    in_su2 = (np.all(np.abs(np.abs(a) ** 2 + np.abs(b) ** 2 - 1.0) <= _SU2_TOL)
+              and np.all(np.abs(matrices[:, 1, 0] + b.conj()) <= _SU2_TOL)
+              and np.all(np.abs(matrices[:, 1, 1] - a.conj()) <= _SU2_TOL))
+    if not in_su2:
+        raise ValueError("matrices must be SU(2) elements [[a, b], [-conj(b), conj(a)]] "
+                         "with |a|^2 + |b|^2 = 1")
     if j == 1:
         return np.ones((n, 1, 1), dtype=complex)
     if j == 2:
         return matrices.copy()
-    a, b = matrices[:, 0, 0], matrices[:, 0, 1]
     beta = 2.0 * np.arctan2(np.abs(b), np.abs(a))
     arg_a, arg_b = np.angle(a), np.angle(b)
     lam, w = _jy_eigensystem(j)

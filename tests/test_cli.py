@@ -1,4 +1,5 @@
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -21,7 +22,6 @@ from covest.cli import (
     MAX_SIMULATE_N,
     MAX_SU2_N,
     MAX_TRIALS,
-    SCALING_HEADER,
     _build_parser,
     main,
 )
@@ -305,16 +305,16 @@ class TestPinnedSimulateBits:
 
     @pytest.mark.parametrize("run", list(PINNED_RUNS))
     def test_csv_row(self, capsys, run):
-        protocol, n, trials, _ = run
-        fields = ",".join(map(repr, PINNED_RUNS[run][:4]))
+        fields = ",".join(map(repr, PINNED_RUNS[run]))
         code, out = run_cli(capsys, *self.argv(*run), "--format", "csv")
         assert code == 0
-        assert csv_lines(out)[1] == f"{protocol},{n},{trials},{fields},True"
+        assert csv_lines(out)[1] == f"{fields},True"
 
 
 # The design commands' results as printed at the time they were pinned, each
 # as the sha256 of json.dumps(result, sort_keys=True): any drift in a printed
-# digit fails here.
+# digit fails here.  The su2-design hashes are of the results printed before
+# the constant seed_matrix field was removed, with that field deleted.
 PINNED_RESULTS = {
     ('phase-opt', '--n', '0'):
         "6dc1a901738515c18c5fcafc17cb0b01bdf4fb55dbc2086ad9bebd64be978d56",
@@ -339,35 +339,35 @@ PINNED_RESULTS = {
     ('phase-opt', '--n', '1000', '--method', 'bdm'):
         "6eca526a9ee91c2e94af7d76304835d2d8f71224a15bc782e9af6825076e7528",
     ('su2-design', '--n', '2', '--mode', 'external'):
-        "4b7784310cb5e03983893c84f1645227a7b2009e258eb0e563d172f8c5bcda7b",
+        "108c821befc928029900f9fb230da970e44efef50f17f33267e22c71882d4d39",
     ('su2-design', '--n', '3', '--mode', 'external'):
-        "a81bbcbc236c8f34f26de31da2a920af2cf9ccfbee7e735f649ba266416a9611",
+        "7978dc66485d731a85a1379aa9e636937417c04cf3748c651267a04ae4866245",
     ('su2-design', '--n', '4', '--mode', 'external'):
-        "ea60dc62e6884ba35e1bbbcdd6b10bc3d19b34c330262e55d478337a912dbdba",
+        "2deca640ecf568d4ee05aea171936b47eb55cee17d080b5380855d8bfc384bd4",
     ('su2-design', '--n', '10', '--mode', 'external'):
-        "6d19cd043dd067d95dbf3e2c6911d2d3f134473418f4bf56037bc097498bbd07",
+        "6c7ec2de7c76bc15c1afbc31c1886beae5c5f16a73ec4d83bf23c6364bc200d2",
     ('su2-design', '--n', '11', '--mode', 'external'):
-        "9413c825eda9bec6f68e74f2714a096aa56d57b11c5e96526f10888dc1305dc4",
+        "2713a4fb4f042a0b73572288a21aa8d2fc42b7842f468ef9adba12008991bb37",
     ('su2-design', '--n', '1999', '--mode', 'external'):
-        "cef4882af671a84e975484b59a34cfc1daab546db8fb347c5583f9477b14834d",
+        "ebf285ae6baf20b8bf14497378f4785b032f09c87b1fee1b593a545a1694a7b5",
     ('su2-design', '--n', '2000', '--mode', 'external'):
-        "4c9b6c035360c8274f3d8731e492695d8c7d390cfca00cae2a131a858e4ab4fd",
+        "4b790b0a0c87675220699689b6e6f68ac3927493ae9990af172ae3e7aba5ca51",
     ('su2-design', '--n', '2', '--mode', 'self-entangled'):
-        "a34dc23ce64d5c1c8f5be33c57567d5a3efa1d337fe344cfbeed5a9773cf09dc",
+        "c1d22a366224cc44ad76775b399cd6268921f4a2a3ee99d27e3b91eb6f2572d7",
     ('su2-design', '--n', '3', '--mode', 'self-entangled'):
-        "ff92e713e160df514d9597d85020e592e401236790d4e0fc96bae095e80158d4",
+        "23e8b47432cfa42606b205e6edcdb6f6f5c094b008d69fb9609472c5ace0d8c7",
     ('su2-design', '--n', '4', '--mode', 'self-entangled'):
-        "65ad8e1116d9cf0d824c8677d585c793f248d2595b88b899b5f04abf0031d25f",
+        "e7cf7a6ff52719696507d044c81f478af8926439e694dbe5d372f8f205ef3a5e",
     ('su2-design', '--n', '10', '--mode', 'self-entangled'):
-        "43c3cc260833973a7886026f547c993fd0b0d443cb547b2b9d7ed64d7f1be54d",
+        "70848c346ff5737cd71777442086ef81a02b08dce5871042a37708e061f5dd08",
     ('su2-design', '--n', '11', '--mode', 'self-entangled'):
-        "2452e57ebc69cc616c700ff6a51cfa8082023b75f891d30b15eb8f4727db5aff",
+        "1de7ff595d2cc01c33bee3b646b9a88e5192e7ec959460bc7a388d833f84d863",
     ('su2-design', '--n', '1999', '--mode', 'self-entangled'):
-        "1b9f65bd6f4679cee62bba667870957154b80e9d9ea483c2688071000fb71196",
+        "ee784f225aa3f729688819a709336edef52bbd09b1c148eae3d3a5b03753048d",
     ('su2-design', '--n', '2000', '--mode', 'self-entangled'):
-        "f0028ab0ef4c1debae0c6657f75ac67c74f46d3346a7f076cfdf5d350ae3d2d4",
+        "fc94f45b46d0a9ebe626b2ffd2b284984fab37415cbd4164a008c7f65daaf2cd",
     ('su2-design', '--n', '1', '--mode', 'external'):
-        "8fca7fe07a6c7a2c3ad89cd5a1a769d9e83a614ae5edc6efc477aa0dc65d0413",
+        "5d0034e1fe12f7aca4a19454aac4d5ecfd48802d543abc8ff4e7af3bd8c810e0",
     ('scaling', '--max-n', '100'):
         "1cb275daff3ab9d998d282b53193b6928dcc643c54ac2ba417087fb4b066b746",
 }
@@ -375,27 +375,32 @@ PINNED_RESULTS = {
 # CSV bodies (the lines after the # manifest comments) of one run per command.
 PINNED_CSV = {
     ('phase-opt', '--n', '3'): (
-        'n,method,k,amplitude,error,asymptote,ratio\r\n'
+        'n,method,index,amplitudes,error,asymptote,ratio\r\n'
         '3,exact,0,0.37174803446018445,0.09549150281252627,0.27415567780803773,0.3483112353390284\r\n'
         '3,exact,1,0.6015009550075456,0.09549150281252627,0.27415567780803773,0.3483112353390284\r\n'
         '3,exact,2,0.6015009550075456,0.09549150281252627,0.27415567780803773,0.3483112353390284\r\n'
         '3,exact,3,0.37174803446018456,0.09549150281252627,0.27415567780803773,0.3483112353390284\r\n'
     ),
     ('phase-opt', '--n', '3', '--method', 'bdm'): (
-        'n,method,k,amplitude,error,asymptote,ratio\r\n'
+        'n,method,index,amplitudes,error,asymptote,ratio\r\n'
         '3,bdm,0,0.2705980500730985,0.10983495705504459,0.27415567780803773,0.4006298827484084\r\n'
         '3,bdm,1,0.6532814824381883,0.10983495705504459,0.27415567780803773,0.4006298827484084\r\n'
         '3,bdm,2,0.6532814824381883,0.10983495705504459,0.27415567780803773,0.4006298827484084\r\n'
         '3,bdm,3,0.2705980500730986,0.10983495705504459,0.27415567780803773,0.4006298827484084\r\n'
     ),
     ('su2-design', '--n', '4', '--mode', 'self-entangled'): (
-        'n,mode,dim,multiplicity,amplitude,feasible,error,asymptote\r\n'
-        '4,self-entangled,1,2,0.5257311121191336,True,0.3454915028125263,0.6168502750680849\r\n'
-        '4,self-entangled,3,3,0.85065080835204,True,0.3454915028125263,0.6168502750680849\r\n'
-        '4,self-entangled,5,1,0.0,False,0.3454915028125263,0.6168502750680849\r\n'
+        'n,mode,error,asymptote,ratio,blocks.dim,blocks.multiplicity,blocks.amplitude,'
+        'blocks.feasible,feasibility.usable_dims,feasibility.achievable_error\r\n'
+        '4,self-entangled,0.3454915028125263,0.6168502750680849,0.5600897280533638,'
+        '1,2,0.5257311121191336,True,"[1, 3]",0.3454915028125263\r\n'
+        '4,self-entangled,0.3454915028125263,0.6168502750680849,0.5600897280533638,'
+        '3,3,0.85065080835204,True,"[1, 3]",0.3454915028125263\r\n'
+        '4,self-entangled,0.3454915028125263,0.6168502750680849,0.5600897280533638,'
+        '5,1,0.0,False,"[1, 3]",0.3454915028125263\r\n'
     ),
     ('scaling', '--max-n', '4'): (
-        'n,phase_exact,phase_bdm,phase_asymptote,su2_error,su2_asymptote\r\n'
+        'rows.n,rows.phase_exact,rows.phase_bdm,rows.phase_asymptote,rows.su2_error,'
+        'rows.su2_asymptote\r\n'
         '1,0.24999999999999994,0.25,2.4674011002723395,0.4999999999999999,9.869604401089358\r\n'
         '2,0.1464466094067262,0.16666666666666669,0.6168502750680849,0.3454915028125263,2.4674011002723395\r\n'
         '3,0.09549150281252627,0.10983495705504459,0.27415567780803773,0.24999999999999994,1.096622711232151\r\n'
@@ -425,7 +430,7 @@ class TestScaling:
         code, out = run_cli(capsys, "scaling", "--max-n", "10", "--format", "csv")
         assert code == 0
         lines = csv_lines(out)
-        assert lines[0] == SCALING_HEADER
+        assert lines[0] == CSV_HEADERS["scaling"]
         assert len(lines) == 11  # header + 10 rows
 
     def test_exact_errors_monotone(self, capsys):
@@ -436,6 +441,11 @@ class TestScaling:
 
     def test_max_n_above_limit_is_usage_error(self):
         assert_usage_error("scaling", "--max-n", str(MAX_SCALING_N + 1))
+
+    @pytest.mark.parametrize("step", ["0", "5", "10"])
+    def test_step_outside_1_to_max_n_is_usage_error(self, step):
+        proc = assert_usage_error("scaling", "--max-n", "4", "--step", step)
+        assert "step must be between 1 and max-n" in proc.stderr
 
     def test_large_n_ratios(self, capsys):
         code, payload = run_json(
@@ -515,9 +525,173 @@ class TestOutputContracts:
             main(argv + ["--seed", "1"])
         assert exc.value.code == 1
 
-    def test_cli_import_loads_no_scipy(self):
+    @staticmethod
+    def modules_loaded_by_cli_import(package):
         probe = ("import sys, covest.cli; "
-                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+                 f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
         out = subprocess.run([sys.executable, "-c", probe], env=subprocess_env(),
                              capture_output=True, text=True, check=True).stdout
-        assert out.strip() == "[]"
+        return out.strip()
+
+    def test_cli_import_loads_no_scipy(self):
+        assert self.modules_loaded_by_cli_import("scipy") == "[]"
+
+    def test_cli_import_loads_no_jsonschema(self):
+        """The schema is for tests and consumers; the CLI never validates."""
+        assert self.modules_loaded_by_cli_import("jsonschema") == "[]"
+
+
+# The CSV header of each command, as the rule of covest.cli._csv_table
+# derives it from the command's JSON result.
+CSV_HEADERS = {
+    "phase-opt": "n,method,index,amplitudes,error,asymptote,ratio",
+    "su2-design": ("n,mode,error,asymptote,ratio,blocks.dim,blocks.multiplicity,"
+                   "blocks.amplitude,blocks.feasible,feasibility.usable_dims,"
+                   "feasibility.achievable_error"),
+    "verify-integrals": "pass,identities.identity,identities.worst_abs_deviation,identities.pass",
+    "simulate": "empirical_mean_error,standard_error,closed_form,z_score,law_bias,pass",
+    "scaling": ("rows.n,rows.phase_exact,rows.phase_bdm,rows.phase_asymptote,"
+                "rows.su2_error,rows.su2_asymptote"),
+}
+
+# Runs of every command, with null cells (phase-opt n = 0), an empty nested
+# list and a null (su2-design n = 1) and a failing verdict (--tol 1e-16).
+CONTRACT_RUNS = [
+    ["phase-opt", "--n", "0"],
+    ["phase-opt", "--n", "3"],
+    ["phase-opt", "--n", "3", "--method", "bdm"],
+    ["su2-design", "--n", "1"],
+    ["su2-design", "--n", "4"],
+    ["su2-design", "--n", "2", "--mode", "self-entangled"],
+    ["su2-design", "--n", "4", "--mode", "self-entangled"],
+    ["verify-integrals", "--kmax", "3"],
+    ["verify-integrals", "--kmax", "3", "--tol", "1e-16"],
+    ["scaling", "--max-n", "4"],
+    ["scaling", "--max-n", "10", "--step", "3"],
+    ["simulate", "--protocol", "phase", "--n", "2", "--trials", "5000"],
+    ["simulate", "--protocol", "su2", "--n", "4", "--trials", "5000"],
+]
+
+
+def typed_cell(text, schema):
+    """A CSV cell read back as the JSON value of the type its schema gives."""
+    types = schema.get("type", "string")  # an enum of strings has no type
+    types = [types] if isinstance(types, str) else types
+    if text == "" and "null" in types:
+        return None
+    if "array" in types:
+        return json.loads(text)
+    if "boolean" in types:
+        return {"True": True, "False": False}[text]
+    if "integer" in types:
+        return int(text)
+    if "number" in types:
+        return float(text)
+    assert types == ["string"]
+    return text
+
+
+def result_from_csv(out, schema):
+    """The JSON result rebuilt from a CSV table, each cell typed by the schema.
+
+    Also checks that the values outside the row list repeat on every row, and
+    that a list of numbers is indexed 0, 1, ...
+    """
+    reader = csv.DictReader(csv_lines(out))
+    rows = list(reader)
+    props = schema["properties"]
+    listed = next((k for k, sub in props.items() if sub.get("type") == "array"), None)
+    for column in reader.fieldnames:
+        if column.split(".")[0] not in (listed, "index"):
+            assert len({row[column] for row in rows}) == 1, column
+    result = {}
+    for key, sub in props.items():
+        if key == listed and sub["items"]["type"] == "object":
+            fields = sub["items"]["properties"]
+            result[key] = [{f: typed_cell(row[f"{key}.{f}"], fields[f]) for f in fields}
+                           for row in rows]
+        elif key == listed:
+            assert [row["index"] for row in rows] == [str(i) for i in range(len(rows))]
+            result[key] = [typed_cell(row[key], sub["items"]) for row in rows]
+        elif sub.get("type") == "object":
+            result[key] = {f: typed_cell(rows[0][f"{key}.{f}"], fs)
+                           for f, fs in sub["properties"].items()}
+        else:
+            result[key] = typed_cell(rows[0][key], sub)
+    return result
+
+
+_MISSING = object()
+
+# One valid run per command.
+VALID_RUNS = {
+    "phase-opt": ["phase-opt", "--n", "3"],
+    "su2-design": ["su2-design", "--n", "4"],
+    "verify-integrals": ["verify-integrals", "--kmax", "2"],
+    "simulate": ["simulate", "--protocol", "phase", "--n", "2", "--trials", "1000"],
+    "scaling": ["scaling", "--max-n", "4"],
+}
+
+# Three ways to spoil each command's result, which the schema must reject:
+# (command, kind, path into the result, new value or _MISSING to delete it).
+SPOILED = [
+    ("phase-opt", "extra", ["k"], 0),
+    ("phase-opt", "missing", ["ratio"], _MISSING),
+    ("phase-opt", "wrong type", ["amplitudes", 1], "0.6015009550075456"),
+    ("su2-design", "extra", ["seed_matrix"],
+     "rank-one optimal seed built from the amplitude phases"),
+    ("su2-design", "missing", ["feasibility", "achievable_error"], _MISSING),
+    ("su2-design", "wrong type", ["blocks", 0, "feasible"], "True"),
+    ("verify-integrals", "extra", ["identities", 0, "tol"], 1e-10),
+    ("verify-integrals", "missing", ["pass"], _MISSING),
+    ("verify-integrals", "wrong type", ["identities", 2, "worst_abs_deviation"], None),
+    ("simulate", "extra", ["trials"], 1000),
+    ("simulate", "missing", ["law_bias"], _MISSING),
+    ("simulate", "wrong type", ["pass"], 1),
+    ("scaling", "extra", ["rows", 1, "ratio"], 1.0),
+    ("scaling", "missing", ["rows", 3, "su2_asymptote"], _MISSING),
+    ("scaling", "wrong type", ["rows", 0, "n"], 1.5),
+]
+
+
+class TestOneContract:
+    @pytest.mark.parametrize("argv", CONTRACT_RUNS, ids=" ".join)
+    def test_csv_is_the_json_result(self, capsys, argv):
+        """Both formats of a run: the JSON validates against the schema, and
+        the CSV, read back with cell types from the command's $defs entry,
+        is the JSON result exactly."""
+        code, payload = run_json(capsys, *argv)
+        schema = load_schema()
+        jsonschema.validate(payload, schema)
+        csv_code, out = run_cli(capsys, *argv, "--format", "csv")
+        assert csv_code == code
+        assert csv_lines(out)[0] == CSV_HEADERS[argv[0]]
+        assert result_from_csv(out, schema["$defs"][argv[0]]) == payload["result"]
+
+    @pytest.mark.parametrize("command,kind,path,value", SPOILED,
+                             ids=[f"{c} {k} {'.'.join(map(str, p))}" for c, k, p, _ in SPOILED])
+    def test_spoiled_result_fails_validation(self, capsys, command, kind, path, value):
+        _, payload = run_json(capsys, *VALID_RUNS[command])
+        schema = load_schema()
+        jsonschema.validate(payload, schema)
+        target = payload
+        for key in ["result", *path[:-1]]:
+            target = target[key]
+        if value is _MISSING:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(payload, schema)
+
+    @pytest.mark.parametrize("own", list(VALID_RUNS))
+    def test_result_is_typed_by_its_command(self, capsys, own):
+        """manifest.command picks the $defs entry: no result fits another's."""
+        _, payload = run_json(capsys, *VALID_RUNS[own])
+        for command in VALID_RUNS:
+            payload["manifest"]["command"] = command
+            if command == own:
+                jsonschema.validate(payload, load_schema())
+            else:
+                with pytest.raises(jsonschema.ValidationError):
+                    jsonschema.validate(payload, load_schema())

@@ -57,6 +57,10 @@ class TestSu2ErrorKernel:
         with pytest.raises(ValueError):
             su2_kernel_matrix([0, 2])
 
+    def test_rejects_empty_list(self):
+        with pytest.raises(ValueError, match="dims must be nonempty"):
+            su2_kernel_matrix([])
+
 
 class TestSingleIrrepIntegral:
     """The diagonal of su2_kernel_matrix: 3/4 at dimension 1, 1/2 above."""
@@ -91,6 +95,10 @@ class TestPhaseErrorKernel:
     def test_rejects_negative_level(self):
         with pytest.raises(ValueError):
             phase_kernel_matrix([-1, 0])
+
+    def test_rejects_empty_list(self):
+        with pytest.raises(ValueError, match="levels must be nonempty"):
+            phase_kernel_matrix([])
 
 
 class TestKernelEquivalence:

@@ -262,6 +262,27 @@ class TestIrrepMatrix:
         with pytest.raises(ValueError):
             irrep_matrix_batch(0, haar_matrices(rng, 1))
 
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    @pytest.mark.parametrize("matrix", [
+        2.0 * np.eye(2),                    # second row right, first row not unit
+        np.diag([1.0, -1.0]),               # unitary, but not (-conj b, conj a)
+        np.array([[0.6, 0.8], [0.8, 0.6]]),
+        np.full((2, 2), np.nan),
+    ], ids=["2I", "det-1", "symmetric", "nan"])
+    def test_rejects_matrices_outside_su2(self, j, matrix):
+        with pytest.raises(ValueError, match="SU\\(2\\) elements"):
+            irrep_matrix_batch(j, matrix[None])
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_rejects_wrong_shape(self, j):
+        with pytest.raises(ValueError, match="shape"):
+            irrep_matrix_batch(j, np.eye(2))
+
+    def test_accepts_roundoff_and_empty_batch(self, rng):
+        m = haar_matrices(rng, 5) * (1.0 + 4e-13)
+        assert irrep_matrix_batch(3, m).shape == (5, 3, 3)
+        assert irrep_matrix_batch(3, np.empty((0, 2, 2))).shape == (0, 3, 3)
+
 
 class TestIrrepStructure:
     """irrep_matrix_batch makes no per-element decomposition and no large

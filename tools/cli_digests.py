@@ -28,6 +28,8 @@ def argument_lists():
         for mode in ("external", "self-entangled"):
             lists.append(["su2-design", "--n", str(n), "--mode", mode])
     lists += [["verify-integrals", "--kmax", str(k)] for k in (1, 30, 60)]
+    # every identity fails: exit 2, pass false in every row
+    lists.append(["verify-integrals", "--kmax", "3", "--tol", "1e-16"])
     lists += [["scaling", "--max-n", "100"], ["scaling", "--max-n", "300", "--step", "7"]]
     lists += [
         ["simulate", "--protocol", "phase", "--n", "1000", "--trials", "1000000",
@@ -50,6 +52,7 @@ def argument_lists():
         ["verify-integrals", "--kmax", "0"], ["verify-integrals", "--kmax", "101"],
         ["verify-integrals", "--tol", "nan"], ["scaling", "--max-n", "0"],
         ["scaling", "--max-n", "10001"], ["scaling", "--max-n", "10", "--step", "0"],
+        ["scaling", "--max-n", "4", "--step", "10"],
         ["simulate", "--protocol", "su2", "--n", "0"],
         ["simulate", "--protocol", "phase", "--n", "2", "--trials", "1"],
         ["simulate", "--protocol", "phase", "--n", "2", "--grid-size", "100"],
