@@ -35,7 +35,8 @@ def su2_kernel_matrix(dims):
     dims 2k, 2l this is (1/2) delta_{k,l} - (1/4) delta_{k,l+-1}; the diagonal
     is 3/4 at dimension 1 and 1/2 above; entries of mixed parity vanish.
     """
-    if len(dims) == 0:
+    dims = tuple(dims)
+    if not dims:
         raise ValueError("dims must be nonempty")
     theta, s = _half_angle_rule(max(dims))
     chi = np.array([character(d, theta) for d in dims])
@@ -50,7 +51,7 @@ def phase_kernel_matrix(levels):
     one, and 0 elsewhere.  Returns the real part; ArithmeticError if the
     imaginary part is not negligible.
     """
-    levels = np.asarray(levels, dtype=int)
+    levels = np.asarray(tuple(levels), dtype=int)
     if levels.size == 0:
         raise ValueError("levels must be nonempty")
     if levels.min() < 0:

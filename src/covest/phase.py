@@ -136,6 +136,6 @@ def bdm_input(n):
 
 def asymptotic_error(n):
     """Large-n error scale pi^2 / (4 n^2)."""
-    if n < 1:
+    if as_index(n, "n") < 1:
         raise ValueError("n must be >= 1")
     return math.pi**2 / (4.0 * n * n)

@@ -28,13 +28,9 @@ _PASS = _CHUNK // 2
 # chunks a thread runs at least, so that a short run starts no thread that
 # would only wait for its start-up
 _CHUNKS_PER_THREAD = 8
-# Taylor coefficients of sin(d)/d - 1 and (1 - cos(d))/d^2 in d^2, from the
-# highest: sin(d) = d (1 + d^2 (-1/6 + d^2 (1/120 - d^2/5040)))
-_SIN = (-1.0 / 5040.0, 1.0 / 120.0, -1.0 / 6.0)
-_VERSIN = (-1.0 / 40320.0, 1.0 / 720.0, -1.0 / 24.0, 0.5)
 # the automatic grid: at least _MIN_GRID bins, doubled until the law's bias
 # is a tenth of the standard error; a larger grid is a usage error, since
-# the grid's arrays take about 90 bytes per bin
+# the grid's arrays peak at about 90 bytes per bin (88 traced at 2^22)
 _MIN_GRID = 1 << 12
 MAX_GRID_SIZE = 1 << 22
 # guide-table cells per bin, a power of two so that u * cells is exact: every
@@ -175,52 +171,43 @@ def _bin_masses(coefficients, g):
 
 
 def _bin_moments(g):
-    """Means of sin^2(phi/2) and sin^4(phi/2) over each of the g bins.
+    """Mean of sin^2(phi/2) over each of the g bins.
 
-    With c a bin's centre, S = sin^2(c/2), h = 2 pi/g, s1 = sinc(h/2) and
-    s2 = sinc(h), averaging cos(phi) and cos(2 phi) over the bin gives
-    (1 - s1)/2 + s1 S and (3 - 4 s1 + s2)/8 + (s1 - s2) S + s2 S^2.  The
-    three constants are summed from their own Taylor series, so that with
-    every other term nonnegative the small means near phi = 0 keep their
-    digits.
+    With c a bin's centre, S = sin^2(c/2), h = 2 pi/g and s1 = sinc(h/2),
+    averaging cos(phi) over the bin gives the mean (1 - s1)/2 + s1 S.  The
+    constant (1 - s1)/2 is summed from its own Taylor series, so that with
+    both terms nonnegative the small means near phi = 0 keep their digits.
     """
     h = 2.0 * math.pi / g
-    a = b = c = 0.0
+    a = 0.0
     term = 1.0
     for k in range(1, 8):
         # term = (-1)^k (h/2)^(2k) / (2k+1)!, the k-th term of s1 - 1
         term *= -((h / 2.0) ** 2) / ((2 * k) * (2 * k + 1))
         a -= term / 2.0
-        b += term * (1 - 4**k)
-        c += term * (4**k - 4) / 8.0
     s1 = 1.0 - 2.0 * a
-    s = np.sin((np.arange(g) + 0.5) * (h / 2.0)) ** 2
-    loss = a + s1 * s
-    square = c + b * s + (s1 - b) * s * s
-    return loss, square
+    return a + s1 * np.sin((np.arange(g) + 0.5) * (h / 2.0)) ** 2
 
 
 def _mixture(p):
     """The defensive mixture q = p/2 + 1/(2g) of bin masses p: its CDF at the g + 1
-    edges, its masses as differences of that CDF, and the weights p/q."""
+    edges, and the weights p/q with q the differences of that CDF."""
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * p + 0.5 / p.size)])
     cdf /= cdf[-1]
-    q = np.diff(cdf)
-    return cdf, q, p / q
+    return cdf, p / np.diff(cdf)
 
 
-def _grid_size(p, loss, square, trials):
+def _grid_size(p, loss, trials):
     """Smallest power of two g >= _MIN_GRID with h^2/24 <= se/10, h = 2 pi/g.
 
     The binned law's mean loss is biased by about h^2 (1 - 2 D)/24 (the mean
     of the loss's second derivative, 1/2 - sin^2, times the within-bin
-    variance h^2/12), and se is the exact standard error of the mixture
-    estimator on the grid of the bin masses p and _bin_moments loss and
-    square: sum p^2/q E[L^2 | bin] minus the squared mean.
+    variance h^2/12).  se is the exact standard error of simulate's scores
+    (p/q) loss, with bins drawn from q: its square times the trial count is
+    sum p^2/q loss^2 minus the squared mean.
     """
-    q = _mixture(p)[1]
     mean = float(np.dot(p, loss))
-    variance = float(np.dot(p * p / q, square)) - mean * mean
+    variance = float(np.dot(p * _mixture(p)[1], loss * loss)) - mean * mean
     se = math.sqrt(max(variance, 0.0) / trials)
     g = _MIN_GRID
     while (2.0 * math.pi / g) ** 2 / 24.0 > se / 10.0:
@@ -328,18 +315,21 @@ def simulate(config, design):
     """Estimate the design's mean loss by Monte Carlo and compare it to the closed form.
 
     The outcome law, from outcome_coefficients, is integrated exactly over
-    the grid_size bins of [0, 2 pi) (_bin_masses), and each trial draws an
-    angle uniformly within a bin.  The bins are drawn from the defensive
-    mixture q = p/2 + 1/(2 grid_size) of the bin masses p, and each trial
-    scores Y = sin^2(phi/2) p/q (Hesterberg, Technometrics 37, 185, 1995).
-    The weight is constant per bin and Y's mean is the binned law's mean
-    loss.  The rare angles far from the truth, which carry much of the mean
-    error at large n, are drawn often at a small weight, so the mean of Y is
-    close to normal where the plain sample mean is heavily skewed.
+    the grid_size bins of [0, 2 pi) (_bin_masses).  Bins are drawn from the
+    defensive mixture q = p/2 + 1/(2 grid_size) of the bin masses p
+    (Hesterberg, Technometrics 37, 185, 1995): the rare bins far from the
+    truth, which carry much of the mean error at large n, are drawn often at
+    a small weight, so the mean is close to normal where the plain sample
+    mean is heavily skewed.  A trial in bin i scores Y = (p_i/q_i) L_i, with
+    L_i the bin's mean of sin^2(phi/2) (_bin_moments).  That is the mean,
+    given the bin, of the score of an angle drawn uniformly within it, so Y
+    has the same mean, the binned law's mean loss, at no larger variance
+    (Rao-Blackwellisation; Casella & Robert, Biometrika 83, 81, 1996).
     `empirical_mean_error` and `standard_error` are the mean of Y and its
-    empirical standard error.  `law_bias` is the exact mean loss of the
-    binned law minus the closed form, the z-score's expected offset times the
-    standard error.  The closed form is the design's own error.
+    empirical standard error; trials that all score alike give none, a
+    ValueError.  `law_bias` is the binned law's exact mean loss minus the
+    closed form, the design's own error: the z-score's expected offset
+    times the standard error.
 
     With grid_size None the grid is the smallest power of two >= 4096 bins
     whose bias, about h^2/24 with h the bin width, is at most a tenth of the
@@ -353,20 +343,15 @@ def simulate(config, design):
     The trials are drawn in chunks of _CHUNK, chunk c from its own stream
     np.random.default_rng(np.random.SeedSequence(seed).spawn(chunks)[c]).
     Each chunk leaves only its mean and M2, the sum of its squared
-    deviations, in a (chunks, 2) array, and the rows are merged in chunk
-    order (_merged), so memory is O(grid_size + threads * _CHUNK) whatever
-    the trial count.  The chunks are split into contiguous ranges of at least
-    _CHUNKS_PER_THREAD, at most one per CPU this process may run on
-    (_cpu_count), each on its own thread (_run_split).  A chunk's result
-    depends on its index alone, so every field has the same bits whatever the
-    CPU count.  Each uniform finds its bin through a guide table of 2 cells
-    per bin and one comparison (_guide_table, _bins), which gives the bin a
-    binary search over the whole CDF gives, and its score comes from the
-    bin's centre, the bin's mass in q and short Taylor series of the offset,
-    with no call of sin.  A thread scores its chunk in two passes of _PASS
-    trials, about 30 numpy calls each: numpy releases the GIL inside a call,
-    and a call on 2^15 elements runs long enough that the threads' calls
-    overlap, where calls on 2^14 elements mostly wait for the GIL in turn.
+    deviations, and the rows are merged in chunk order (_merged), so memory
+    is O(grid_size + threads * _CHUNK) whatever the trial count.  The chunks
+    are split into contiguous ranges of at least _CHUNKS_PER_THREAD, at most
+    one per CPU this process may run on (_cpu_count), each on its own thread
+    (_run_split).  A chunk's result depends on its index alone, so every
+    field has the same bits whatever the CPU count.  Each uniform finds its
+    bin through a guide table of 2 cells per bin and one comparison
+    (_guide_table, _bins), the bin a binary search over the whole CDF gives,
+    and is replaced by its bin's score, _PASS trials at a time.
     """
     coefficients, closed = outcome_coefficients(design), design.error
     if not math.isfinite(closed):
@@ -374,59 +359,32 @@ def simulate(config, design):
     trials = config.trials
 
     g = config.grid_size or _MIN_GRID
-    p, losses = _bin_masses(coefficients, g), _bin_moments(g)
-    while config.grid_size is None and (finer := _grid_size(p, *losses, trials)) > g:
+    p, loss = _bin_masses(coefficients, g), _bin_moments(g)
+    while config.grid_size is None and (finer := _grid_size(p, loss, trials)) > g:
         g = finer
-        p, losses = _bin_masses(coefficients, g), _bin_moments(g)
-    width = 2.0 * math.pi / g
-    law_bias = float(np.dot(p, losses[0])) - closed
+        p, loss = _bin_masses(coefficients, g), _bin_moments(g)
+    law_bias = float(np.dot(p, loss)) - closed
 
-    cdf, q, weight = _mixture(p)
+    cdf, weight = _mixture(p)
+    score = weight * loss
     lo, steps = _guide_table(cdf, min(_CELLS_PER_BIN * g, _MAX_CELLS))
-    # with d the angle's offset from its bin's centre c, a score is
-    # p/q sin^2((c + d)/2) = level + even (1 - cos d) + odd sin d
-    centre = (np.arange(g) + 0.5) * width
-    level = weight * np.sin(centre / 2.0) ** 2
-    even, odd = 0.5 * weight * np.cos(centre), 0.5 * weight * np.sin(centre)
     chunks = -(-trials // _CHUNK)
     streams = np.random.SeedSequence(config.seed).spawn(chunks)
     moments = np.empty((chunks, 2))
 
     def fill(first, last):
-        # chunks first..last-1 of uniforms, scored in place a pass at a time
-        # on this thread's three work arrays
+        # chunks first..last-1 of uniforms, each replaced in place by its
+        # bin's score, a pass at a time
         chunk = np.empty(min(_CHUNK, trials - first * _CHUNK))
-        work = np.empty((2, min(_PASS, chunk.size)))
-        index = np.empty(work.shape[1], np.intp)
+        above = np.empty(min(_PASS, chunk.size))
+        index = np.empty(above.size, np.intp)
         for c in range(first, last):
             size = min(_CHUNK, trials - c * _CHUNK)
             np.random.default_rng(streams[c]).random(out=chunk[:size])
             for start in range(0, size, _PASS):
                 x = chunk[start : min(start + _PASS, size)]
-                t, s = work[:, : x.size]
-                idx = _bins(cdf, lo, steps, x, index[: x.size], t)
-                # the offset within the bin, over the bin's mass in q
-                x -= np.take(cdf, idx, out=t, mode="clip")
-                x /= np.take(q, idx, out=s, mode="clip")
-                x -= 0.5
-                x *= width
-                np.multiply(x, x, out=t)
-                # s = sin(d) and x = 1 - cos(d) by Horner's rule, exact to an
-                # ulp for |d| <= pi/256, half the coarsest grid's bin width
-                np.multiply(t, _SIN[0], out=s)
-                for coefficient in _SIN[1:]:
-                    s += coefficient
-                    s *= t
-                s += 1.0
-                s *= x
-                np.multiply(t, _VERSIN[0], out=x)
-                for coefficient in _VERSIN[1:]:
-                    x += coefficient
-                    x *= t
-                x *= np.take(even, idx, out=t, mode="clip")
-                s *= np.take(odd, idx, out=t, mode="clip")
-                x += s
-                x += np.take(level, idx, out=t, mode="clip")
+                idx = _bins(cdf, lo, steps, x, index[: x.size], above[: x.size])
+                np.take(score, idx, out=x, mode="clip")
             x = chunk[:size]
             mean = x.sum() / size
             x -= mean
@@ -438,5 +396,7 @@ def simulate(config, design):
     _run_split(fill, list(zip(bounds[:-1], bounds[1:])))
     mean, m2 = _merged(moments, trials)
     se = math.sqrt(m2 / (trials - 1) / trials)
-    z = (mean - closed) / se
-    return SimResult(mean, se, closed, z, law_bias)
+    if not se > 0.0:
+        raise ValueError(f"all {trials} trials drew the same score, so they give no "
+                         "standard error: use more trials")
+    return SimResult(mean, se, closed, (mean - closed) / se, law_bias)

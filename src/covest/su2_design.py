@@ -102,6 +102,6 @@ def design_optimal(n, reference_mode=EXTERNAL):
 
 def asymptotic_error_su2(n):
     """Large-n error scale pi^2 / n^2 for the SU(2) problem."""
-    if n < 1:
+    if as_index(n, "n") < 1:
         raise ValueError("n must be >= 1")
     return math.pi**2 / (n * n)

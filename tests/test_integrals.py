@@ -106,3 +106,17 @@ class TestKernelEquivalence:
         ks = range(1, 31)
         worst = np.abs(su2_kernel(ks) - phase_kernel_matrix(ks)).max()
         assert worst < 1e-12
+
+
+class TestIterableArguments:
+    """Each kernel reads its argument once, so a generator gives the matrix of
+    the tuple it yields."""
+
+    def test_su2_generator(self):
+        dims = (1, 2, 4, 7)
+        assert np.array_equal(su2_kernel_matrix(d for d in dims), su2_kernel_matrix(dims))
+
+    def test_phase_generator(self):
+        levels = (0, 1, 3, 4)
+        assert np.array_equal(phase_kernel_matrix(l for l in levels),
+                              phase_kernel_matrix(levels))

@@ -258,6 +258,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("make, n", [
         (optimal_input, 2.0), (bdm_input, 1.5), (optimal_input, "3"), (bdm_input, None),
+        (optimal_input, True), (asymptotic_error, math.nan), (asymptotic_error, 2.5),
+        (asymptotic_error, True),
     ])
     def test_non_integer_n_rejected(self, make, n):
         with pytest.raises(TypeError, match="n must be an integer"):

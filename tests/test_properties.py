@@ -16,13 +16,16 @@ from covest import (
     PhaseInputState,
     Seed,
     Su2Design,
+    design_optimal,
     irrep_matrix_batch,
     min_covariant_error,
+    optimal_input,
     optimal_seed,
     outcome_coefficients,
     phase_error,
     su2_error,
 )
+from covest.simulate import _NEG_TOL, _bin_masses
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -132,6 +135,32 @@ class TestOptimalSeed:
         assert error <= phase_error(state, other) + 1e-13
 
 
+class TestErrorBounds:
+    @PROPERTY
+    @given(phase_designs())
+    def test_phase_error_is_a_mean_loss(self, design):
+        assert 0.0 <= phase_error(design.input, design.seed) <= 1.0
+
+    @PROPERTY
+    @given(su2_designs())
+    def test_su2_error_is_a_mean_loss(self, design):
+        assert 0.0 <= su2_error(design.input, design.seed, design.n) <= 1.0
+
+
+class TestOptimalDesigns:
+    @PROPERTY
+    @given(amplitude_vectors())
+    def test_optimal_input_beats_drawn_inputs(self, x):
+        state = PhaseInputState(x)
+        assert optimal_input(state.dim - 1).error <= min_covariant_error(state) + 1e-13
+
+    @PROPERTY
+    @given(su2_designs())
+    def test_design_optimal_beats_drawn_block_vectors(self, design):
+        x = design.input
+        assert design_optimal(design.n).error <= su2_error(x, optimal_seed(x), design.n) + 1e-13
+
+
 class TestOutcomeLaw:
     @PROPERTY
     @given(st.one_of(phase_designs(), su2_designs()))
@@ -139,6 +168,11 @@ class TestOutcomeLaw:
         c = np.append(outcome_coefficients(design), 0.0)  # C_1 = 0 at one level
         assert abs(c[0] - 1.0 / (2.0 * math.pi)) <= 1e-13
         assert abs(0.5 * (1.0 - math.pi * c[1].real) - design.error) <= 1e-13
+
+    @PROPERTY
+    @given(st.one_of(phase_designs(), su2_designs()))
+    def test_bin_masses_nonnegative(self, design):
+        assert _bin_masses(outcome_coefficients(design), 4096).min() >= -_NEG_TOL
 
 
 class TestIrrepHomomorphism:

@@ -32,8 +32,6 @@ from covest.simulate import (
     _CELLS_PER_BIN,
     _CHUNK,
     _MIN_GRID,
-    _SIN,
-    _VERSIN,
     MAX_GRID_SIZE,
     _autocorrelation,
     _bin_masses,
@@ -243,7 +241,7 @@ class TestLawBias:
         design = optimal_input(1000)
         res = simulate(SimConfig(1_000_000, 20040725, 4096), design)
         # pinned to the last bit
-        assert res.z_score == 17.24148720253304
+        assert res.z_score == 17.5835678351099
         offset = res.law_bias / res.standard_error
         assert offset > 10.0
         assert abs(res.z_score - offset) < 4.0
@@ -266,7 +264,7 @@ class TestLawBias:
         design = BIT_DESIGNS[name]()
         h = 2.0 * math.pi / g
         law_bias = float(np.dot(_bin_masses(outcome_coefficients(design), g),
-                                _bin_moments(g)[0])) - design.error
+                                _bin_moments(g))) - design.error
         assert law_bias == pytest.approx(h * h * (1.0 - 2.0 * design.error) / 24.0, rel=2e-3)
 
 
@@ -302,31 +300,36 @@ class TestBinnedLaw:
             h = 2.0 * math.pi / g
             phi = (np.arange(g)[:, None] + (nodes + 1.0) / 2.0) * h
             loss = np.sin(phi / 2.0) ** 2
-            loss_mean, square_mean = _bin_moments(g)
-            # relative, since both means fall to about h^2/12 and h^4/80 at 0
-            assert np.allclose(loss_mean, loss @ weights / 2.0, rtol=2e-12, atol=0.0)
-            assert np.allclose(square_mean, loss**2 @ weights / 2.0, rtol=2e-12, atol=0.0)
+            # relative, since the mean falls to about h^2/12 at 0
+            assert np.allclose(_bin_moments(g), loss @ weights / 2.0, rtol=2e-12, atol=0.0)
 
     def test_mixture_weights(self):
         p = np.array([0.0, 0.25, 0.75, 0.0])
-        cdf, q, weight = _mixture(p)
+        cdf, weight = _mixture(p)
+        q = np.diff(cdf)
         assert np.allclose(q, 0.5 * p + 0.125, rtol=0, atol=1e-16)
         assert np.array_equal(cdf, np.concatenate([[0.0], np.cumsum(q)]))
         assert np.allclose(weight * q, p, rtol=0, atol=1e-16)
 
-    def test_scores_match_direct_loss(self):
-        """The Taylor-series score equals p/q sin^2(phi/2) of the angle the
-        within-bin uniform gives, on the coarsest and a fine grid."""
-        design = optimal_input(10)
-        for g in (256, 65536):
-            cdf, q, weight = _mixture(_bin_masses(outcome_coefficients(design), g))
-            u = np.random.default_rng(4).random(100_000)
-            got = reference_scores(u, cdf, q, weight)
-            idx = np.searchsorted(cdf, u, side="right") - 1
-            h = 2.0 * math.pi / g
-            phi = (idx + (u - cdf[idx]) / q[idx]) * h
-            want = weight[idx] * np.sin(phi / 2.0) ** 2
-            assert np.abs(got - want).max() <= 4e-16 * weight.max()
+    @pytest.mark.parametrize("name", list(BIT_DESIGNS))
+    def test_scores_keep_the_binned_mean(self, name):
+        """Drawn from the mixture q, the scores (p/q) L average to the binned
+        law's mean loss sum p L."""
+        coefficients = outcome_coefficients(BIT_DESIGNS[name]())
+        for g in (256, 4096, 65536):
+            p, loss = _bin_masses(coefficients, g), _bin_moments(g)
+            cdf, weight = _mixture(p)
+            want = math.fsum(p * loss)
+            assert abs(math.fsum(np.diff(cdf) * weight * loss) - want) <= 1e-14 * want
+
+
+def record_grids(monkeypatch):
+    """The grid sizes simulate takes bin masses on, in call order."""
+    grids = []
+    masses = SIMULATE_MODULE._bin_masses
+    monkeypatch.setattr(SIMULATE_MODULE, "_bin_masses",
+                        lambda c, size: grids.append(size) or masses(c, size))
+    return grids
 
 
 class TestGridSize:
@@ -339,30 +342,40 @@ class TestGridSize:
         coefficients = outcome_coefficients(BIT_DESIGNS[name]())
         for size in (_MIN_GRID, g):
             p = _bin_masses(coefficients, size)
-            assert _grid_size(p, *_bin_moments(size), trials) == g
-        grids = []
-        masses = SIMULATE_MODULE._bin_masses
-        monkeypatch.setattr(SIMULATE_MODULE, "_bin_masses",
-                            lambda c, size: grids.append(size) or masses(c, size))
+            assert _grid_size(p, _bin_moments(size), trials) == g
+        grids = record_grids(monkeypatch)
         simulate(SimConfig(trials, 1), BIT_DESIGNS[name]())
         assert grids == sorted({_MIN_GRID, g})
 
     def test_large_n_refines_to_its_own_standard_error(self, monkeypatch):
         """At n = 10^4 the 4096-bin law is wider than the true one, so its
-        standard error overstates the estimator's fourfold; the grid is
-        refined on the finer law until the bias is a tenth of its own."""
-        grids = []
-        masses = SIMULATE_MODULE._bin_masses
-        monkeypatch.setattr(SIMULATE_MODULE, "_bin_masses",
-                            lambda c, size: grids.append(size) or masses(c, size))
+        standard error overstates the estimator's almost threefold; the grid
+        is refined on the finer law until the bias is a tenth of its own."""
+        grids = record_grids(monkeypatch)
         res = simulate(SimConfig(100_000, 3), optimal_input(10_000))
-        assert grids == [4096, 131072, 524288]
+        assert grids == [4096, 262144, 524288]
         assert abs(res.law_bias) < res.standard_error / 10.0
         assert abs(res.z_score) < 4.0
 
     def test_past_the_limit_is_an_error(self):
         with pytest.raises(ValueError, match=f"more than {MAX_GRID_SIZE} bins"):
             simulate(SimConfig(20_000_000, 1), optimal_input(100_000))
+
+
+class TestStandardError:
+    @pytest.mark.parametrize("name", ["phase n=10", "su2 n=601"])
+    def test_empirical_matches_exact(self, monkeypatch, name):
+        """At 10^6 trials the empirical standard error is within 2 % of the
+        estimator's exact one, sqrt((sum p^2/q L^2 - mu^2)/N), on the grid
+        simulate chose."""
+        grids = record_grids(monkeypatch)
+        trials = 1_000_000
+        res = simulate(SimConfig(trials, 8), BIT_DESIGNS[name]())
+        g = grids[-1]
+        p, loss = _bin_masses(outcome_coefficients(BIT_DESIGNS[name]()), g), _bin_moments(g)
+        mean = np.dot(p, loss)
+        exact = math.sqrt((np.dot(p * _mixture(p)[1], loss * loss) - mean * mean) / trials)
+        assert res.standard_error == pytest.approx(exact, rel=0.02)
 
 
 def oracle_designs():
@@ -511,21 +524,11 @@ class TestCovarianceReduction:
         assert abs(mean - su2_error(design.input, design.seed, n)) < 1e-12
 
 
-def reference_scores(u, cdf, q, weight):
-    """p/q sin^2(phi/2) for uniforms u, each bin found by a binary search over
-    the whole CDF and each score written as one expression, in the sampler's
-    order of operations."""
-    g = q.size
-    width = 2.0 * math.pi / g
-    idx = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, g - 1)
-    d = ((u - cdf[idx]) / q[idx] - 0.5) * width
-    t = d * d
-    sin_d = (((t * _SIN[0] + _SIN[1]) * t + _SIN[2]) * t + 1.0) * d
-    versin_d = (((t * _VERSIN[0] + _VERSIN[1]) * t + _VERSIN[2]) * t + _VERSIN[3]) * t
-    centre = (np.arange(g) + 0.5) * width
-    level = weight * np.sin(centre / 2.0) ** 2
-    even, odd = 0.5 * weight * np.cos(centre), 0.5 * weight * np.sin(centre)
-    return versin_d * even[idx] + sin_d * odd[idx] + level[idx]
+def reference_scores(u, cdf, weight, loss):
+    """(p/q) L of each uniform's bin, the bin found by a binary search over
+    the whole CDF."""
+    idx = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, loss.size - 1)
+    return (weight * loss)[idx]
 
 
 def reference_simulate(config, design):
@@ -536,16 +539,17 @@ def reference_simulate(config, design):
     trials = config.trials
     g = config.grid_size or _MIN_GRID
     p = _bin_masses(coefficients, g)
-    while config.grid_size is None and _grid_size(p, *_bin_moments(g), trials) > g:
-        g = _grid_size(p, *_bin_moments(g), trials)
+    while config.grid_size is None and _grid_size(p, _bin_moments(g), trials) > g:
+        g = _grid_size(p, _bin_moments(g), trials)
         p = _bin_masses(coefficients, g)
-    law_bias = float(np.dot(p, _bin_moments(g)[0])) - closed
-    cdf, q, weight = _mixture(p)
+    loss = _bin_moments(g)
+    law_bias = float(np.dot(p, loss)) - closed
+    cdf, weight = _mixture(p)
     chunks = -(-trials // _CHUNK)
     count, mean, m2 = 0, 0.0, 0.0
     for stream in np.random.SeedSequence(config.seed).spawn(chunks):
         u = np.random.default_rng(stream).random(min(_CHUNK, trials - count))
-        y = reference_scores(u, cdf, q, weight)
+        y = reference_scores(u, cdf, weight, loss)
         chunk_mean = y.sum() / y.size
         chunk_m2 = ((y - chunk_mean) ** 2).sum()
         total = count + y.size
@@ -554,7 +558,7 @@ def reference_simulate(config, design):
         m2 += float(chunk_m2) + delta * delta * count * y.size / total
         count = total
     se = math.sqrt(m2 / (trials - 1) / trials)
-    return (mean, se, closed, (mean - closed) / se, law_bias)
+    return (mean, se, closed, (mean - closed) / se if se else math.nan, law_bias)
 
 
 @functools.lru_cache(maxsize=None)
@@ -565,6 +569,17 @@ def reference_bits(name, trials, seed, g):
 def bits(name, trials, seed, g):
     return list(map(repr, dataclasses.astuple(
         simulate(SimConfig(trials, seed, g), BIT_DESIGNS[name]()))))
+
+
+def assert_bits_match(name, trials, seed, g):
+    """simulate gives the reference's bits, or a ValueError where every trial
+    drew the same score and the reference's standard error is zero."""
+    want = reference_bits(name, trials, seed, g)
+    if want[1] == "0.0":
+        with pytest.raises(ValueError, match="no standard error"):
+            simulate(SimConfig(trials, seed, g), BIT_DESIGNS[name]())
+    else:
+        assert bits(name, trials, seed, g) == want, (trials, g)
 
 
 def hostile_cdf(mass):
@@ -642,7 +657,7 @@ class TestChunkedSampler:
         cases = [(trials, None) for trials in (2, 3, 2**16 - 1, 2**16, 2**16 + 1, 200_001)]
         cases += [(trials, g) for g in (256, 65536) for trials in (3, 2**16 + 1)]
         for trials, g in cases:
-            assert bits(name, trials, 11, g) == reference_bits(name, trials, 11, g), (trials, g)
+            assert_bits_match(name, trials, 11, g)
 
     def test_memory_per_trial(self, monkeypatch):
         """Peak traced memory does not grow with the trial count, on one thread."""
@@ -671,7 +686,7 @@ class TestParallelSampler:
         cases = [(trials, g) for trials in (2, 2**16 + 1, 3 * 2**16 + 1, 200_001)
                  for g in (256, None)]
         for trials, g in cases + [(MANY_CHUNKS, None)]:
-            assert bits(name, trials, 5, g) == reference_bits(name, trials, 5, g), (trials, g)
+            assert_bits_match(name, trials, 5, g)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("size", [1000, 2**16])
@@ -681,7 +696,7 @@ class TestParallelSampler:
         monkeypatch.setattr(SIMULATE_MODULE, "_cpu_count", lambda: workers)
         for name in ("phase n=10", "su2 n=5"):
             for trials, g in [(2, 256), (2**16 + 1, None), (17 * 2**16 - 5, None)]:
-                assert bits(name, trials, 5, g) == reference_bits(name, trials, 5, g), (trials, g)
+                assert_bits_match(name, trials, 5, g)
 
     def test_memory_on_two_threads(self, monkeypatch):
         """Peak traced memory with two threads, each holding a chunk and its

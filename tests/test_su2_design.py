@@ -8,6 +8,7 @@ from covest import (
     PhaseInputState,
     Seed,
     Su2Design,
+    asymptotic_error_su2,
     design_optimal,
     min_covariant_error,
     multiplicity_spectrum,
@@ -317,6 +318,9 @@ class TestBlockAmplitudeValidation:
             Su2Design(x, seed, 3.0, su2_error(x, seed, 3))
         with pytest.raises(TypeError, match="n must be an integer"):
             design_optimal(3.0)
+        for n in (math.nan, 2.5, True):
+            with pytest.raises(TypeError, match="n must be an integer"):
+                asymptotic_error_su2(n)
 
     def test_block_dims(self):
         assert single_block_design(5, [1.0, 0, 0]).block_dims == (2, 4, 6)
