@@ -46,15 +46,15 @@ MAX_SU2_N = 10_000
 MAX_PHASE_N = 1_000_000
 # simulate builds the density's Fourier coefficients (the autocorrelation
 # and, for su2, the self-convolution) from one zero-padded FFT, O(n log n),
-# and sizes its grid from the law and the trial count, at about 90 bytes per
-# bin: phase n = 10^5 at 10^5 trials needs 2^22 bins, 1.2 s and 394 MB.
+# and sizes its grid from the law and the trial count, at about 65 bytes per
+# bin: phase n = 10^5 at 10^5 trials needs 2^22 bins, 1.2 s and 299 MB.
 MAX_SIMULATE_N = 100_000
 # A law that needs more than MAX_GRID_SIZE bins (src/covest/simulate.py) is
 # a usage error, as phase n = 10^5 is at 2 * 10^7 trials.  simulate draws the
-# trials in chunks, one thread per CPU up to one per 8 chunks, and keeps per
-# chunk only its mean and squared deviations, so memory does not grow with
-# the trial count: cold su2 n = 5 on 2 CPUs takes 0.35 s and 38 MB at 10^7
-# trials and 0.44 s and 38 MB at 2 * 10^7 (medians of 7 runs).
+# bin counts of all its trials as one multinomial, so neither its time nor its
+# memory grows with the trial count: cold su2 n = 5 on 2 vCPUs takes 0.22 s
+# and 36 MB at 10^7 trials and 0.28 s and 36 MB at 2 * 10^7 (medians of 5
+# runs, most of it start-up).  The limit stays as the CLI's contract.
 MAX_TRIALS = 20_000_000
 # scaling solves every n up to max-n, O(max_n^2) work in all: 2.3-3.0 s and
 # 41 MB at 5000, 10-12 s and 51 MB at 10^4.

@@ -9,8 +9,6 @@ the binned law by importance sampling.
 """
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,26 +18,11 @@ from .phase import PhaseDesign
 from .su2_design import Su2Design
 
 _NEG_TOL = 1e-10
-# trials per chunk, each drawn from its own stream, and trials per scoring
-# pass: a numpy call on 2^14 elements or fewer ends about as soon as a waiting
-# thread gets the GIL back, so the threads' calls would take turns, not overlap
-_CHUNK = 1 << 16
-_PASS = _CHUNK // 2
-# chunks a thread runs at least, so that a short run starts no thread that
-# would only wait for its start-up
-_CHUNKS_PER_THREAD = 8
 # the automatic grid: at least _MIN_GRID bins, doubled until the law's bias
 # is a tenth of the standard error; a larger grid is a usage error, since
-# the grid's arrays peak at about 90 bytes per bin (88 traced at 2^22)
+# the grid's arrays peak at about 65 bytes per bin (64.6 traced at 2^22)
 _MIN_GRID = 1 << 12
 MAX_GRID_SIZE = 1 << 22
-# guide-table cells per bin, a power of two so that u * cells is exact: every
-# mixture bin has mass >= 1/(2g), one cell, so no two CDF points lie strictly
-# inside one cell, roundoff aside, and one comparison finds every bin (_bins).
-# Grids past _MAX_CELLS / 2 bins get fewer cells per bin, and each further
-# point in a cell costs one more comparison.
-_CELLS_PER_BIN = 2
-_MAX_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -140,13 +123,21 @@ def outcome_coefficients(design):
 
 
 def _on_grid(coefficients, g):
-    """Re sum_m C_m e^{i m phi} at phi = 2 pi j / g, j = 0..g, by one inverse FFT.
+    """Re sum_m C_m e^{i m phi} at phi = 2 pi j / g, j = 0..g, by one real inverse FFT.
 
     Folding coefficient m into slot m mod g is exact at the grid points,
-    whatever the degree; the endpoint 2 pi repeats the value at 0.
+    whatever the degree.  Only the real part is wanted, so slot g - m
+    conjugated joins slot m: H_m = f_m + conj(f_{g-m}) for 0 < m < g/2,
+    with H_0 = 2 f_0 and H_{g/2} = 2 f_{g/2}, whose imaginary parts the
+    real transform drops, is twice the Hermitian half-spectrum whose real
+    inverse FFT is Re sum f_m e^{i m phi}.  The endpoint 2 pi repeats the
+    value at 0.
     """
     folded = np.pad(coefficients, (0, -coefficients.size % g)).reshape(-1, g).sum(axis=0)
-    values = g * np.fft.ifft(folded).real
+    half = folded[: g // 2 + 1]
+    half[1:-1] += folded[: g // 2 : -1].conj()
+    half[[0, -1]] *= 2.0
+    values = (g / 2) * np.fft.irfft(half, g)
     return np.append(values, values[0])
 
 
@@ -206,8 +197,8 @@ def _grid_size(p, loss, trials):
     (p/q) loss, with bins drawn from q: its square times the trial count is
     sum p^2/q loss^2 minus the squared mean.
     """
-    mean = float(np.dot(p, loss))
-    variance = float(np.dot(p * _mixture(p)[1], loss * loss)) - mean * mean
+    mean = float(np.sum(p * loss))
+    variance = float(np.sum(p * _mixture(p)[1] * loss * loss)) - mean * mean
     se = math.sqrt(max(variance, 0.0) / trials)
     g = _MIN_GRID
     while (2.0 * math.pi / g) ** 2 / 24.0 > se / 10.0:
@@ -217,98 +208,6 @@ def _grid_size(p, loss, trials):
                 f"at {trials} trials this law's grid bias needs more than "
                 f"{MAX_GRID_SIZE} bins: use fewer trials or a smaller n")
     return g
-
-
-def _guide_table(cdf, cells):
-    """Guide table of a CDF over g bins (Chen & Asau 1974; Devroye, III.2.4).
-
-    lo[c] is the bin of the uniform c/cells, and steps is the most CDF
-    points strictly inside any cell (c/cells, (c+1)/cells), the most a
-    uniform in the cell can be at or above, so its bin is lo of its cell
-    plus at most steps more.  cells is a power of two, so cdf * cells is
-    exact: cdf[i] <= c/cells exactly when ceil(cdf[i] * cells) <= c, so one
-    bincount of those first edges and one cumsum count the CDF points at or
-    below every cell edge, in O(g + cells), and a point off the edges lies
-    inside the cell just below its first edge.
-    """
-    g = cdf.size - 1
-    scaled = cdf * cells
-    first = np.ceil(scaled).astype(np.intp)
-    lo = np.bincount(first, minlength=cells + 1)
-    np.cumsum(lo, out=lo)
-    lo -= 1
-    np.minimum(lo, g - 1, out=lo)
-    # the longest run of equal first edges among the points off the edges
-    inside = first[scaled != first]
-    runs = np.diff(np.flatnonzero(np.diff(inside, prepend=-1, append=cells + 2)))
-    return lo, int(runs.max(initial=0))
-
-
-def _bins(cdf, lo, steps, u, idx, above):
-    """clip(searchsorted(cdf, u, "right") - 1, 0, g - 1) for uniforms u in [0, 1),
-    written to idx, with above a float work array of u's size.
-
-    u times the power-of-two cell count is exact, so its integer part is u's
-    cell; from lo of that cell, each of steps comparisons with the next CDF
-    point moves the bin past one point at or below u.
-    """
-    np.multiply(u, lo.size - 1, out=above)
-    np.copyto(idx, above, casting="unsafe")
-    # every index is in range, so no take needs its bounds check; the take
-    # from lo reads each cell before it writes that cell's bin in its place
-    np.take(lo, idx, out=idx, mode="clip")
-    upper = cdf[1:]
-    for _ in range(steps):
-        np.take(upper, idx, out=above, mode="clip")
-        idx += u >= above
-    return idx
-
-
-def _cpu_count():
-    """CPUs this process may run on, the sampler's thread count before capping."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _run_split(task, ranges):
-    """task(start, stop) for every range: the first on this thread, each other
-    on a thread of its own, every error re-raised once all have ended.
-
-    numpy has already loaded threading, so this imports nothing, and a
-    single range starts no thread.
-    """
-    errors = []
-
-    def run(start, stop):
-        try:
-            task(start, stop)
-        except BaseException as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=run, args=pair) for pair in ranges[1:]]
-    for thread in threads:
-        thread.start()
-    run(*ranges[0])
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
-
-
-def _merged(moments, trials):
-    """Mean and sum of squared deviations of all trials from per-chunk (mean, M2)
-    rows, merged in chunk order (Chan, Golub & LeVeque, Am. Stat. 37, 242, 1983)."""
-    count, mean, m2 = 0, 0.0, 0.0
-    for c, (chunk_mean, chunk_m2) in enumerate(moments.tolist()):
-        size = min(_CHUNK, trials - c * _CHUNK)
-        total = count + size
-        delta = chunk_mean - mean
-        mean += delta * size / total
-        m2 += chunk_m2 + delta * delta * count * size / total
-        count = total
-    return mean, m2
 
 
 def simulate(config, design):
@@ -340,18 +239,22 @@ def simulate(config, design):
     standard error overstates the estimator's.  A law that would need more
     than MAX_GRID_SIZE bins is a ValueError.
 
-    The trials are drawn in chunks of _CHUNK, chunk c from its own stream
-    np.random.default_rng(np.random.SeedSequence(seed).spawn(chunks)[c]).
-    Each chunk leaves only its mean and M2, the sum of its squared
-    deviations, and the rows are merged in chunk order (_merged), so memory
-    is O(grid_size + threads * _CHUNK) whatever the trial count.  The chunks
-    are split into contiguous ranges of at least _CHUNKS_PER_THREAD, at most
-    one per CPU this process may run on (_cpu_count), each on its own thread
-    (_run_split).  A chunk's result depends on its index alone, so every
-    field has the same bits whatever the CPU count.  Each uniform finds its
-    bin through a guide table of 2 cells per bin and one comparison
-    (_guide_table, _bins), the bin a binary search over the whole CDF gives,
-    and is replaced by its bin's score, _PASS trials at a time.
+    A trial's score depends on its draw only through its bin, so the mean
+    and M2, the sum of squared deviations, depend on the trials only through
+    the bin counts, which are Multinomial(trials, q).  They are drawn in one
+    call, np.random.default_rng(seed).multinomial(trials, q), and the mean
+    and M2 are sums over the bins: O(grid_size) time and memory, whatever
+    the trial count, on one thread, so every field has the same bits on any
+    number of CPUs.  Every sum over the bins, law_bias's and _grid_size's
+    too, is numpy's sum and not a BLAS dot product, whose bits change with
+    the BLAS thread count at 2^16 bins.  numpy draws the counts by
+    conditional binomials (Devroye, Non-Uniform Random Variate Generation,
+    1986), bin j at probability q_j / r_j with r_j = 1 - q_0 - ... - q_{j-1}
+    subtracted in floating point, the last bin taking what is left; the
+    law this implies differs from q by the roundoff of that running sum.
+    For su2 n = 601 and phase n = 1000 on 4096, 2^16 and 2^22 bins it moves
+    the mean by at most 2e-9 standard errors at 2 * 10^7 trials (1.8e-9 for
+    phase n = 1000 on 2^22 bins).
     """
     coefficients, closed = outcome_coefficients(design), design.error
     if not math.isfinite(closed):
@@ -363,38 +266,15 @@ def simulate(config, design):
     while config.grid_size is None and (finer := _grid_size(p, loss, trials)) > g:
         g = finer
         p, loss = _bin_masses(coefficients, g), _bin_moments(g)
-    law_bias = float(np.dot(p, loss)) - closed
+    law_bias = float(np.sum(p * loss)) - closed
 
     cdf, weight = _mixture(p)
     score = weight * loss
-    lo, steps = _guide_table(cdf, min(_CELLS_PER_BIN * g, _MAX_CELLS))
-    chunks = -(-trials // _CHUNK)
-    streams = np.random.SeedSequence(config.seed).spawn(chunks)
-    moments = np.empty((chunks, 2))
-
-    def fill(first, last):
-        # chunks first..last-1 of uniforms, each replaced in place by its
-        # bin's score, a pass at a time
-        chunk = np.empty(min(_CHUNK, trials - first * _CHUNK))
-        above = np.empty(min(_PASS, chunk.size))
-        index = np.empty(above.size, np.intp)
-        for c in range(first, last):
-            size = min(_CHUNK, trials - c * _CHUNK)
-            np.random.default_rng(streams[c]).random(out=chunk[:size])
-            for start in range(0, size, _PASS):
-                x = chunk[start : min(start + _PASS, size)]
-                idx = _bins(cdf, lo, steps, x, index[: x.size], above[: x.size])
-                np.take(score, idx, out=x, mode="clip")
-            x = chunk[:size]
-            mean = x.sum() / size
-            x -= mean
-            np.square(x, out=x)
-            moments[c] = mean, x.sum()
-
-    workers = max(1, min(_cpu_count(), chunks // _CHUNKS_PER_THREAD))
-    bounds = [k * chunks // workers for k in range(workers + 1)]
-    _run_split(fill, list(zip(bounds[:-1], bounds[1:])))
-    mean, m2 = _merged(moments, trials)
+    counts = np.random.default_rng(config.seed).multinomial(trials, np.diff(cdf))
+    # a draw in one bin has frequency exactly 1 there, so its mean is that
+    # bin's score and its M2 exactly 0
+    mean = float(np.sum(counts / trials * score))
+    m2 = float(np.sum(counts * np.square(score - mean)))
     se = math.sqrt(m2 / (trials - 1) / trials)
     if not se > 0.0:
         raise ValueError(f"all {trials} trials drew the same score, so they give no "

@@ -10,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from conftest import gram, random_phase_design, random_seed
 from covest import (
@@ -28,21 +29,17 @@ from covest import (
     simulate,
     su2_error,
 )
+from covest.cli import MAX_TRIALS
 from covest.simulate import (
-    _CELLS_PER_BIN,
-    _CHUNK,
     _MIN_GRID,
     MAX_GRID_SIZE,
     _autocorrelation,
     _bin_masses,
     _bin_moments,
-    _bins,
     _grid_size,
-    _guide_table,
     _mixture,
     _on_grid,
     _padded_fft,
-    _run_split,
     _self_convolution,
 )
 from mc_oracle import haar_mean_loss, povm_identity_deviation
@@ -241,7 +238,7 @@ class TestLawBias:
         design = optimal_input(1000)
         res = simulate(SimConfig(1_000_000, 20040725, 4096), design)
         # pinned to the last bit
-        assert res.z_score == 17.5835678351099
+        assert res.z_score == 15.833577022058883
         offset = res.law_bias / res.standard_error
         assert offset > 10.0
         assert abs(res.z_score - offset) < 4.0
@@ -524,249 +521,96 @@ class TestCovarianceReduction:
         assert abs(mean - su2_error(design.input, design.seed, n)) < 1e-12
 
 
-def reference_scores(u, cdf, weight, loss):
-    """(p/q) L of each uniform's bin, the bin found by a binary search over
-    the whole CDF."""
-    idx = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, loss.size - 1)
-    return (weight * loss)[idx]
-
-
-def reference_simulate(config, design):
-    """The sampler on one thread and without a guide table: each chunk's
-    uniforms from its own spawned stream, scored by reference_scores, and the
-    chunk means and squared deviations merged in chunk order."""
-    coefficients, closed = outcome_coefficients(design), design.error
-    trials = config.trials
+def one_shot(config, design):
+    """Mean and M2 of the trials' scores listed one by one, np.repeat(score,
+    counts), and the number of bins drawn, with the counts drawn as simulate
+    draws them on the grid it chose."""
+    coefficients, trials = outcome_coefficients(design), config.trials
     g = config.grid_size or _MIN_GRID
-    p = _bin_masses(coefficients, g)
-    while config.grid_size is None and _grid_size(p, _bin_moments(g), trials) > g:
-        g = _grid_size(p, _bin_moments(g), trials)
-        p = _bin_masses(coefficients, g)
-    loss = _bin_moments(g)
-    law_bias = float(np.dot(p, loss)) - closed
+    while config.grid_size is None and (
+            finer := _grid_size(_bin_masses(coefficients, g), _bin_moments(g), trials)) > g:
+        g = finer
+    p, loss = _bin_masses(coefficients, g), _bin_moments(g)
     cdf, weight = _mixture(p)
-    chunks = -(-trials // _CHUNK)
-    count, mean, m2 = 0, 0.0, 0.0
-    for stream in np.random.SeedSequence(config.seed).spawn(chunks):
-        u = np.random.default_rng(stream).random(min(_CHUNK, trials - count))
-        y = reference_scores(u, cdf, weight, loss)
-        chunk_mean = y.sum() / y.size
-        chunk_m2 = ((y - chunk_mean) ** 2).sum()
-        total = count + y.size
-        delta = float(chunk_mean) - mean
-        mean += delta * y.size / total
-        m2 += float(chunk_m2) + delta * delta * count * y.size / total
-        count = total
-    se = math.sqrt(m2 / (trials - 1) / trials)
-    return (mean, se, closed, (mean - closed) / se if se else math.nan, law_bias)
+    counts = np.random.default_rng(config.seed).multinomial(trials, np.diff(cdf))
+    y = np.repeat(weight * loss, counts)
+    mean = math.fsum(y) / trials
+    return mean, math.fsum((y - mean) ** 2), np.count_nonzero(counts)
 
 
-@functools.lru_cache(maxsize=None)
-def reference_bits(name, trials, seed, g):
-    return list(map(repr, reference_simulate(SimConfig(trials, seed, g), BIT_DESIGNS[name]())))
+# draws of two and three trials that all land in one bin of phase n = 1000;
+# at seed 1074 fl(3 s) / 3 is not s, so a mean of counts . score / trials
+# would leave a tiny positive M2, and a huge z-score in place of the error
+ONE_BIN_DRAWS = [(2, 16), (3, 458), (3, 1074)]
 
 
-def bits(name, trials, seed, g):
-    return list(map(repr, dataclasses.astuple(
-        simulate(SimConfig(trials, seed, g), BIT_DESIGNS[name]()))))
-
-
-def assert_bits_match(name, trials, seed, g):
-    """simulate gives the reference's bits, or a ValueError where every trial
-    drew the same score and the reference's standard error is zero."""
-    want = reference_bits(name, trials, seed, g)
-    if want[1] == "0.0":
-        with pytest.raises(ValueError, match="no standard error"):
-            simulate(SimConfig(trials, seed, g), BIT_DESIGNS[name]())
-    else:
-        assert bits(name, trials, seed, g) == want, (trials, g)
-
-
-def hostile_cdf(mass):
-    cdf = np.concatenate([[0.0], np.cumsum(mass)])
-    return cdf / cdf[-1]
-
-
-def zero_runs(g):
-    mass = np.ones(g)
-    mass[:5] = mass[40:90] = mass[g // 2] = mass[-30:-29] = 0.0
-    return mass
-
-
-# the sampler's cell count at 4096 bins, and the old fixed one
-CELLS = 2**16
-
-HOSTILE_CDFS = {
-    "zero-mass runs": hostile_cdf(zero_runs(256)),
-    "all mass in one bin": hostile_cdf(np.eye(4096)[1234]),
-    "all mass in the first bin": hostile_cdf(np.eye(256)[0]),
-    "trailing zero mass": hostile_cdf(np.concatenate([np.ones(200), np.zeros(56)])),
-    # every CDF point on a cell edge c / 2^16
-    "points on cell edges, g = 256": np.arange(257) / 256,
-    "points on cell edges, g = 2^16": np.arange(2**16 + 1) / 2**16,
-    "two points per cell": np.arange(2**17 + 1) / 2**17,
-    "uneven, g = 4096": hostile_cdf(np.random.default_rng(3).exponential(size=4096) ** 4),
-}
-
-
-class TestBinLookup:
-    @pytest.mark.parametrize("name", list(HOSTILE_CDFS))
-    def test_matches_binary_search(self, name):
-        cdf = HOSTILE_CDFS[name]
-        g = cdf.size - 1
-        points = cdf[cdf < 1.0]
-        u = np.concatenate([
-            [0.0, np.nextafter(1.0, 0.0)],
-            np.arange(CELLS) / CELLS,
-            points,
-            np.nextafter(points, 1.0),
-            np.nextafter(points[points > 0.0], 0.0),
-            np.random.default_rng(7).random(100_000),
-        ])
-        want = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, g - 1)
-        lo, steps = _guide_table(cdf, CELLS)
-        work = np.empty(u.size, np.intp), np.empty(u.size)
-        assert np.array_equal(_bins(cdf, lo, steps, u, *work), want)
-
-    @pytest.mark.parametrize("name", list(HOSTILE_CDFS))
-    def test_guide_table_matches_searched_edges(self, name):
-        cdf = HOSTILE_CDFS[name]
-        ends = np.arange(CELLS + 1) / CELLS
-        lo = np.minimum(np.searchsorted(cdf, ends, side="right") - 1, cdf.size - 2)
-        inside = np.searchsorted(cdf, ends[1:], side="left") - np.searchsorted(
-            cdf, ends[:-1], side="right")
-        got_lo, got_steps = _guide_table(cdf, CELLS)
-        assert np.array_equal(got_lo, lo)
-        assert got_steps == max(inside.max(), 0)
-
+class TestCountSampler:
     @pytest.mark.parametrize("name", list(BIT_DESIGNS))
-    def test_one_comparison_on_every_mixture(self, name):
-        """Every mixture bin spans at least one of the sampler's cells, so no
-        cell holds two CDF points strictly inside it."""
-        coefficients = outcome_coefficients(BIT_DESIGNS[name]())
-        for g in (256, 4096, 65536):
-            cdf = _mixture(_bin_masses(coefficients, g))[0]
-            assert _guide_table(cdf, _CELLS_PER_BIN * g)[1] <= 1
-
-
-class TestChunkedSampler:
-    @pytest.mark.parametrize("name", list(BIT_DESIGNS))
-    def test_bits_match_one_shot_sampler(self, name):
-        # every chunk boundary case on the automatic grid, and both grid
-        # extremes on a short and a just-over-one-chunk run
-        cases = [(trials, None) for trials in (2, 3, 2**16 - 1, 2**16, 2**16 + 1, 200_001)]
-        cases += [(trials, g) for g in (256, 65536) for trials in (3, 2**16 + 1)]
+    def test_counts_give_one_shot_moments(self, name):
+        """The mean and M2 summed over the bin counts are those of the trials'
+        scores listed one by one, to a few ulps, and a draw whose trials all
+        share a bin is a ValueError."""
+        cases = [(trials, None) for trials in (2, 3, 1000, 200_001)]
+        cases += [(trials, g) for g in (256, 65536) for trials in (3, 1001)]
         for trials, g in cases:
-            assert_bits_match(name, trials, 11, g)
+            config = SimConfig(trials, 11, g)
+            mean, m2, occupied = one_shot(config, BIT_DESIGNS[name]())
+            if occupied == 1:
+                with pytest.raises(ValueError, match="no standard error"):
+                    simulate(config, BIT_DESIGNS[name]())
+                continue
+            res = simulate(config, BIT_DESIGNS[name]())
+            assert abs(res.empirical_mean_error - mean) <= 4e-16 * mean, (trials, g)
+            se = math.sqrt(m2 / (trials - 1) / trials)
+            assert abs(res.standard_error - se) <= 1e-12 * se, (trials, g)
 
-    def test_memory_per_trial(self, monkeypatch):
-        """Peak traced memory does not grow with the trial count, on one thread."""
-        monkeypatch.setattr(SIMULATE_MODULE, "_cpu_count", lambda: 1)
+    @pytest.mark.parametrize("trials, seed", ONE_BIN_DRAWS)
+    def test_draw_in_one_bin_has_no_standard_error(self, trials, seed):
+        config = SimConfig(trials, seed)
+        assert one_shot(config, optimal_input(1000))[2] == 1
+        with pytest.raises(ValueError, match=f"all {trials} trials drew the same score"):
+            simulate(config, optimal_input(1000))
+
+    @pytest.mark.parametrize("name", list(BIT_DESIGNS))
+    def test_counts_pass_chi_square(self, name):
+        """One fixed-seed draw of 10^7 trials over 256 bins, against the
+        expected counts N q of the defensive mixture."""
+        trials = 10_000_000
+        q = np.diff(_mixture(_bin_masses(outcome_coefficients(BIT_DESIGNS[name]()), 256))[0])
+        counts = np.random.default_rng(2024).multinomial(trials, q)
+        assert scipy.stats.chisquare(counts, trials * q).pvalue > 1e-3
+
+    def test_memory_does_not_grow_with_trials(self):
+        """Peak traced memory is the grid's alone, from 10^5 trials to the
+        CLI's limit.  A first run, untraced, fills numpy's one-time caches."""
         design = optimal_input(10)
+        simulate(SimConfig(100_000, 3), design)
         peaks = []
-        for trials in (100_000, 4_000_000):
+        for trials in (100_000, MAX_TRIALS):
             tracemalloc.start()
             try:
                 simulate(SimConfig(trials, 3), design)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert abs(peaks[1] - peaks[0]) < 2**20
+        assert abs(peaks[1] - peaks[0]) < 2**16
+        assert max(peaks) <= 3.3 * 2**20
 
-
-# enough chunks for 5 threads of 8
-MANY_CHUNKS = 40 * 2**16 + 1
-
-
-class TestParallelSampler:
-    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
-    @pytest.mark.parametrize("name", ["phase n=10", "su2 n=5"])
-    def test_bits_match_one_shot_sampler(self, monkeypatch, name, workers):
-        monkeypatch.setattr(SIMULATE_MODULE, "_cpu_count", lambda: workers)
-        cases = [(trials, g) for trials in (2, 2**16 + 1, 3 * 2**16 + 1, 200_001)
-                 for g in (256, None)]
-        for trials, g in cases + [(MANY_CHUNKS, None)]:
-            assert_bits_match(name, trials, 5, g)
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("size", [1000, 2**16])
-    def test_bits_on_any_pass_size(self, monkeypatch, size, workers):
-        """Passes that do not divide a chunk, and passes of a whole chunk."""
-        monkeypatch.setattr(SIMULATE_MODULE, "_PASS", size)
-        monkeypatch.setattr(SIMULATE_MODULE, "_cpu_count", lambda: workers)
-        for name in ("phase n=10", "su2 n=5"):
-            for trials, g in [(2, 256), (2**16 + 1, None), (17 * 2**16 - 5, None)]:
-                assert_bits_match(name, trials, 5, g)
-
-    def test_memory_on_two_threads(self, monkeypatch):
-        """Peak traced memory with two threads, each holding a chunk and its
-        pass-size work arrays, beside the grid's tables."""
-        monkeypatch.setattr(SIMULATE_MODULE, "_cpu_count", lambda: 2)
-        tracemalloc.start()
-        try:
-            simulate(SimConfig(4_000_000, 3), optimal_input(10))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3.3 * 2**20
-
-    def test_bits_under_fast_thread_switching(self, monkeypatch):
-        """More threads than cores, switching every microsecond."""
-        monkeypatch.setattr(SIMULATE_MODULE, "_cpu_count", lambda: 8)
-        trials = 64 * 2**16 + 3
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = bits("su2 n=5", trials, 23, None)
-        finally:
-            sys.setswitchinterval(interval)
-        assert got == reference_bits("su2 n=5", trials, 23, None)
-
-    @pytest.mark.parametrize("chunks, workers", [(1, 1), (7, 1), (16, 2), (40, 5), (153, 19)])
-    def test_threads_get_at_least_eight_chunks(self, monkeypatch, chunks, workers):
-        """On a host with 1000 CPUs each thread still gets 8 chunks or more;
-        the ranges run here one after another, so no thread starts."""
-        monkeypatch.setattr(SIMULATE_MODULE, "_cpu_count", lambda: 1000)
-        calls = []
-
-        def serial(task, ranges):
-            calls.append(ranges)
-            for start, stop in ranges:
-                task(start, stop)
-
-        monkeypatch.setattr(SIMULATE_MODULE, "_run_split", serial)
-        config = SimConfig((chunks - 1) * 2**16 + 5, 9)
-        got = simulate(config, optimal_input(2))
-        [ranges] = calls
-        assert len(ranges) == workers
-        assert ranges[0][0] == 0 and ranges[-1][1] == chunks
-        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
-        assert all(stop - start >= 8 for start, stop in ranges) or workers == 1
-        monkeypatch.undo()
-        assert repr(got) == repr(simulate(config, optimal_input(2)))
-
-    def test_error_on_a_thread_is_raised(self):
-        def task(start, stop):
-            if start:
-                raise ZeroDivisionError(start)
-
-        with pytest.raises(ZeroDivisionError):
-            _run_split(task, [(0, 1), (1, 2), (2, 3)])
-
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
-                        reason="no CPU affinity on this platform")
-    def test_cli_bits_on_one_cpu(self):
-        """A run pinned to one CPU prints what a run on every CPU prints, each
-        in its own process."""
-        argv = ["simulate", "--protocol", "su2", "--n", "5",
-                "--trials", str(MANY_CHUNKS), "--seed", "17"]
-        pin = "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+    def test_cli_bits_in_two_processes(self):
+        """Two processes print the same bits: one pinned to one CPU with one
+        BLAS thread, one with two BLAS threads on every CPU.  Phase n = 1000
+        sums over 2^16 bins, where a BLAS dot product's bits change with its
+        thread count."""
+        argv = ["simulate", "--protocol", "phase", "--n", "1000",
+                "--trials", "1000000", "--seed", "20040725"]
+        pin = ("os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+               if hasattr(os, "sched_setaffinity") else "")
         src = os.path.dirname(os.path.dirname(SIMULATE_MODULE.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
         results = []
-        for prefix in ("", pin):
+        for prefix, threads in (("", "2"), (pin, "1")):
             code = (f"import os, sys; {prefix}from covest.cli import main; "
                     "sys.exit(main(sys.argv[1:]))")
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
             proc = subprocess.run([sys.executable, "-c", code, *argv],
                                   env=env, capture_output=True, text=True, timeout=120)
             assert proc.returncode == 0, proc.stderr
@@ -774,5 +618,5 @@ class TestParallelSampler:
             del payload["manifest"]["timestamp"]
             results.append(payload)
         assert results[0] == results[1]
-        assert results[0]["result"]["empirical_mean_error"] == float(
-            reference_bits("su2 n=5", MANY_CHUNKS, 17, None)[0])
+        want = dataclasses.asdict(simulate(SimConfig(1_000_000, 20040725), optimal_input(1000)))
+        assert results[0]["result"] == {**want, "pass": True}
