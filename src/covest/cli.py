@@ -21,10 +21,14 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .phase import asymptotic_error, bdm_input, min_covariant_error, optimal_input
+from .phase import (
+    _optimal_phase_error, asymptotic_error, bdm_input, min_covariant_error, optimal_input,
+)
 from .simulate import SimConfig, simulate
 from .su2 import multiplicity_spectrum
-from .su2_design import SELF_ENTANGLED, asymptotic_error_su2, design_optimal
+from .su2_design import (
+    SELF_ENTANGLED, _optimal_su2_error, asymptotic_error_su2, design_optimal,
+)
 from .integrals import phase_kernel_matrix, su2_kernel_matrix
 
 # Fixed default so bare invocations are reproducible; override with --seed.
@@ -56,12 +60,14 @@ MAX_SIMULATE_N = 100_000
 # and 36 MB at 10^7 trials and 0.28 s and 36 MB at 2 * 10^7 (medians of 5
 # runs, most of it start-up).  The limit stays as the CLI's contract.
 MAX_TRIALS = 20_000_000
-# scaling solves every n up to max-n, O(max_n^2) work in all: 2.3-3.0 s and
-# 41 MB at 5000, 10-12 s and 51 MB at 10^4.
+# scaling takes each row's optimal errors from their closed forms, O(1), and
+# the sine-profile error from its n+1 amplitudes, O(n), so O(max_n^2) cheap
+# numpy work in all: 0.9 s and 39 MB at 5000, 2.2 s and 49 MB at 10^4.
 MAX_SCALING_N = 10_000
-# verify-integrals builds three kernel matrices from character tables of
-# O(kmax^2) terms at O(kmax) nodes, O(kmax^3) work: 0.44 s at kmax = 60 and
-# 0.66 s at 100 as cold runs, and 1.7 s in-process at 200.
+# verify-integrals builds three kernel matrices at O(kmax) nodes: O(kmax^2)
+# cosines (one table per parity of dimension) and O(kmax^3) additions and
+# multiply-adds: 0.19 s at kmax = 60 and 0.21 s at 100 as cold runs, most of
+# it start-up, and 13 ms in-process at 100.
 MAX_KMAX = 100
 
 EXIT_OK = 0
@@ -282,9 +288,9 @@ def cmd_scaling(args):
     if not 1 <= args.step <= args.max_n:
         raise _UsageError("step must be between 1 and max-n")
     rows = [
-        {"n": n, "phase_exact": optimal_input(n).error,
+        {"n": n, "phase_exact": _optimal_phase_error(n),
          "phase_bdm": min_covariant_error(bdm_input(n)), "phase_asymptote": asymptotic_error(n),
-         "su2_error": design_optimal(n).error, "su2_asymptote": asymptotic_error_su2(n)}
+         "su2_error": _optimal_su2_error(n), "su2_asymptote": asymptotic_error_su2(n)}
         for n in range(args.step, args.max_n + 1, args.step)
     ]
     return {"rows": rows}, EXIT_OK

@@ -7,12 +7,15 @@ them all: nodes equispaced in psi over [0, 2*pi), that is theta over
 count exceeds the degree in psi, and the count is derived from the largest
 dimension or level asked for.  Each function builds its character or
 exponential table once and returns the whole kernel as one weighted matrix
-product.
+product.  The characters of one parity are window sums of a single table
+of cos(theta m) over the weights m of the largest dimension D of that
+parity: O(D N) cosines at N nodes, where one character at a time would take
+O(D^2 N).
 """
 
 import numpy as np
 
-from .su2 import character
+from ._checks import as_index
 
 _IMAG_TOL = 1e-14
 
@@ -28,6 +31,25 @@ def _half_angle_rule(top):
     return theta, np.sin(theta / 2.0) ** 2
 
 
+def _character_table(dims, theta):
+    """chi[a] = character(dims[a], theta), bit for bit, from one cosine table per parity.
+
+    character(d, theta) sums cos(theta m) over the weights m = -(d-1)/2 ..
+    (d-1)/2.  These are the d central weights of D, the largest dimension of
+    d's parity, so they are the contiguous columns (D-d)/2 .. (D+d)/2 - 1 of
+    D's table, and each row is the same sum of the same values in the same
+    order.
+    """
+    tops = {d % 2: d for d in sorted(dims)}
+    tables = {parity: np.cos(np.multiply.outer(theta, np.arange(1, top + 1) - 0.5 * (top + 1)))
+              for parity, top in tops.items()}
+    chi = np.empty((len(dims), theta.size))
+    for a, d in enumerate(dims):
+        start = (tops[d % 2] - d) // 2
+        chi[a] = tables[d % 2][:, start : start + d].sum(axis=-1)
+    return chi
+
+
 def su2_kernel_matrix(dims):
     """K[a, b] = integral of sin^2(theta/2) chi^{dims[a]} chi^{dims[b]} d mu.
 
@@ -35,11 +57,13 @@ def su2_kernel_matrix(dims):
     dims 2k, 2l this is (1/2) delta_{k,l} - (1/4) delta_{k,l+-1}; the diagonal
     is 3/4 at dimension 1 and 1/2 above; entries of mixed parity vanish.
     """
-    dims = tuple(dims)
+    dims = tuple(as_index(d, "j") for d in dims)
     if not dims:
         raise ValueError("dims must be nonempty")
+    if min(dims) < 1:
+        raise ValueError("irrep dimension must be >= 1")
     theta, s = _half_angle_rule(max(dims))
-    chi = np.array([character(d, theta) for d in dims])
+    chi = _character_table(dims, theta)
     return (chi * (2.0 * s * s / theta.size)) @ chi.T
 
 

@@ -109,6 +109,11 @@ def min_covariant_error(x):
     return 0.5 * (1.0 - float(np.sum(mags[:-1] * mags[1:])))
 
 
+def _optimal_phase_error(n):
+    """(1/2)(1 - cos(pi/(n+2))), the error of optimal_input(n), in O(1)."""
+    return 0.5 * (1.0 - math.cos(math.pi / (n + 2)))
+
+
 def optimal_input(n):
     """Exact optimal design for n uses (d = n+1 levels).
 
@@ -121,8 +126,7 @@ def optimal_input(n):
         raise ValueError("n must be >= 0")
     amps = np.sin(math.pi * np.arange(1, n + 2) / (n + 2))
     state = PhaseInputState(amps / np.linalg.norm(amps))
-    error = 0.5 * (1.0 - math.cos(math.pi / (n + 2)))
-    return PhaseDesign(state, optimal_seed(state), error)
+    return PhaseDesign(state, optimal_seed(state), _optimal_phase_error(n))
 
 
 def bdm_input(n):

@@ -188,17 +188,17 @@ def _mixture(p):
     return cdf, p / np.diff(cdf)
 
 
-def _grid_size(p, loss, trials):
+def _grid_size(p, weight, loss, trials):
     """Smallest power of two g >= _MIN_GRID with h^2/24 <= se/10, h = 2 pi/g.
 
     The binned law's mean loss is biased by about h^2 (1 - 2 D)/24 (the mean
     of the loss's second derivative, 1/2 - sin^2, times the within-bin
     variance h^2/12).  se is the exact standard error of simulate's scores
-    (p/q) loss, with bins drawn from q: its square times the trial count is
-    sum p^2/q loss^2 minus the squared mean.
+    (p/q) loss, with bins drawn from q and weight = p/q from _mixture(p): its
+    square times the trial count is sum p^2/q loss^2 minus the squared mean.
     """
     mean = float(np.sum(p * loss))
-    variance = float(np.sum(p * _mixture(p)[1] * loss * loss)) - mean * mean
+    variance = float(np.sum(p * weight * loss * loss)) - mean * mean
     se = math.sqrt(max(variance, 0.0) / trials)
     g = _MIN_GRID
     while (2.0 * math.pi / g) ** 2 / 24.0 > se / 10.0:
@@ -262,13 +262,15 @@ def simulate(config, design):
     trials = config.trials
 
     g = config.grid_size or _MIN_GRID
-    p, loss = _bin_masses(coefficients, g), _bin_moments(g)
-    while config.grid_size is None and (finer := _grid_size(p, loss, trials)) > g:
-        g = finer
+    while True:
         p, loss = _bin_masses(coefficients, g), _bin_moments(g)
+        cdf, weight = _mixture(p)
+        finer = config.grid_size or _grid_size(p, weight, loss, trials)
+        if finer <= g:
+            break
+        g = finer
     law_bias = float(np.sum(p * loss)) - closed
 
-    cdf, weight = _mixture(p)
     score = weight * loss
     counts = np.random.default_rng(config.seed).multinomial(trials, np.diff(cdf))
     # a draw in one bin has frequency exactly 1 there, so its mean is that

@@ -84,20 +84,29 @@ def design_optimal(n, reference_mode=EXTERNAL):
     has multiplicity 1, and the block of dimension n+1-2k, k >= 1, has
     multiplicity C(n,k)(n-2k+1)/(n-k+1) >= n+1-2k.  n = 1 has none.
     """
+    top = _largest_dim(n, reference_mode)
+    dims = np.array(_block_dims(n))
+    a = np.where(dims <= top, np.sin(math.pi * dims / (top + 2)), 0.0)
+    state = PhaseInputState(a / np.linalg.norm(a))
+    return Su2Design(state, optimal_seed(state), n, _optimal_su2_error(n, reference_mode))
+
+
+def _largest_dim(n, reference_mode):
+    """D, the largest block dimension design_optimal(n, reference_mode) uses."""
     if as_index(n, "n") < 1:
         raise ValueError("n must be >= 1")
     if reference_mode not in (EXTERNAL, SELF_ENTANGLED):
         raise ValueError(f"unknown reference mode {reference_mode!r}")
     if reference_mode == EXTERNAL:
-        top = n + 1
-    elif n == 1:
+        return n + 1
+    if n == 1:
         raise ValueError("no self-entangleable block for n=1")
-    else:
-        top = n - 1
-    dims = np.array(_block_dims(n))
-    a = np.where(dims <= top, np.sin(math.pi * dims / (top + 2)), 0.0)
-    state = PhaseInputState(a / np.linalg.norm(a))
-    return Su2Design(state, optimal_seed(state), n, math.sin(math.pi / (top + 2)) ** 2)
+    return n - 1
+
+
+def _optimal_su2_error(n, reference_mode=EXTERNAL):
+    """sin^2(pi/(D+2)), the error of design_optimal(n, reference_mode), in O(1)."""
+    return math.sin(math.pi / (_largest_dim(n, reference_mode) + 2)) ** 2
 
 
 def asymptotic_error_su2(n):

@@ -25,7 +25,9 @@ from covest.cli import (
     _build_parser,
     main,
 )
+from covest.phase import PhaseDesign, bdm_input, min_covariant_error, optimal_input
 from covest.simulate import MAX_GRID_SIZE
+from covest.su2_design import Su2Design, design_optimal
 
 
 def run_cli(capsys, *argv):
@@ -184,10 +186,12 @@ class TestVerifyIntegrals:
         assert all(row["worst_abs_deviation"] <= 1e-12 for row in rows)
 
     def test_wrong_character_fails(self, capsys, monkeypatch):
-        character = covest.integrals.character
+        """chi^j + cos((j+1) theta/2) in place of every character chi^j."""
+        table = covest.integrals._character_table
         monkeypatch.setattr(
-            covest.integrals, "character",
-            lambda j, theta: character(j, theta) + np.cos((j + 1) * theta / 2.0),
+            covest.integrals, "_character_table",
+            lambda dims, theta: table(dims, theta)
+            + np.cos(np.multiply.outer(np.add(dims, 1), theta) / 2.0),
         )
         code, payload = run_json(capsys, "verify-integrals", "--kmax", "5")
         assert code == 2
@@ -453,6 +457,32 @@ class TestScaling:
     def test_step_outside_1_to_max_n_is_usage_error(self, step):
         proc = assert_usage_error("scaling", "--max-n", "4", "--step", step)
         assert "step must be between 1 and max-n" in proc.stderr
+
+    @pytest.mark.parametrize("max_n, step", [(300, 1), (MAX_SCALING_N, 997)])
+    def test_rows_equal_the_designs(self, capsys, max_n, step):
+        """Each row's errors are those of the designs themselves, bit for bit."""
+        code, payload = run_json(capsys, "scaling", "--max-n", str(max_n), "--step", str(step))
+        rows = payload["result"]["rows"]
+        assert code == 0
+        assert [row["n"] for row in rows] == list(range(step, max_n + 1, step))
+        for row in rows:
+            n = row["n"]
+            assert row["phase_exact"] == optimal_input(n).error
+            assert row["su2_error"] == design_optimal(n).error
+            assert row["phase_bdm"] == min_covariant_error(bdm_input(n))
+
+    def test_builds_no_design(self, capsys, monkeypatch):
+        """The rows come from closed forms, not from an O(n) design per row."""
+        built = []
+        for cls in (PhaseDesign, Su2Design):
+            check = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__",
+                                lambda self, check=check: built.append(self) or check(self))
+        code, payload = run_json(capsys, "scaling", "--max-n", "50")
+        assert code == 0 and len(payload["result"]["rows"]) == 50
+        assert built == []
+        optimal_input(3), design_optimal(3)
+        assert len(built) == 2
 
     def test_large_n_ratios(self, capsys):
         code, payload = run_json(

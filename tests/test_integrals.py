@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from covest import phase_kernel_matrix, su2_kernel_matrix
+from covest.cli import MAX_KMAX
+from covest.integrals import _character_table, _half_angle_rule
+from covest.su2 import character
 
 
 def delta_pattern(k, l):
@@ -57,9 +60,44 @@ class TestSu2ErrorKernel:
         with pytest.raises(ValueError):
             su2_kernel_matrix([0, 2])
 
+    @pytest.mark.parametrize("dim", [2.0, True, "2"])
+    def test_rejects_non_integer_dimension(self, dim):
+        with pytest.raises(TypeError, match="j must be an integer"):
+            su2_kernel_matrix([3, dim])
+
     def test_rejects_empty_list(self):
         with pytest.raises(ValueError, match="dims must be nonempty"):
             su2_kernel_matrix([])
+
+
+# every dimension verify-integrals asks for, by parity, and both parities mixed
+TABLE_DIMS = {
+    "even": range(2, 2 * MAX_KMAX + 1, 2),
+    "odd": range(1, 2 * MAX_KMAX, 2),
+    "mixed": range(1, 42),
+    "unordered": (40, 7, 1, 2, 39, 7),
+}
+
+
+class TestCharacterTable:
+    """The window sums of one cosine table per parity are character(d, theta)
+    bit for bit, so the kernels are the ones built character by character."""
+
+    @pytest.mark.parametrize("name", list(TABLE_DIMS))
+    def test_rows_equal_character(self, name):
+        dims = tuple(TABLE_DIMS[name])
+        theta, _ = _half_angle_rule(max(dims))
+        table = _character_table(dims, theta)
+        for row, d in zip(table, dims, strict=True):
+            assert np.array_equal(row, character(d, theta)), d
+
+    @pytest.mark.parametrize("name", list(TABLE_DIMS))
+    def test_kernel_equals_character_by_character(self, name):
+        dims = tuple(TABLE_DIMS[name])
+        theta, s = _half_angle_rule(max(dims))
+        chi = np.array([character(d, theta) for d in dims])
+        want = (chi * (2.0 * s * s / theta.size)) @ chi.T
+        assert np.array_equal(su2_kernel_matrix(dims), want)
 
 
 class TestSingleIrrepIntegral:

@@ -339,7 +339,7 @@ class TestGridSize:
         coefficients = outcome_coefficients(BIT_DESIGNS[name]())
         for size in (_MIN_GRID, g):
             p = _bin_masses(coefficients, size)
-            assert _grid_size(p, _bin_moments(size), trials) == g
+            assert _grid_size(p, _mixture(p)[1], _bin_moments(size), trials) == g
         grids = record_grids(monkeypatch)
         simulate(SimConfig(trials, 1), BIT_DESIGNS[name]())
         assert grids == sorted({_MIN_GRID, g})
@@ -527,10 +527,11 @@ def one_shot(config, design):
     draws them on the grid it chose."""
     coefficients, trials = outcome_coefficients(design), config.trials
     g = config.grid_size or _MIN_GRID
-    while config.grid_size is None and (
-            finer := _grid_size(_bin_masses(coefficients, g), _bin_moments(g), trials)) > g:
-        g = finer
     p, loss = _bin_masses(coefficients, g), _bin_moments(g)
+    while config.grid_size is None and (
+            finer := _grid_size(p, _mixture(p)[1], loss, trials)) > g:
+        g = finer
+        p, loss = _bin_masses(coefficients, g), _bin_moments(g)
     cdf, weight = _mixture(p)
     counts = np.random.default_rng(config.seed).multinomial(trials, np.diff(cdf))
     y = np.repeat(weight * loss, counts)

@@ -27,10 +27,11 @@ def argument_lists():
     for n in SIZES + [999, 1000, 1999, 2000]:
         for mode in ("external", "self-entangled"):
             lists.append(["su2-design", "--n", str(n), "--mode", mode])
-    lists += [["verify-integrals", "--kmax", str(k)] for k in (1, 30, 60)]
+    lists += [["verify-integrals", "--kmax", str(k)] for k in (1, 30, 60, 100)]
     # every identity fails: exit 2, pass false in every row
     lists.append(["verify-integrals", "--kmax", "3", "--tol", "1e-16"])
-    lists += [["scaling", "--max-n", "100"], ["scaling", "--max-n", "300", "--step", "7"]]
+    lists += [["scaling", "--max-n", "100"], ["scaling", "--max-n", "300", "--step", "7"],
+              ["scaling", "--max-n", "10000"], ["scaling", "--max-n", "10000", "--step", "997"]]
     lists += [
         ["simulate", "--protocol", "phase", "--n", "1000", "--trials", "1000000",
          "--seed", "20040725"],
