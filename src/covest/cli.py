@@ -50,15 +50,14 @@ MAX_SU2_N = 10_000
 MAX_PHASE_N = 1_000_000
 # simulate builds the density's Fourier coefficients (the autocorrelation
 # and, for su2, the self-convolution) from one zero-padded FFT, O(n log n),
-# and sizes its grid from the law and the trial count, at about 65 bytes per
-# bin: phase n = 10^5 at 10^5 trials needs 2^22 bins, 1.2 s and 299 MB.
+# and integrates them over a fixed grid of 4096 bins: phase n = 10^5 takes
+# 0.42 s and 58 MB as a cold run on 2 vCPUs (median of 5), 43 ms in-process.
 MAX_SIMULATE_N = 100_000
-# A law that needs more than MAX_GRID_SIZE bins (src/covest/simulate.py) is
-# a usage error, as phase n = 10^5 is at 2 * 10^7 trials.  simulate draws the
-# bin counts of all its trials as one multinomial, so neither its time nor its
-# memory grows with the trial count: cold su2 n = 5 on 2 vCPUs takes 0.22 s
-# and 36 MB at 10^7 trials and 0.28 s and 36 MB at 2 * 10^7 (medians of 5
-# runs, most of it start-up).  The limit stays as the CLI's contract.
+# simulate draws the bin counts of all its trials as one multinomial, so
+# neither its time nor its memory grows with the trial count: cold phase
+# n = 10^5 takes 0.42 s at 10^5 trials and 0.39 s at 2 * 10^7, both 58 MB,
+# and su2 n = 5 0.26 s and 36 MB at either count.  The limit stays as the
+# CLI's contract.
 MAX_TRIALS = 20_000_000
 # scaling takes each row's optimal errors from their closed forms, O(1), and
 # the sine-profile error from its n+1 amplitudes, O(n), so O(max_n^2) cheap
@@ -69,6 +68,13 @@ MAX_SCALING_N = 10_000
 # multiply-adds: 0.19 s at kmax = 60 and 0.21 s at 100 as cold runs, most of
 # it start-up, and 13 ms in-process at 100.
 MAX_KMAX = 100
+
+# simulate's law gap, the exact mean loss of its binned law minus the closed
+# form, is roundoff for a valid design: at most 4.4e-16 over the optimal
+# designs of n <= 300 and of sizes up to 10^5 (on 256 to 2^22 bins) and over
+# 440 random-seed designs of up to 300 levels, so this bound has 200-fold
+# headroom.  A larger gap fails the run, whatever the z-score.
+LAW_GAP_TOL = 1e-13
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -215,7 +221,7 @@ def cmd_su2_design(args):
     elif mode == SELF_ENTANGLED:
         achievable = design.error
     else:
-        achievable = design_optimal(n, SELF_ENTANGLED).error
+        achievable = _optimal_su2_error(n, SELF_ENTANGLED)
     result = {"n": n, "mode": mode, "error": design.error, "asymptote": asymptotic_error_su2(n),
               "ratio": design.error * n * n / math.pi**2, "blocks": blocks,
               "feasibility": {"usable_dims": usable, "achievable_error": achievable}}
@@ -278,7 +284,7 @@ def cmd_simulate(args):
         sim = simulate(config, design)
     except ValueError as exc:
         raise _UsageError(str(exc))
-    passed = abs(sim.z_score) < 4.0
+    passed = abs(sim.z_score) < 4.0 and abs(sim.law_gap) <= LAW_GAP_TOL
     return {**asdict(sim), "pass": passed}, EXIT_OK if passed else EXIT_VERIFY_FAIL
 
 

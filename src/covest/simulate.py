@@ -4,8 +4,9 @@ By covariance, the outcome law depends only on the angle relative to the
 true parameter.  For either design type it is a trigonometric polynomial,
 Re sum_m C_m e^{i m phi} on [0, 2 pi), and `outcome_coefficients` returns
 its coefficient vector C.  The simulator fixes the truth at the identity,
-integrates that law exactly over the bins of an equispaced grid, and samples
-the binned law by importance sampling.
+integrates that law and its product with the loss sin^2(phi/2) exactly over
+the G bins of an equispaced grid, and samples the binned law by importance
+sampling.
 """
 
 import math
@@ -18,31 +19,22 @@ from .phase import PhaseDesign
 from .su2_design import Su2Design
 
 _NEG_TOL = 1e-10
-# the automatic grid: at least _MIN_GRID bins, doubled until the law's bias
-# is a tenth of the standard error; a larger grid is a usage error, since
-# the grid's arrays peak at about 65 bytes per bin (64.6 traced at 2^22)
-_MIN_GRID = 1 << 12
-MAX_GRID_SIZE = 1 << 22
+# the number of bins: the scores are exact on any grid, so the grid sets only
+# the variance and the skewness of the mean, both small on 4096 bins
+G = 1 << 12
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """A run of `trials` draws from the stream of `seed`; `grid_size` fixes the
-    number of bins, and None sizes the grid from the law (see `simulate`)."""
+    """A run of `trials` draws from the stream of `seed`."""
 
     trials: int
     seed: int
-    grid_size: int | None = None
 
     def __post_init__(self):
         if as_index(self.trials, "trials") < 2:
             raise ValueError("at least two trials are needed for a standard error")
         as_index(self.seed, "seed")
-        g = self.grid_size
-        if g is not None and not (
-            256 <= as_index(g, "grid_size") <= MAX_GRID_SIZE and g & (g - 1) == 0
-        ):
-            raise ValueError(f"grid_size must be a power of two from 256 to {MAX_GRID_SIZE}")
 
 
 @dataclass(frozen=True)
@@ -51,7 +43,7 @@ class SimResult:
     standard_error: float
     closed_form: float
     z_score: float
-    law_bias: float
+    law_gap: float
 
 
 def _padded_fft(y):
@@ -141,138 +133,87 @@ def _on_grid(coefficients, g):
     return np.append(values, values[0])
 
 
-def _bin_masses(coefficients, g):
-    """Exact probabilities of the g bins [2 pi j/g, 2 pi (j+1)/g) under the law C.
+def _bin_integrals(coefficients, g):
+    """Exact integrals of the law C and of the law times the loss over the g bins
+    [2 pi j/g, 2 pi (j+1)/g): the bin masses p and the loss integrals M.
 
-    The law's CDF is F(phi) = C_0 phi + Re sum_{m>=1} C_m (e^{i m phi} - 1)/(i m),
-    a trigonometric polynomial again, so _on_grid of C_m/(i m) gives its
-    periodic part at every edge and a bin's mass is C_0 h plus the difference
-    of two neighbouring values.  A negative mass beyond roundoff, or a NaN,
-    means the design is not a valid one.  Masses within roundoff of zero keep
-    their sign: clipping them would bias the binned law's mean by the
-    roundoff of every bin where the law is nearly zero (8e-11 for phase
-    n = 10^5 on 2^22 bins, against its h^2/24 of 9e-14).
+    p(phi) sin^2(phi/2) = p/2 - p cos(phi)/2 is again a trigonometric
+    polynomial: cos(phi) moves each C_m to frequencies m - 1 and m + 1 at
+    half weight, and C_0's share at frequency -1 is conj(C_0)/2 at +1.  A
+    series A has the CDF A_0 phi + Re sum_{m>=1} A_m (e^{i m phi} - 1)/(i m),
+    a trigonometric polynomial too, so _on_grid of A_m/(i m) gives its
+    periodic part at every edge, and a bin's integral is A_0 h plus the
+    difference of two neighbouring values.  A negative integral beyond
+    roundoff, or a NaN, means the design is not a valid one.  Integrals
+    within roundoff of zero keep their sign: clipping them would bias the
+    law's mean loss by the roundoff of every bin where the law is nearly zero.
     """
-    antiderivative = coefficients / (1j * np.maximum(np.arange(coefficients.size), 1))
-    antiderivative[0] = 0.0
-    masses = coefficients[0].real * (2.0 * math.pi / g) + np.diff(_on_grid(antiderivative, g))
-    if not masses.min() >= -_NEG_TOL:
+    law = np.append(coefficients, 0.0)
+    shifted = np.zeros_like(law)
+    shifted[1:] = law[:-1]
+    shifted[:-1] += law[1:]
+    shifted[1] += law[0].conj()
+    series = np.stack([law, 0.5 * law - 0.25 * shifted])
+    antiderivative = series / (1j * np.maximum(np.arange(law.size), 1))
+    antiderivative[:, 0] = 0.0
+    edges = np.stack([_on_grid(a, g) for a in antiderivative])
+    integrals = series[:, :1].real * (2.0 * math.pi / g) + np.diff(edges)
+    if not integrals.min() >= -_NEG_TOL:
         raise ValueError("outcome law has a negative bin mass: invalid design")
-    return masses
-
-
-def _bin_moments(g):
-    """Mean of sin^2(phi/2) over each of the g bins.
-
-    With c a bin's centre, S = sin^2(c/2), h = 2 pi/g and s1 = sinc(h/2),
-    averaging cos(phi) over the bin gives the mean (1 - s1)/2 + s1 S.  The
-    constant (1 - s1)/2 is summed from its own Taylor series, so that with
-    both terms nonnegative the small means near phi = 0 keep their digits.
-    """
-    h = 2.0 * math.pi / g
-    a = 0.0
-    term = 1.0
-    for k in range(1, 8):
-        # term = (-1)^k (h/2)^(2k) / (2k+1)!, the k-th term of s1 - 1
-        term *= -((h / 2.0) ** 2) / ((2 * k) * (2 * k + 1))
-        a -= term / 2.0
-    s1 = 1.0 - 2.0 * a
-    return a + s1 * np.sin((np.arange(g) + 0.5) * (h / 2.0)) ** 2
+    return integrals
 
 
 def _mixture(p):
-    """The defensive mixture q = p/2 + 1/(2g) of bin masses p: its CDF at the g + 1
-    edges, and the weights p/q with q the differences of that CDF."""
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * p + 0.5 / p.size)])
-    cdf /= cdf[-1]
-    return cdf, p / np.diff(cdf)
-
-
-def _grid_size(p, weight, loss, trials):
-    """Smallest power of two g >= _MIN_GRID with h^2/24 <= se/10, h = 2 pi/g.
-
-    The binned law's mean loss is biased by about h^2 (1 - 2 D)/24 (the mean
-    of the loss's second derivative, 1/2 - sin^2, times the within-bin
-    variance h^2/12).  se is the exact standard error of simulate's scores
-    (p/q) loss, with bins drawn from q and weight = p/q from _mixture(p): its
-    square times the trial count is sum p^2/q loss^2 minus the squared mean.
-    """
-    mean = float(np.sum(p * loss))
-    variance = float(np.sum(p * weight * loss * loss)) - mean * mean
-    se = math.sqrt(max(variance, 0.0) / trials)
-    g = _MIN_GRID
-    while (2.0 * math.pi / g) ** 2 / 24.0 > se / 10.0:
-        g *= 2
-        if g > MAX_GRID_SIZE:
-            raise ValueError(
-                f"at {trials} trials this law's grid bias needs more than "
-                f"{MAX_GRID_SIZE} bins: use fewer trials or a smaller n")
-    return g
+    """The defensive mixture q = p/2 + 1/(2g) of the g bin masses p, normalized."""
+    q = 0.5 * p + 0.5 / p.size
+    return q / np.sum(q)
 
 
 def simulate(config, design):
     """Estimate the design's mean loss by Monte Carlo and compare it to the closed form.
 
-    The outcome law, from outcome_coefficients, is integrated exactly over
-    the grid_size bins of [0, 2 pi) (_bin_masses).  Bins are drawn from the
-    defensive mixture q = p/2 + 1/(2 grid_size) of the bin masses p
-    (Hesterberg, Technometrics 37, 185, 1995): the rare bins far from the
-    truth, which carry much of the mean error at large n, are drawn often at
-    a small weight, so the mean is close to normal where the plain sample
-    mean is heavily skewed.  A trial in bin i scores Y = (p_i/q_i) L_i, with
-    L_i the bin's mean of sin^2(phi/2) (_bin_moments).  That is the mean,
-    given the bin, of the score of an angle drawn uniformly within it, so Y
-    has the same mean, the binned law's mean loss, at no larger variance
-    (Rao-Blackwellisation; Casella & Robert, Biometrika 83, 81, 1996).
-    `empirical_mean_error` and `standard_error` are the mean of Y and its
-    empirical standard error; trials that all score alike give none, a
-    ValueError.  `law_bias` is the binned law's exact mean loss minus the
-    closed form, the design's own error: the z-score's expected offset
-    times the standard error.
-
-    With grid_size None the grid is the smallest power of two >= 4096 bins
-    whose bias, about h^2/24 with h the bin width, is at most a tenth of the
-    exact standard error of this estimator on that grid (_grid_size).  The
-    standard error is computed first on 4096 bins and again on each finer
-    grid it asks for, until a grid asks for no finer one: a law narrower
-    than the bins (n above about 2000) has a wider binned law, whose
-    standard error overstates the estimator's.  A law that would need more
-    than MAX_GRID_SIZE bins is a ValueError.
+    The outcome law p, from outcome_coefficients, and its product with the
+    loss sin^2(phi/2) are integrated exactly over the G bins of [0, 2 pi)
+    (_bin_integrals): bin i has mass p_i and loss integral M_i.  Bins are
+    drawn from the defensive mixture q = p/2 + 1/(2G) (Hesterberg,
+    Technometrics 37, 185, 1995): the rare bins far from the truth, which
+    carry much of the mean error at large n, are drawn often at a small
+    weight, so the mean is close to normal where the plain sample mean is
+    heavily skewed.  A trial in bin i scores Y = M_i/q_i: the mean, given the
+    bin, of the weighted loss (p/q) sin^2(phi/2) of an angle drawn from the
+    law within the bin, so Y has that estimator's mean at no larger variance
+    (Rao-Blackwellisation; Casella & Robert, Biometrika 83, 81, 1996).  Its
+    mean is sum_i M_i, the law's exact mean loss, on any grid: the grid sets
+    only the variance.  `empirical_mean_error` and `standard_error` are the
+    mean of Y and its empirical standard error; trials that all score alike
+    give none, a ValueError.  `law_gap` is sum_i M_i minus the closed form,
+    the design's own error: roundoff for a valid design, so a larger gap is
+    a fault in the law or in the closed form, whatever the z-score.
 
     A trial's score depends on its draw only through its bin, so the mean
     and M2, the sum of squared deviations, depend on the trials only through
     the bin counts, which are Multinomial(trials, q).  They are drawn in one
     call, np.random.default_rng(seed).multinomial(trials, q), and the mean
-    and M2 are sums over the bins: O(grid_size) time and memory, whatever
-    the trial count, on one thread, so every field has the same bits on any
-    number of CPUs.  Every sum over the bins, law_bias's and _grid_size's
-    too, is numpy's sum and not a BLAS dot product, whose bits change with
-    the BLAS thread count at 2^16 bins.  numpy draws the counts by
-    conditional binomials (Devroye, Non-Uniform Random Variate Generation,
-    1986), bin j at probability q_j / r_j with r_j = 1 - q_0 - ... - q_{j-1}
-    subtracted in floating point, the last bin taking what is left; the
-    law this implies differs from q by the roundoff of that running sum.
-    For su2 n = 601 and phase n = 1000 on 4096, 2^16 and 2^22 bins it moves
-    the mean by at most 2e-9 standard errors at 2 * 10^7 trials (1.8e-9 for
-    phase n = 1000 on 2^22 bins).
+    and M2 are sums over the bins: O(G) time and memory, whatever the trial
+    count, on one thread, so every field has the same bits on any number of
+    CPUs.  Every sum over the bins is numpy's sum and not a BLAS dot
+    product, whose bits change with the BLAS thread count on large arrays.
+    numpy draws the counts by conditional binomials (Devroye, Non-Uniform
+    Random Variate Generation, 1986), bin j at probability q_j / r_j with
+    r_j = 1 - q_0 - ... - q_{j-1} subtracted in floating point, the last bin
+    taking what is left; the law this implies differs from q by the roundoff
+    of that running sum, which moves the mean by at most 2e-10 standard
+    errors at 2 * 10^7 trials (phase n = 10, 1000 and 10^5, su2 n = 5, 601
+    and 99 999).
     """
     coefficients, closed = outcome_coefficients(design), design.error
     if not math.isfinite(closed):
         raise ValueError("the design's error is not a finite number")
     trials = config.trials
-
-    g = config.grid_size or _MIN_GRID
-    while True:
-        p, loss = _bin_masses(coefficients, g), _bin_moments(g)
-        cdf, weight = _mixture(p)
-        finer = config.grid_size or _grid_size(p, weight, loss, trials)
-        if finer <= g:
-            break
-        g = finer
-    law_bias = float(np.sum(p * loss)) - closed
-
-    score = weight * loss
-    counts = np.random.default_rng(config.seed).multinomial(trials, np.diff(cdf))
+    p, loss = _bin_integrals(coefficients, G)
+    q = _mixture(p)
+    score = loss / q
+    counts = np.random.default_rng(config.seed).multinomial(trials, q)
     # a draw in one bin has frequency exactly 1 there, so its mean is that
     # bin's score and its M2 exactly 0
     mean = float(np.sum(counts / trials * score))
@@ -281,4 +222,4 @@ def simulate(config, design):
     if not se > 0.0:
         raise ValueError(f"all {trials} trials drew the same score, so they give no "
                          "standard error: use more trials")
-    return SimResult(mean, se, closed, (mean - closed) / se, law_bias)
+    return SimResult(mean, se, closed, (mean - closed) / se, float(np.sum(loss)) - closed)

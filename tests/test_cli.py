@@ -16,6 +16,7 @@ import pytest
 import covest
 from covest import __version__
 from covest.cli import (
+    LAW_GAP_TOL,
     MAX_KMAX,
     MAX_PHASE_N,
     MAX_SCALING_N,
@@ -26,7 +27,6 @@ from covest.cli import (
     main,
 )
 from covest.phase import PhaseDesign, bdm_input, min_covariant_error, optimal_input
-from covest.simulate import MAX_GRID_SIZE
 from covest.su2_design import Su2Design, design_optimal
 
 
@@ -161,6 +161,18 @@ class TestSu2Design:
         ratio = payload["result"]["error"] * 999**2 / math.pi**2
         assert 0.95 <= ratio <= 1.05
 
+    def test_builds_one_design(self, capsys, monkeypatch):
+        """The external design's achievable error is the self-entangled
+        optimum's closed form; no second design is built to read it."""
+        built = []
+        check = Su2Design.__post_init__
+        monkeypatch.setattr(Su2Design, "__post_init__",
+                            lambda self: built.append(self) or check(self))
+        code, payload = run_json(capsys, "su2-design", "--n", "40")
+        assert code == 0 and len(built) == 1
+        assert payload["result"]["feasibility"]["achievable_error"] == design_optimal(
+            40, "self-entangled").error
+
 
 class TestVerifyIntegrals:
     def test_small_table_passes(self, capsys):
@@ -228,8 +240,7 @@ class TestSimulateCommand:
         )
         assert code == 0
         assert abs(payload["result"]["z_score"]) < 4.0
-        result = payload["result"]
-        assert abs(result["law_bias"]) < result["standard_error"] / 10.0
+        assert abs(payload["result"]["law_gap"]) <= LAW_GAP_TOL
 
     def test_zero_trials_rejected(self, capsys):
         code = main(["simulate", "--protocol", "phase", "--n", "1", "--trials", "0"])
@@ -240,12 +251,35 @@ class TestSimulateCommand:
         assert_usage_error("simulate", "--protocol", protocol,
                            "--n", str(MAX_SIMULATE_N + 1), "--trials", "1000")
 
-    def test_grid_size_above_limit_is_usage_error(self):
-        """The grid is sized from the law; phase n = 10^5 at the most trials
-        would need more than MAX_GRID_SIZE bins, and stops before sampling."""
-        proc = assert_usage_error("simulate", "--protocol", "phase", "--n", str(MAX_SIMULATE_N),
-                                  "--trials", str(MAX_TRIALS))
-        assert f"more than {MAX_GRID_SIZE} bins" in proc.stderr
+    def test_largest_law_at_most_trials_passes(self, capsys):
+        """Phase n = 10^5 at the most trials runs on the fixed grid and passes;
+        a grid sized from the law once made it a usage error."""
+        code, payload = run_json(capsys, "simulate", "--protocol", "phase",
+                                 "--n", str(MAX_SIMULATE_N), "--trials", str(MAX_TRIALS))
+        assert code == 0 and payload["result"]["pass"] is True
+        assert abs(payload["result"]["law_gap"]) <= LAW_GAP_TOL
+
+    def test_law_gap_fails_the_run(self, capsys, monkeypatch):
+        """A law whose mean loss misses the closed form by 10^-9 fails the
+        run with exit code 2, though the z-score, at a standard error of
+        about 10^-3, cannot see it."""
+        module = sys.modules["covest.simulate"]
+        coefficients = module.outcome_coefficients
+
+        def perturbed(design):
+            c = coefficients(design).copy()
+            c[1] += 2e-9 / math.pi  # moves the mean loss by -10^-9
+            return c
+
+        argv = ["simulate", "--protocol", "su2", "--n", "5", "--trials", "100000"]
+        code, payload = run_json(capsys, *argv)
+        assert code == 0 and payload["result"]["pass"] is True
+        monkeypatch.setattr(module, "outcome_coefficients", perturbed)
+        code, spoiled = run_json(capsys, *argv)
+        assert code == 2 and spoiled["result"]["pass"] is False
+        assert spoiled["result"]["law_gap"] == pytest.approx(
+            payload["result"]["law_gap"] - 1e-9, abs=1e-15)
+        assert abs(spoiled["result"]["z_score"]) < 4.0
 
     def test_trials_in_one_bin_are_usage_error(self):
         """Both trials of this seed, the first such seed, land in one bin, so
@@ -284,18 +318,18 @@ class TestSimulateCommand:
 
 
 # The benchmark's simulate operations at reduced trials, one fixed seed each,
-# with the result fields the sampler that draws its bin counts as one
-# multinomial printed for them: any drift in a seeded bit fails here.
+# with the result fields printed for them by the sampler that scores each bin
+# by its exact loss integral on 4096 bins: any drift in a seeded bit fails here.
 PINNED_RUNS = {
     ("phase", 10, 200_001, 91): (
-        0.017039624622395895, 4.538954495529604e-05, 0.017037086855465844,
-        0.05591082555576452, 9.470487676715988e-08),
+        0.017039529934288516, 4.5389233252831365e-05, 0.017037086855465844,
+        0.05382507364826419, 1.0061396160665481e-16),
     ("su2", 5, 200_001, 92): (
-        0.14598173645335552, 0.0002507645110675306, 0.14644660940672624,
-        -1.8538227414705066, 6.932878152121624e-08),
+        0.14598166793563788, 0.0002507641189362371, 0.14644660940672624,
+        -1.8540988761098711, 0.0),
     ("su2", 601, 100_000, 93): (
-        2.6940928667874096e-05, 1.2487844869104587e-07, 2.7053406096413445e-05,
-        -0.9006952738308097, 6.1275253059987365e-09),
+        2.7119350616330263e-05, 1.2537862863354817e-07, 2.7053406096413445e-05,
+        0.5259630021122523, -2.8490800213845646e-17),
 }
 
 
@@ -307,12 +341,12 @@ class TestPinnedSimulateBits:
 
     @pytest.mark.parametrize("run", list(PINNED_RUNS))
     def test_json_result(self, capsys, run):
-        mean, se, closed, z, law_bias = PINNED_RUNS[run]
+        mean, se, closed, z, law_gap = PINNED_RUNS[run]
         code, payload = run_json(capsys, *self.argv(*run))
         assert code == 0
         assert payload["result"] == {
             "empirical_mean_error": mean, "standard_error": se, "closed_form": closed,
-            "z_score": z, "law_bias": law_bias, "pass": True}
+            "z_score": z, "law_gap": law_gap, "pass": True}
 
     @pytest.mark.parametrize("run", list(PINNED_RUNS))
     def test_csv_row(self, capsys, run):
@@ -586,7 +620,7 @@ CSV_HEADERS = {
                    "blocks.amplitude,blocks.feasible,feasibility.usable_dims,"
                    "feasibility.achievable_error"),
     "verify-integrals": "pass,identities.identity,identities.worst_abs_deviation,identities.pass",
-    "simulate": "empirical_mean_error,standard_error,closed_form,z_score,law_bias,pass",
+    "simulate": "empirical_mean_error,standard_error,closed_form,z_score,law_gap,pass",
     "scaling": ("rows.n,rows.phase_exact,rows.phase_bdm,rows.phase_asymptote,"
                 "rows.su2_error,rows.su2_asymptote"),
 }
@@ -683,7 +717,7 @@ SPOILED = [
     ("verify-integrals", "missing", ["pass"], _MISSING),
     ("verify-integrals", "wrong type", ["identities", 2, "worst_abs_deviation"], None),
     ("simulate", "extra", ["trials"], 1000),
-    ("simulate", "missing", ["law_bias"], _MISSING),
+    ("simulate", "missing", ["law_gap"], _MISSING),
     ("simulate", "wrong type", ["pass"], 1),
     ("scaling", "extra", ["rows", 1, "ratio"], 1.0),
     ("scaling", "missing", ["rows", 3, "su2_asymptote"], _MISSING),

@@ -25,7 +25,7 @@ from covest import (
     phase_error,
     su2_error,
 )
-from covest.simulate import _NEG_TOL, _bin_masses
+from covest.simulate import _NEG_TOL, G, _bin_integrals
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -172,7 +172,7 @@ class TestOutcomeLaw:
     @PROPERTY
     @given(st.one_of(phase_designs(), su2_designs()))
     def test_bin_masses_nonnegative(self, design):
-        assert _bin_masses(outcome_coefficients(design), 4096).min() >= -_NEG_TOL
+        assert _bin_integrals(outcome_coefficients(design), G).min() >= -_NEG_TOL
 
 
 class TestIrrepHomomorphism:

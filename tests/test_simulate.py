@@ -10,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.stats
 
 from conftest import gram, random_phase_design, random_seed
@@ -31,12 +32,9 @@ from covest import (
 )
 from covest.cli import MAX_TRIALS
 from covest.simulate import (
-    _MIN_GRID,
-    MAX_GRID_SIZE,
+    G,
     _autocorrelation,
-    _bin_masses,
-    _bin_moments,
-    _grid_size,
+    _bin_integrals,
     _mixture,
     _on_grid,
     _padded_fft,
@@ -93,10 +91,10 @@ def quadrature_mean(design, f):
     return float(np.trapezoid(vals, GRID))
 
 
-def random_seed_su2_design(rng):
-    x = design_optimal(9).input
+def random_seed_su2_design(rng, n=9):
+    x = design_optimal(n).input
     seed = random_seed(rng, x.dim)
-    return Su2Design(x, seed, 9, su2_error(x, seed, 9))
+    return Su2Design(x, seed, n, su2_error(x, seed, n))
 
 
 BIT_DESIGNS = {
@@ -231,38 +229,44 @@ class TestSelfConvolution:
         assert np.abs(got - direct).max() < 1e-13
 
 
+# |law_gap| of a valid design: the roundoff of the loss integrals' sum and
+# of the closed form
+ROUNDOFF = 1e-15
+
+
+def loss_integrand(design):
+    """p(phi) sin^2(phi/2), the law summed directly from its coefficients."""
+    return lambda phi: law(design, phi) * math.sin(phi / 2.0) ** 2
+
+
 class TestLawBias:
     def test_accounts_for_large_n_grid_fault(self):
-        """On the old 4096-bin grid, phase n = 1000 fails its z-gate by the
-        law's bias; the grid sized from the law removes it."""
+        """Phase n = 1000 at 10^6 trials, whose scores of bin means of the loss
+        on 4096 bins once put the z-score 17.55 standard errors off: the
+        exact loss integrals leave no offset."""
         design = optimal_input(1000)
-        res = simulate(SimConfig(1_000_000, 20040725, 4096), design)
-        # pinned to the last bit
-        assert res.z_score == 15.833577022058883
-        offset = res.law_bias / res.standard_error
-        assert offset > 10.0
-        assert abs(res.z_score - offset) < 4.0
         res = simulate(SimConfig(1_000_000, 20040725), design)
-        assert abs(res.law_bias) < res.standard_error / 10.0
+        assert G == 4096
+        assert abs(res.law_gap) <= ROUNDOFF
+        assert abs(res.law_gap) / res.standard_error < 1e-6
         assert abs(res.z_score) < 4.0
 
     @pytest.mark.parametrize("protocol, n", [("phase", 10), ("su2", 5)])
     def test_negligible_at_small_n(self, protocol, n):
         design = optimal_input(n) if protocol == "phase" else design_optimal(n)
         res = simulate(SimConfig(100_000, 42), design)
-        assert abs(res.law_bias) < res.standard_error / 10.0
+        assert abs(res.law_gap) <= ROUNDOFF
 
-    @pytest.mark.parametrize("name", ["phase n=10", "phase n=1000", "su2 n=601"])
-    @pytest.mark.parametrize("g", [4096, 65536])
-    def test_matches_second_order_form(self, name, g):
-        """With exact bin masses only the uniform draw within a bin biases
-        the law, by about h^2 (1 - 2 D)/24 (the mean of the loss's second
-        derivative times the within-bin variance)."""
+    @pytest.mark.parametrize("name", list(BIT_DESIGNS))
+    def test_loss_integrals_sum_to_the_error(self, name):
+        """sum_i M_i is the law's exact mean loss, the design's error, on any
+        grid: coarser than the law (phase n = 1000 on 256 bins) or finer.
+        2^22 bins take 0.8 s and 256 MiB, so only the two largest laws get them."""
         design = BIT_DESIGNS[name]()
-        h = 2.0 * math.pi / g
-        law_bias = float(np.dot(_bin_masses(outcome_coefficients(design), g),
-                                _bin_moments(g))) - design.error
-        assert law_bias == pytest.approx(h * h * (1.0 - 2.0 * design.error) / 24.0, rel=2e-3)
+        coefficients = outcome_coefficients(design)
+        finest = (1 << 22,) if name in ("phase n=1000", "su2 n=601") else ()
+        for g in (256, G, 1 << 16, *finest):
+            assert abs(math.fsum(_bin_integrals(coefficients, g)[1]) - design.error) <= ROUNDOFF
 
 
 class TestBinnedLaw:
@@ -279,8 +283,28 @@ class TestBinnedLaw:
         bins = np.arange(0, g, 7)
         phi = (bins[:, None] + (nodes + 1.0) / 2.0) * h
         want = law(design, phi) @ weights * (h / 2.0)
-        got = _bin_masses(coefficients, g)[bins]
+        got = _bin_integrals(coefficients, g)[0][bins]
         assert np.abs(got - want).max() < 1e-12 * want.max()
+
+    @pytest.mark.parametrize("name, design", [
+        ("random phase d=5", lambda rng: random_phase_design(rng, 5)),
+        ("random phase d=9", lambda rng: random_phase_design(rng, 9)),
+        ("random su2 n=9", lambda rng: random_seed_su2_design(rng)),
+        ("random su2 n=10", lambda rng: random_seed_su2_design(rng, 10)),
+        ("su2 n=5", lambda rng: design_optimal(5)),
+        ("su2 n=6", lambda rng: design_optimal(6)),
+    ])
+    def test_loss_integrals_match_quadrature(self, rng, name, design):
+        """M_i against adaptive quadrature of p sin^2(phi/2) over bin i, with
+        the law summed directly: the first and last four bins, where the loss
+        is nearly zero, and every 97th bin between."""
+        design = design(rng)
+        h = 2.0 * math.pi / G
+        bins = np.r_[0:4, 1:G:97, G - 4:G]
+        want = [scipy.integrate.quad(loss_integrand(design), i * h, (i + 1) * h,
+                                     epsabs=1e-17, epsrel=1e-13)[0] for i in bins]
+        got = _bin_integrals(outcome_coefficients(design), G)[1][bins]
+        assert np.abs(got - want).max() <= ROUNDOFF
 
     @pytest.mark.parametrize("name", list(BIT_DESIGNS))
     def test_total_mass_is_one(self, name):
@@ -288,90 +312,36 @@ class TestBinnedLaw:
         each mass."""
         coefficients = outcome_coefficients(BIT_DESIGNS[name]())
         for g in (256, 4096, 65536):
-            masses = _bin_masses(coefficients, g)
+            masses = _bin_integrals(coefficients, g)[0]
             assert abs(math.fsum(masses) - 1.0) < 1e-15 + g * 1e-18
-
-    def test_bin_moments_match_quadrature(self):
-        nodes, weights = np.polynomial.legendre.leggauss(12)
-        for g in (256, 4096):
-            h = 2.0 * math.pi / g
-            phi = (np.arange(g)[:, None] + (nodes + 1.0) / 2.0) * h
-            loss = np.sin(phi / 2.0) ** 2
-            # relative, since the mean falls to about h^2/12 at 0
-            assert np.allclose(_bin_moments(g), loss @ weights / 2.0, rtol=2e-12, atol=0.0)
 
     def test_mixture_weights(self):
         p = np.array([0.0, 0.25, 0.75, 0.0])
-        cdf, weight = _mixture(p)
-        q = np.diff(cdf)
-        assert np.allclose(q, 0.5 * p + 0.125, rtol=0, atol=1e-16)
-        assert np.array_equal(cdf, np.concatenate([[0.0], np.cumsum(q)]))
-        assert np.allclose(weight * q, p, rtol=0, atol=1e-16)
+        assert np.allclose(_mixture(p), 0.5 * p + 0.125, rtol=0, atol=1e-16)
+        assert np.sum(_mixture(p)) == 1.0
 
     @pytest.mark.parametrize("name", list(BIT_DESIGNS))
     def test_scores_keep_the_binned_mean(self, name):
-        """Drawn from the mixture q, the scores (p/q) L average to the binned
-        law's mean loss sum p L."""
+        """Drawn from the mixture q, the scores M/q average to the law's mean
+        loss sum M."""
         coefficients = outcome_coefficients(BIT_DESIGNS[name]())
         for g in (256, 4096, 65536):
-            p, loss = _bin_masses(coefficients, g), _bin_moments(g)
-            cdf, weight = _mixture(p)
-            want = math.fsum(p * loss)
-            assert abs(math.fsum(np.diff(cdf) * weight * loss) - want) <= 1e-14 * want
-
-
-def record_grids(monkeypatch):
-    """The grid sizes simulate takes bin masses on, in call order."""
-    grids = []
-    masses = SIMULATE_MODULE._bin_masses
-    monkeypatch.setattr(SIMULATE_MODULE, "_bin_masses",
-                        lambda c, size: grids.append(size) or masses(c, size))
-    return grids
-
-
-class TestGridSize:
-    @pytest.mark.parametrize("name, trials, g", [
-        ("phase n=10", 10_000_000, 4096), ("su2 n=5", 10_000_000, 4096),
-        ("su2 n=601", 100_000, 16384), ("phase n=1000", 1_000_000, 65536)])
-    def test_benchmark_grids(self, monkeypatch, name, trials, g):
-        """The grid is the first power of two whose bias h^2/24 is a tenth of
-        the exact standard error on that grid, and simulate stops there."""
-        coefficients = outcome_coefficients(BIT_DESIGNS[name]())
-        for size in (_MIN_GRID, g):
-            p = _bin_masses(coefficients, size)
-            assert _grid_size(p, _mixture(p)[1], _bin_moments(size), trials) == g
-        grids = record_grids(monkeypatch)
-        simulate(SimConfig(trials, 1), BIT_DESIGNS[name]())
-        assert grids == sorted({_MIN_GRID, g})
-
-    def test_large_n_refines_to_its_own_standard_error(self, monkeypatch):
-        """At n = 10^4 the 4096-bin law is wider than the true one, so its
-        standard error overstates the estimator's almost threefold; the grid
-        is refined on the finer law until the bias is a tenth of its own."""
-        grids = record_grids(monkeypatch)
-        res = simulate(SimConfig(100_000, 3), optimal_input(10_000))
-        assert grids == [4096, 262144, 524288]
-        assert abs(res.law_bias) < res.standard_error / 10.0
-        assert abs(res.z_score) < 4.0
-
-    def test_past_the_limit_is_an_error(self):
-        with pytest.raises(ValueError, match=f"more than {MAX_GRID_SIZE} bins"):
-            simulate(SimConfig(20_000_000, 1), optimal_input(100_000))
+            p, loss = _bin_integrals(coefficients, g)
+            q = _mixture(p)
+            want = math.fsum(loss)
+            assert abs(math.fsum(q * (loss / q)) - want) <= 1e-14 * want
 
 
 class TestStandardError:
     @pytest.mark.parametrize("name", ["phase n=10", "su2 n=601"])
-    def test_empirical_matches_exact(self, monkeypatch, name):
+    def test_empirical_matches_exact(self, name):
         """At 10^6 trials the empirical standard error is within 2 % of the
-        estimator's exact one, sqrt((sum p^2/q L^2 - mu^2)/N), on the grid
-        simulate chose."""
-        grids = record_grids(monkeypatch)
+        estimator's exact one, sqrt((sum M^2/q - mu^2)/N)."""
         trials = 1_000_000
         res = simulate(SimConfig(trials, 8), BIT_DESIGNS[name]())
-        g = grids[-1]
-        p, loss = _bin_masses(outcome_coefficients(BIT_DESIGNS[name]()), g), _bin_moments(g)
-        mean = np.dot(p, loss)
-        exact = math.sqrt((np.dot(p * _mixture(p)[1], loss * loss) - mean * mean) / trials)
+        p, loss = _bin_integrals(outcome_coefficients(BIT_DESIGNS[name]()), G)
+        mean = np.sum(loss)
+        exact = math.sqrt((np.sum(loss * loss / _mixture(p)) - mean * mean) / trials)
         assert res.standard_error == pytest.approx(exact, rel=0.02)
 
 
@@ -449,18 +419,12 @@ class TestSimulate:
             simulate(config, design_optimal(3).input)
 
     def test_config_validation(self):
-        for g in (100, 1000, 128, 2 * MAX_GRID_SIZE):
-            with pytest.raises(ValueError):
-                SimConfig(10, 0, grid_size=g)
         with pytest.raises(ValueError):
             SimConfig(0, 0)
-        assert SimConfig(10, 0).grid_size is None
-        assert SimConfig(10, 0, MAX_GRID_SIZE).grid_size == MAX_GRID_SIZE
-        assert [f.name for f in dataclasses.fields(SimConfig)] == [
-            "trials", "seed", "grid_size"]
+        assert [f.name for f in dataclasses.fields(SimConfig)] == ["trials", "seed"]
 
     @pytest.mark.parametrize("args, name", [
-        ((2.5, 1), "trials"), ((10, 1.0), "seed"), ((10, 1, 4096.0), "grid_size"),
+        ((2.5, 1), "trials"), ((10, 1.0), "seed"), ((10, True), "seed"),
         (("10", 1), "trials")])
     def test_config_integers(self, args, name):
         with pytest.raises(TypeError, match=f"{name} must be an integer"):
@@ -488,7 +452,7 @@ class TestSimulate:
     def test_negative_law_rejected(self):
         # 1/(2 pi) + cos(phi) is normalized but negative near phi = pi
         with pytest.raises(ValueError, match="negative bin mass"):
-            _bin_masses(np.array([1.0 / (2.0 * math.pi), 1.0]), 256)
+            _bin_integrals(np.array([1.0 / (2.0 * math.pi), 1.0]), 256)
 
 
 class TestCovarianceReduction:
@@ -524,25 +488,19 @@ class TestCovarianceReduction:
 def one_shot(config, design):
     """Mean and M2 of the trials' scores listed one by one, np.repeat(score,
     counts), and the number of bins drawn, with the counts drawn as simulate
-    draws them on the grid it chose."""
-    coefficients, trials = outcome_coefficients(design), config.trials
-    g = config.grid_size or _MIN_GRID
-    p, loss = _bin_masses(coefficients, g), _bin_moments(g)
-    while config.grid_size is None and (
-            finer := _grid_size(p, _mixture(p)[1], loss, trials)) > g:
-        g = finer
-        p, loss = _bin_masses(coefficients, g), _bin_moments(g)
-    cdf, weight = _mixture(p)
-    counts = np.random.default_rng(config.seed).multinomial(trials, np.diff(cdf))
-    y = np.repeat(weight * loss, counts)
-    mean = math.fsum(y) / trials
+    draws them."""
+    p, loss = _bin_integrals(outcome_coefficients(design), G)
+    q = _mixture(p)
+    counts = np.random.default_rng(config.seed).multinomial(config.trials, q)
+    y = np.repeat(loss / q, counts)
+    mean = math.fsum(y) / config.trials
     return mean, math.fsum((y - mean) ** 2), np.count_nonzero(counts)
 
 
 # draws of two and three trials that all land in one bin of phase n = 1000;
-# at seed 1074 fl(3 s) / 3 is not s, so a mean of counts . score / trials
+# at seed 64078 fl(3 s) / 3 is not s, so a mean of counts . score / trials
 # would leave a tiny positive M2, and a huge z-score in place of the error
-ONE_BIN_DRAWS = [(2, 16), (3, 458), (3, 1074)]
+ONE_BIN_DRAWS = [(2, 16), (3, 458), (3, 1074), (3, 64078)]
 
 
 class TestCountSampler:
@@ -551,19 +509,17 @@ class TestCountSampler:
         """The mean and M2 summed over the bin counts are those of the trials'
         scores listed one by one, to a few ulps, and a draw whose trials all
         share a bin is a ValueError."""
-        cases = [(trials, None) for trials in (2, 3, 1000, 200_001)]
-        cases += [(trials, g) for g in (256, 65536) for trials in (3, 1001)]
-        for trials, g in cases:
-            config = SimConfig(trials, 11, g)
+        for trials, seed in [(t, s) for t in (2, 3, 1000, 1001, 200_001) for s in (11, 12)]:
+            config = SimConfig(trials, seed)
             mean, m2, occupied = one_shot(config, BIT_DESIGNS[name]())
             if occupied == 1:
                 with pytest.raises(ValueError, match="no standard error"):
                     simulate(config, BIT_DESIGNS[name]())
                 continue
             res = simulate(config, BIT_DESIGNS[name]())
-            assert abs(res.empirical_mean_error - mean) <= 4e-16 * mean, (trials, g)
+            assert abs(res.empirical_mean_error - mean) <= 4e-16 * mean, (trials, seed)
             se = math.sqrt(m2 / (trials - 1) / trials)
-            assert abs(res.standard_error - se) <= 1e-12 * se, (trials, g)
+            assert abs(res.standard_error - se) <= 1e-12 * se, (trials, seed)
 
     @pytest.mark.parametrize("trials, seed", ONE_BIN_DRAWS)
     def test_draw_in_one_bin_has_no_standard_error(self, trials, seed):
@@ -577,7 +533,7 @@ class TestCountSampler:
         """One fixed-seed draw of 10^7 trials over 256 bins, against the
         expected counts N q of the defensive mixture."""
         trials = 10_000_000
-        q = np.diff(_mixture(_bin_masses(outcome_coefficients(BIT_DESIGNS[name]()), 256))[0])
+        q = _mixture(_bin_integrals(outcome_coefficients(BIT_DESIGNS[name]()), 256)[0])
         counts = np.random.default_rng(2024).multinomial(trials, q)
         assert scipy.stats.chisquare(counts, trials * q).pvalue > 1e-3
 
@@ -599,9 +555,7 @@ class TestCountSampler:
 
     def test_cli_bits_in_two_processes(self):
         """Two processes print the same bits: one pinned to one CPU with one
-        BLAS thread, one with two BLAS threads on every CPU.  Phase n = 1000
-        sums over 2^16 bins, where a BLAS dot product's bits change with its
-        thread count."""
+        BLAS thread, one with two BLAS threads on every CPU."""
         argv = ["simulate", "--protocol", "phase", "--n", "1000",
                 "--trials", "1000000", "--seed", "20040725"]
         pin = ("os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "

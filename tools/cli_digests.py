@@ -42,11 +42,13 @@ def argument_lists():
             lists.append(["simulate", "--protocol", protocol, "--n", str(n), "--seed", seed])
     csv = [argv + ["--format", "csv"] for argv in lists
            if argv[0] not in ("phase-opt", "su2-design") or int(argv[2]) in CSV_SIZES]
-    # the benchmark's large trial counts, and the CLI's limit on them
+    # the benchmark's large trial counts, and the CLI's limits on n and trials
     large_trials = [["simulate", "--protocol", protocol, "--n", n, "--trials", trials,
                      "--seed", "20040725"]
                     for protocol, n, trials in [("phase", "10", "10000000"),
                                                 ("su2", "5", "10000000"), ("su2", "5", "20000000")]]
+    large_trials.append(["simulate", "--protocol", "phase", "--n", "100000",
+                         "--trials", "20000000"])
     usage = [
         [], ["nonsense"], ["phase-opt"], ["phase-opt", "--n", "-1"],
         ["phase-opt", "--n", "1000001"],
@@ -60,7 +62,6 @@ def argument_lists():
         ["simulate", "--protocol", "phase", "--n", "2", "--trials", "1"],
         ["simulate", "--protocol", "phase", "--n", "2", "--grid-size", "100"],
         ["simulate", "--protocol", "phase", "--n", "2", "--grid-size", "1125899906842624"],
-        ["simulate", "--protocol", "phase", "--n", "100000", "--trials", "20000000"],
         ["phase-opt", "--n", "3", "--output", "/nonexistent/dir/x.json"],
     ]
     return lists + csv + large_trials + usage

@@ -16,12 +16,14 @@ mean, standard deviation and largest |z|.  It exits 1 when any run has
 `--quick` replays a fixed set that takes seconds: su2 n = 601 at 10^5
 trials on seeds 0-40 x rounds 0-5 (round 5 of seed 24 included), phase
 n = 1000 at 10^6 trials on seeds 0-40, word 1 (the benchmark runs it on one
-fixed seed), and phase n = 10 and su2 n = 5 at 10^6 trials on seeds 0-9.
-Its seeds are fixed, and simulate draws its bin counts as one multinomial
-on one thread, so its bits do not depend on the CPU count and the replay
-passes or fails the same way on every run.  A run costs the grid's work,
-not the trials': 3000 seeds of su2 n = 601 at 10^5 trials replay in about
-14 s, and 3000 of phase n = 1000 at 10^6 in about 60 s, on 2 vCPUs.
+fixed seed), phase n = 10 and su2 n = 5 at 10^6 trials on seeds 0-9, and
+phase n = 10^5 at 10^5 trials on seeds 0-9, the law narrowest against the
+4096 bins.  Its seeds are fixed, and simulate draws its bin counts as one
+multinomial on one thread, so its bits do not depend on the CPU count and
+the replay passes or fails the same way on every run.  A run costs the
+grid's work, not the trials': on 2 vCPUs `--quick` takes 1.5 s, and 3000
+seeds of su2 n = 601 at 10^5 trials or of phase n = 1000 at 10^6 replay in
+about 4.5 s each.
 """
 
 import argparse
@@ -44,6 +46,7 @@ QUICK = [
     ("phase", 1000, 1_000_000, range(41), range(1), 1),
     ("phase", 10, 1_000_000, range(10), range(1), 0),
     ("su2", 5, 1_000_000, range(10), range(1), 1),
+    ("phase", 100_000, 100_000, range(10), range(1), 0),
 ]
 
 
