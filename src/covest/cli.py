@@ -38,7 +38,8 @@ OUTPUT_DIR_ENV = "COVEST_OUTPUT_DIR"
 
 # su2-design prints each block's exact multiplicity, an integer of about
 # 0.3 n digits; Python refuses to print integers of more than 4300 digits,
-# which C(n, n/2) passes just above n = 14 000.
+# which C(n, n/2) passes just above n = 14 000.  That, not time, sets the
+# limit: n = 10^4 takes 0.8-1.0 s cold in either mode on 2 vCPUs, 69 MB.
 MAX_SU2_N = 10_000
 
 # Limits on the other commands' sizes, each far above the benchmark's and

@@ -15,7 +15,6 @@ one (N x 2j) @ (2j x j^2) product, made over blocks of about 2^19 matrix
 entries, and its memory is the N j^2 complex result plus one block.
 """
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -152,16 +151,18 @@ def _block_dims(n):
 def multiplicity_spectrum(n):
     """The n-qubit tensor power as ((dim, multiplicity), ...) over _block_dims(n).
 
-    The block of dimension dim = n+1-2i has multiplicity C(n, i) - C(n, i-1),
-    in exact integer arithmetic; the dimension identity sum(dim * mult) = 2**n
-    holds by construction.
+    The block of dimension dim = n+1-2i has multiplicity C(n, i) - C(n, i-1).
+    One pass builds the binomials by the running product C(n, i) =
+    C(n, i-1) (n-i+1) / i, exact in integers, in O(n) big-integer steps; a
+    failed dimension identity sum(dim * mult) = 2**n raises ArithmeticError.
     """
     if as_index(n, "n") < 1:
         raise ValueError("n must be >= 1")
-    spectrum = tuple(
-        (dim, math.comb(n, i) - (math.comb(n, i - 1) if i else 0))
-        for dim in _block_dims(n)
-        for i in [(n + 1 - dim) // 2]
-    )
-    assert sum(dim * mult for dim, mult in spectrum) == 2**n
-    return spectrum
+    spectrum, comb, below = [], 1, 0  # comb = C(n, i), below = C(n, i-1)
+    for i in range(n // 2 + 1):
+        if i:
+            below, comb = comb, comb * (n - i + 1) // i
+        spectrum.append((n + 1 - 2 * i, comb - below))
+    if sum(dim * mult for dim, mult in spectrum) != 2**n:
+        raise ArithmeticError(f"multiplicities of n = {n} fail the dimension identity")
+    return tuple(reversed(spectrum))

@@ -155,6 +155,21 @@ class TestSu2Design:
         achievable = math.sin(math.pi / (max(usable) + 2)) ** 2 if usable else None
         assert result["feasibility"]["achievable_error"] == achievable
 
+    @pytest.mark.parametrize("mode", ["external", "self-entangled"])
+    def test_at_the_limit(self, capsys, mode):
+        n = MAX_SU2_N  # one qubit more is a usage error, checked last
+        assert n == 10_000
+        code, payload = run_json(capsys, "su2-design", "--n", str(n), "--mode", mode)
+        assert code == 0
+        blocks = payload["result"]["blocks"]
+        assert [b["dim"] for b in blocks] == list(range(1, n + 2, 2))
+        for b in (blocks[0], blocks[len(blocks) // 2], blocks[-1]):
+            i = (n + 1 - b["dim"]) // 2
+            assert b["multiplicity"] == math.comb(n, i) - (math.comb(n, i - 1) if i else 0)
+        assert sum(b["dim"] * b["multiplicity"] for b in blocks) == 2**n
+        assert [b["feasible"] for b in blocks] == [b["dim"] <= n - 1 for b in blocks]
+        assert main(["su2-design", "--n", str(n + 1), "--mode", mode]) == 1
+
     def test_external_n999_scaling(self, capsys):
         code, payload = run_json(capsys, "su2-design", "--n", "999")
         assert code == 0

@@ -398,3 +398,31 @@ class TestMultiplicitySpectrum:
         # exact integer arithmetic well past 64 tensor factors
         spec = multiplicity_spectrum(101)
         assert sum(m * mult for m, mult in spec) == 2**101
+
+    @staticmethod
+    def per_block(n, i):
+        """The block of dim n+1-2i from two independent math.comb calls."""
+        return (n + 1 - 2 * i, math.comb(n, i) - (math.comb(n, i - 1) if i else 0))
+
+    def test_matches_per_block_binomials(self):
+        for n in range(1, 401):
+            assert multiplicity_spectrum(n) == tuple(
+                self.per_block(n, i) for i in range(n // 2, -1, -1)), n
+
+    @pytest.mark.parametrize("n, stride", [(999, 1), (1000, 1), (1999, 1), (2000, 1),
+                                           (10_000, 50)])
+    def test_matches_per_block_binomials_large_n(self, n, stride):
+        # at 10^4 the oracle costs 2.5 ms a block, so it checks every 50th i and
+        # the middle; a wrong step of the running product would carry into every
+        # later binomial, the middle block's among them
+        spec = multiplicity_spectrum(n)
+        assert [dim for dim, _ in spec] == list(range(1 + n % 2, n + 2, 2))
+        for i in {*range(0, n // 2 + 1, stride), n // 2}:
+            assert spec[n // 2 - i] == self.per_block(n, i), i
+
+    def test_dimension_identity_failure_raises(self, monkeypatch):
+        # a pass that stops one binomial short drops the smallest block; the
+        # self-check is a raise, not an assert, so python -O keeps it too
+        monkeypatch.setattr(su2, "range", lambda stop: range(stop - 1), raising=False)
+        with pytest.raises(ArithmeticError, match="dimension identity"):
+            multiplicity_spectrum(6)

@@ -24,7 +24,8 @@ def argument_lists():
     lists = []
     for n in SIZES + [1000, 5000]:
         lists += [["phase-opt", "--n", str(n)], ["phase-opt", "--n", str(n), "--method", "bdm"]]
-    for n in SIZES + [999, 1000, 1999, 2000]:
+    # 10 000 is su2-design's limit (MAX_SU2_N)
+    for n in SIZES + [999, 1000, 1999, 2000, 10_000]:
         for mode in ("external", "self-entangled"):
             lists.append(["su2-design", "--n", str(n), "--mode", mode])
     lists += [["verify-integrals", "--kmax", str(k)] for k in (1, 30, 60, 100)]
