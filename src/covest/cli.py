@@ -10,7 +10,6 @@ result by the one rule of `_csv_table`.  Exit codes: 0 success/pass,
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -39,15 +38,17 @@ OUTPUT_DIR_ENV = "COVEST_OUTPUT_DIR"
 # su2-design prints each block's exact multiplicity, an integer of about
 # 0.3 n digits; Python refuses to print integers of more than 4300 digits,
 # which C(n, n/2) passes just above n = 14 000.  That, not time, sets the
-# limit: n = 10^4 takes 0.8-1.0 s cold in either mode on 2 vCPUs, 69 MB.
+# limit: n = 10^4 takes 0.86 s and 69 MB cold in either mode on 2 vCPUs in
+# JSON, and 4.9 s and 36 MB in CSV, which streams its 159 MB (medians of 5).
 MAX_SU2_N = 10_000
 
 # Limits on the other commands' sizes, each far above the benchmark's and
 # checked before any work, so that a large request is a usage error and not
 # an out-of-memory kill or an hours-long run.  Measured as cold processes on
 # a 2-vCPU VM:
-# phase-opt builds O(n) arrays and prints n+1 amplitudes: 2.4 s and 394 MB
-# at n = 10^6, so 10^7 would need about 4 GB.
+# phase-opt builds O(n) arrays and prints n+1 amplitudes: at n = 10^6, 2.6 s
+# and 180 MB in JSON, 5.9 s and 153 MB in CSV (medians of 5), so 10^7 would
+# need about 2 GB.
 MAX_PHASE_N = 1_000_000
 # simulate builds the density's Fourier coefficients (the autocorrelation
 # and, for su2, the self-convolution) from one zero-padded FFT, O(n log n),
@@ -104,27 +105,6 @@ def _manifest(args):
     }
 
 
-def _resolve_output(path):
-    base = os.environ.get(OUTPUT_DIR_ENV)
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
-
-
-def _emit(text, output):
-    if output is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        path = _resolve_output(output)
-        try:
-            with open(path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise _UsageError(f"cannot write {path}: {exc.strerror}") from exc
-
-
 def _cells(prefix, obj):
     """(dotted path, cell) for every value of the JSON object obj, in key order."""
     for key, value in obj.items():
@@ -149,33 +129,50 @@ def _csv_table(result):
     - Cell values: null is an empty cell; numbers, strings and booleans are
       written by csv.writer, so floats as their repr and True/False.
     """
-    listed = next((k for k, v in result.items() if isinstance(v, list)), None)
-    table = []
-    for i, item in enumerate(result[listed] if listed else [None]):
-        row = []
-        for key, value in result.items():
-            if key != listed:
-                row += _cells("", {key: value})
-            elif isinstance(item, dict):
-                row += _cells(f"{key}.", item)
-            else:
-                row += [("index", i), (key, item)]
-        table.append(row)
-    return [name for name, _ in table[0]], [[cell for _, cell in row] for row in table]
+    keys = list(result)
+    listed = next((k for k in keys if isinstance(result[k], list)), None)
+    cut = keys.index(listed) if listed else len(keys)
+    # the repeated cells, {name: text}, formatted once per table as csv.writer would
+    head, tail = ({name: "" if cell is None else str(cell)
+                   for name, cell in _cells("", {k: result[k] for k in part})}
+                  for part in (keys[:cut], keys[cut + 1:]))
+    items = result[listed] if listed else [{}]
+    if isinstance(items[0], dict):
+        names = [name for name, _ in _cells(f"{listed}.", items[0])]
+        body = ([cell for _, cell in _cells("", item)] for item in items)
+    else:
+        names, body = ("index", listed), ([i, item] for i, item in enumerate(items))
+    return [*head, *names, *tail], ([*head.values(), *cells, *tail.values()] for cells in body)
 
 
-def _render(manifest, result, fmt):
+def _write(fh, manifest, result, fmt):
+    """Write the run once, straight into fh: JSON, or CSV row by row."""
     if fmt == "json":
-        return json.dumps({"manifest": manifest, "result": result}, indent=2)
-    buf = io.StringIO()
+        fh.write(json.dumps({"manifest": manifest, "result": result}, indent=2))
+        return
     for key in ("command", "seed", "version", "timestamp"):
-        buf.write(f"# {key}={manifest[key]}\n")
-    buf.write(f"# parameters={json.dumps(manifest['parameters'], sort_keys=True)}\n")
+        fh.write(f"# {key}={manifest[key]}\n")
+    fh.write(f"# parameters={json.dumps(manifest['parameters'], sort_keys=True)}\n")
     header, rows = _csv_table(result)
-    writer = csv.writer(buf)
+    writer = csv.writer(fh)
     writer.writerow(header)
     writer.writerows(rows)
-    return buf.getvalue()
+
+
+def _emit(manifest, result, fmt, output):
+    """The run on stdout, JSON with a trailing newline, or in the --output file."""
+    if output is None:
+        _write(sys.stdout, manifest, result, fmt)
+        if fmt == "json":
+            sys.stdout.write("\n")
+        return
+    # relative to $COVEST_OUTPUT_DIR if set; join keeps an absolute path as it is
+    path = os.path.join(os.environ.get(OUTPUT_DIR_ENV, ""), output)
+    try:
+        with open(path, "w") as fh:
+            _write(fh, manifest, result, fmt)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 # Each cmd_* returns (JSON result, exit code) to main.
@@ -217,12 +214,7 @@ def cmd_su2_design(args):
         for (dim, mult), amp in zip(spectrum, design.input.amplitudes.real)
     ]
     usable = [b["dim"] for b in blocks if b["feasible"]]
-    if not usable:
-        achievable = None
-    elif mode == SELF_ENTANGLED:
-        achievable = design.error
-    else:
-        achievable = _optimal_su2_error(n, SELF_ENTANGLED)
+    achievable = _optimal_su2_error(n, SELF_ENTANGLED) if usable else None
     result = {"n": n, "mode": mode, "error": design.error, "asymptote": asymptotic_error_su2(n),
               "ratio": design.error * n * n / math.pi**2, "blocks": blocks,
               "feasibility": {"usable_dims": usable, "achievable_error": achievable}}
@@ -362,7 +354,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         result, code = args.func(args)
-        _emit(_render(_manifest(args), result, args.format), args.output)
+        _emit(_manifest(args), result, args.format, args.output)
     except _UsageError as exc:
         print(f"covest: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -370,6 +362,11 @@ def main(argv=None):
 
 
 def run():
+    import signal
+
+    # `covest ... | head` then ends quietly on SIGPIPE, as cat does
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -4,9 +4,11 @@ import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from importlib import resources
 
 import jsonschema
@@ -625,6 +627,69 @@ class TestOutputContracts:
     def test_cli_import_loads_no_jsonschema(self):
         """The schema is for tests and consumers; the CLI never validates."""
         assert self.modules_loaded_by_cli_import("jsonschema") == "[]"
+
+
+def untimed(text):
+    """A run's output without its manifest timestamp line, in either format."""
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if '"timestamp":' not in line and not line.startswith("# timestamp="))
+
+
+def traced_peak(*argv):
+    """Traced peak bytes of an in-process `covest ARGV` that writes to os.devnull."""
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--output", os.devnull]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWritePath:
+    """Each run is written once, straight into stdout or the --output file."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv", [["phase-opt", "--n", "1000"], ["su2-design", "--n", "40"]],
+                             ids=" ".join)
+    def test_file_holds_the_stdout_bytes(self, capsys, tmp_path, argv, fmt):
+        """The same bytes in both destinations, apart from the timestamp;
+        stdout alone ends JSON with a newline."""
+        path = tmp_path / f"run.{fmt}"
+        assert main([*argv, "--format", fmt, "--output", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        _, out = run_cli(capsys, *argv, "--format", fmt)
+        written = untimed(path.read_bytes().decode())
+        assert written + ("\n" if fmt == "json" else "") == untimed(out)
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_closed_pipe_ends_quietly(self, fmt):
+        """`covest ... | head -1` ends by SIGPIPE, as cat does, with no traceback."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "covest.cli", "phase-opt", "--n", "100000", "--format", fmt],
+            env=subprocess_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == -signal.SIGPIPE
+        assert err == b""
+
+    @pytest.mark.parametrize("argv", [
+        ["phase-opt", "--n", "100000"],
+        ["su2-design", "--n", "4000"],
+        ["su2-design", "--n", "4000", "--mode", "self-entangled"],
+    ], ids=" ".join)
+    def test_csv_peak_at_most_json_peak(self, argv):
+        """CSV streams its rows, so it holds no more than the one JSON string."""
+        assert traced_peak(*argv, "--format", "csv") <= traced_peak(*argv, "--format", "json")
+
+    def test_csv_peak_grows_linearly(self):
+        small = traced_peak("phase-opt", "--n", "100000", "--format", "csv")
+        large = traced_peak("phase-opt", "--n", "200000", "--format", "csv")
+        assert large / small <= 2.2
 
 
 # The CSV header of each command, as the rule of covest.cli._csv_table

@@ -17,7 +17,8 @@ RUN = ("import sys; sys.path.insert(0, sys.argv.pop(1)); "
        "from covest.cli import main; sys.exit(main(sys.argv[1:]))")
 
 SIZES = list(range(51))
-CSV_SIZES = {0, 1, 2, 3, 7, 50, 1000, 2000}
+# 10 000 adds su2-design's limit in CSV; phase-opt's limit is added below
+CSV_SIZES = {0, 1, 2, 3, 7, 50, 1000, 2000, 10_000}
 
 
 def argument_lists():
@@ -43,6 +44,9 @@ def argument_lists():
             lists.append(["simulate", "--protocol", protocol, "--n", str(n), "--seed", seed])
     csv = [argv + ["--format", "csv"] for argv in lists
            if argv[0] not in ("phase-opt", "su2-design") or int(argv[2]) in CSV_SIZES]
+    # phase-opt's limit (MAX_PHASE_N) in CSV only: 10^6 rows through the CSV writer
+    csv += [["phase-opt", "--n", "1000000", *method, "--format", "csv"]
+            for method in ([], ["--method", "bdm"])]
     # the benchmark's large trial counts, and the CLI's limits on n and trials
     large_trials = [["simulate", "--protocol", protocol, "--n", n, "--trials", trials,
                      "--seed", "20040725"]
