@@ -192,7 +192,7 @@ def cmd_phase_opt(args):
             raise _UsageError("n must be >= 0")
         design = optimal_input(n)
         state, error = design.input, design.error
-    amps = [float(a.real) for a in state.amplitudes]
+    amps = state.amplitudes.real.tolist()
     asym = asymptotic_error(n) if n >= 1 else None
     ratio = error * 4.0 * n * n / math.pi**2 if n >= 1 else None
     result = {"n": n, "method": method, "amplitudes": amps, "error": error,
@@ -210,8 +210,8 @@ def cmd_su2_design(args):
         raise _UsageError(str(exc))
     spectrum = multiplicity_spectrum(n)
     blocks = [
-        {"dim": dim, "multiplicity": mult, "amplitude": float(amp), "feasible": mult >= dim}
-        for (dim, mult), amp in zip(spectrum, design.input.amplitudes.real)
+        {"dim": dim, "multiplicity": mult, "amplitude": amp, "feasible": mult >= dim}
+        for (dim, mult), amp in zip(spectrum, design.input.amplitudes.real.tolist())
     ]
     usable = [b["dim"] for b in blocks if b["feasible"]]
     achievable = _optimal_su2_error(n, SELF_ENTANGLED) if usable else None

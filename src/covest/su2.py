@@ -10,19 +10,30 @@ Irreps act on the weight basis m_k = (j-1)/2 - k of dimension j, and
 irrep_matrix_batch builds them from Euler angles, u = e^{i alpha sigma_z/2}
 e^{i beta sigma_y/2} e^{i gamma sigma_z/2}: J_z is diagonal there, and
 e^{i beta J_y} is a real combination of the J_y eigenprojectors, which are
-computed once per j on first use and cached.  A batch of N elements costs
-one (N x 2j) @ (2j x j^2) product, made over blocks of about 2^19 matrix
-entries, and its memory is the N j^2 complex result plus one block.
+computed once per j on first use and cached.  The spectrum is symmetric,
+so each +-pair of projectors shares one cosine and one sine, and a batch
+of N elements costs one real (N x j) @ (j x j^2) product.  It is made over
+row blocks of about 2^14 matrix entries, each multiplied by its J_z phases
+in cache and stored into the result once, and the blocks are spread over
+one thread per CPU the process may use.  The blocks do not depend on the
+number of threads, so the bits do not either.  Memory is the N j^2
+complex result, the O(N j) phases, and one block per thread.
 """
 
+import os
+import threading
 from functools import lru_cache
 
 import numpy as np
 
 from ._checks import as_index
 
-# matrix entries of d(beta) computed at a time in irrep_matrix_batch
-_BLOCK_ENTRIES = 1 << 19
+# matrix entries per row block of irrep_matrix_batch: a block's d(beta), phases
+# and result rows (0.6 MB) stay in one core's cache
+_BLOCK_ENTRIES = 1 << 14
+# threads that share a batch's row blocks: one per CPU this process may run on
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 # largest deviation from SU(2) form that irrep_matrix_batch accepts
 _SU2_TOL = 1e-12
 
@@ -73,22 +84,66 @@ def _weights(j):
 
 @lru_cache(maxsize=None)
 def _jy_eigensystem(j):
-    """Eigenvalues of J_y and its rank-one projectors, stacked for a real product.
+    """Half the J_y spectrum and its projectors, paired for a real product.
 
-    Returns (lam, w): lam has shape (j,), and w has shape (2j, j*j), the real
-    and negated imaginary parts of the projectors P_p = v_p v_p^dag, each
-    flattened to a row.  e^{i beta J_y} = sum_p e^{i beta lam_p} P_p is real
-    in the weight basis, so it equals [cos(beta lam), sin(beta lam)] @ w.
+    J_y has the simple spectrum lam_p = -lam_{j-1-p}, p = 0..j-1 ascending,
+    with rank-one projectors P_p = v_p v_p^dag.  e^{i beta J_y} =
+    sum_p e^{i beta lam_p} P_p is real in the weight basis, so each +-pair
+    shares one cosine and one sine:
+        d(beta) = sum_{p < ceil(j/2)} cos(beta lam_p) Re(P_p + P_{j-1-p})
+                + sum_{p < floor(j/2)} sin(beta lam_p) Im(P_{j-1-p} - P_p),
+    where for odd j the middle projector, of eigenvalue 0, enters once with
+    cosine 1.  Returns (lam, w): lam holds the ceil(j/2) lowest eigenvalues,
+    and w has shape (j, j*j), the ceil(j/2) cosine rows and then the
+    floor(j/2) sine rows, each a flattened matrix, so
+    d(beta) = [cos(beta lam), sin(beta lam[:j//2])] @ w.
     """
     m = _weights(j)
     # <m_k | J+ | m_{k+1}> on the superdiagonal
     jp = np.diag(np.sqrt(m[0] * (m[0] + 1) - m[1:] * (m[1:] + 1)), 1)
     lam, v = np.linalg.eigh(-0.5j * (jp - jp.T))
     proj = (v.T[:, :, None] * v.T.conj()[:, None, :]).reshape(j, j * j)
-    w = np.concatenate([proj.real, -proj.imag])
+    half, pairs = (j + 1) // 2, j // 2
+    mirror = proj[::-1][:pairs]  # P_{j-1-p}, of eigenvalue -lam_p
+    cos_rows = proj[:half].real.copy()
+    cos_rows[:pairs] += mirror.real
+    w = np.concatenate([cos_rows, mirror.imag - proj[:pairs].imag])
+    lam = lam[:half].copy()
     lam.setflags(write=False)
     w.setflags(write=False)
     return lam, w
+
+
+def _phases(angle, j):
+    """e^{i m_k angle} for k = 0..j-1, shape (N, j), as a running product.
+
+    Column 0 is e^{i (j-1) angle / 2}, and each next column is the one
+    before times e^{-i angle}: two complex exponentials per element of
+    `angle`, and one cumulative product.
+    """
+    z = np.empty((angle.size, j), dtype=complex)
+    z[:, 0] = np.exp(0.5j * (j - 1) * angle)
+    z[:, 1:] = np.exp(-1j * angle)[:, None]
+    return np.cumprod(z, axis=1, out=z)
+
+
+def _fill_blocks(out, coef, w, left, right, blocks):
+    """Store the row blocks `blocks` of D = (left (x) right) d(beta) into `out`.
+
+    Each block's d(beta) = coef @ w and its phase outer product are formed
+    in buffers of one block, sized to stay in cache, so every entry of
+    `out` is stored once.  Calls only numpy, which releases the GIL, so
+    runs of blocks can fill disjoint rows of `out` from several threads.
+    """
+    j = out.shape[1]
+    rows = blocks[0].stop - blocks[0].start
+    d = np.empty((rows, j * j))
+    phase = np.empty((rows, j, j), dtype=complex)
+    for block in blocks:
+        r = block.stop - block.start
+        np.matmul(coef[block], w, out=d[:r])
+        np.multiply(left[block, :, None], right[block, None, :], out=phase[:r])
+        np.multiply(d[:r].reshape(r, j, j), phase[:r], out=out[block])
 
 
 def irrep_matrix_batch(j, matrices):
@@ -99,11 +154,16 @@ def irrep_matrix_batch(j, matrices):
     beta = 2 atan2(|b|, |a|), (alpha+gamma)/2 = arg a, (alpha-gamma)/2 = arg b.
     In the weight basis, m_k = (j-1)/2 - k, the irrep is then
     D_kl = e^{i m_k alpha} d_kl(beta) e^{i m_l gamma} with d(beta) = e^{i beta J_y}.
-    d(beta) is a real (rows x 2j) @ (2j x j^2) product with the J_y
-    projectors, computed once per j and cached, made for blocks of rows of
-    about _BLOCK_ENTRIES entries; each block's two phases are applied as it
-    is written into the result.  No per-element decomposition is made, and
-    the work memory beside the complex result is one block, whatever n.
+    The J_z phases e^{i m_k alpha} are a running product of e^{-i alpha}, and
+    d(beta) is one real (rows x j) @ (j x j^2) product with the paired J_y
+    projectors of _jy_eigensystem, cached per j.  Rows go in blocks of about
+    _BLOCK_ENTRIES entries, each multiplied by its phase outer product in
+    cache and stored into the result once.  Contiguous runs of blocks go to
+    _WORKERS threads, the caller filling the first; an error in any run is
+    raised here once every thread has ended.  The blocks do not depend on
+    the worker count, so neither do the bits, and one block starts no
+    thread.  No per-element decomposition is made, and the work memory
+    beside the complex result is the O(n j) phases plus one block per worker.
 
     Raises ValueError unless every element has a unit first row (a, b) and
     the second row (-conj(b), conj(a)), each within _SU2_TOL; NaN fails.
@@ -129,17 +189,37 @@ def irrep_matrix_batch(j, matrices):
     beta = 2.0 * np.arctan2(np.abs(b), np.abs(a))
     arg_a, arg_b = np.angle(a), np.angle(b)
     lam, w = _jy_eigensystem(j)
-    m = _weights(j)
-    left = np.exp(1j * np.multiply.outer(arg_a + arg_b, m))
-    right = np.exp(1j * np.multiply.outer(arg_a - arg_b, m))
+    bl = np.multiply.outer(beta, lam)
+    coef = np.concatenate([np.cos(bl), np.sin(bl[:, :j // 2])], axis=1)
+    left, right = _phases(arg_a + arg_b, j), _phases(arg_a - arg_b, j)
     out = np.empty((n, j, j), dtype=complex)
     step = max(1, _BLOCK_ENTRIES // (j * j))
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
-        bl = np.multiply.outer(beta[rows], lam)
-        d = (np.concatenate([np.cos(bl), np.sin(bl)], axis=1) @ w).reshape(-1, j, j)
-        np.multiply(d, left[rows, :, None], out=out[rows])
-        out[rows] *= right[rows, None, :]
+    blocks = [slice(start, min(start + step, n)) for start in range(0, n, step)]
+    workers = min(_WORKERS, len(blocks))
+    runs = [blocks[len(blocks) * k // workers:len(blocks) * (k + 1) // workers]
+            for k in range(workers)]
+    args = (out, coef, w, left, right)
+    errors = []
+
+    def fill(run):
+        try:
+            _fill_blocks(*args, run)
+        except Exception as exc:  # raised below, once every thread has ended
+            errors.append(exc)
+
+    threads = []
+    try:
+        for run in runs[1:]:
+            thread = threading.Thread(target=fill, args=(run,))
+            thread.start()
+            threads.append(thread)
+        if runs:
+            _fill_blocks(*args, runs[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     return out
 
 

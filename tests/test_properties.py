@@ -181,3 +181,14 @@ class TestIrrepHomomorphism:
     def test_product_of_irreps_is_irrep_of_product(self, j, u, v):
         du, dv, duv = (irrep_matrix_batch(j, m[None])[0] for m in (u, v, u @ v))
         assert np.abs(du @ dv - duv).max() <= 1e-10
+
+
+class TestIrrepWeightFlip:
+    @PROPERTY
+    @given(st.integers(1, 30), su2_elements())
+    def test_flipped_weights_give_signed_conjugate(self, j, u):
+        """D_{j-1-k, j-1-l} = (-1)^(k-l) conj(D_kl), an identity the kernel does not use."""
+        d = irrep_matrix_batch(j, u[None])[0]
+        k = np.arange(j)
+        sign = np.where((k[:, None] - k[None, :]) % 2, -1.0, 1.0)
+        assert np.abs(d[::-1, ::-1] - sign * d.conj()).max() <= 1e-12 * j

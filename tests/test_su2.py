@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -339,6 +340,76 @@ class TestIrrepStructure:
             del v
         assert excess[1] - excess[0] <= 0.25 * (result[1] - result[0])
 
+
+
+class TestIrrepWorkers:
+    """Row blocks are shared by _WORKERS threads: the bits do not depend on
+    the worker count, and no thread outlives the call."""
+
+    @staticmethod
+    def elements(rng, n):
+        return np.concatenate([degenerate_elements(), haar_matrices(rng, n)])[:n]
+
+    # 7 rows a block: 16 blocks with a short last one, 2 blocks, and one block
+    @pytest.mark.parametrize("n", [110, 14, 5])
+    @pytest.mark.parametrize("j", [3, 4, 12, 25])
+    def test_bits_do_not_depend_on_worker_count(self, j, n, rng, monkeypatch):
+        m = self.elements(rng, n)
+        monkeypatch.setattr(su2, "_BLOCK_ENTRIES", 7 * j * j)
+        runs = []
+        for workers in (1, 2, 3, 4):
+            monkeypatch.setattr(su2, "_WORKERS", workers)
+            runs.append(irrep_matrix_batch(j, m))
+        assert all(np.array_equal(runs[0], v) for v in runs[1:])
+        assert np.abs(runs[0] - reference_irrep_batch(j, m)).max() < 1e-11 * j
+
+    def test_more_workers_than_cores_under_fast_switching(self, rng, monkeypatch):
+        m = self.elements(rng, 300)
+        monkeypatch.setattr(su2, "_BLOCK_ENTRIES", 3 * 12 * 12)
+        monkeypatch.setattr(su2, "_WORKERS", 1)
+        serial = irrep_matrix_batch(12, m)
+        monkeypatch.setattr(su2, "_WORKERS", 4 * os.cpu_count())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [irrep_matrix_batch(12, m) for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(serial, v) for v in runs)
+
+    def test_one_block_starts_no_thread(self, rng, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a thread for a batch of one block")
+
+        m = self.elements(rng, 20)
+        monkeypatch.setattr(su2, "_WORKERS", 4)
+        monkeypatch.setattr(su2.threading, "Thread", forbidden)
+        assert np.abs(irrep_matrix_batch(12, m) - reference_irrep_batch(12, m)).max() < 1e-10
+
+    def test_no_thread_outlives_the_call(self, rng, monkeypatch):
+        m = self.elements(rng, 500)
+        monkeypatch.setattr(su2, "_BLOCK_ENTRIES", 7 * 25 * 25)
+        monkeypatch.setattr(su2, "_WORKERS", 4)
+        before = threading.active_count()
+        irrep_matrix_batch(25, m)
+        assert threading.active_count() == before
+
+    def test_worker_error_reaches_caller(self, rng, monkeypatch):
+        fill = su2._fill_blocks
+
+        def failing(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError("in a worker")
+            fill(*args)
+
+        m = self.elements(rng, 500)
+        monkeypatch.setattr(su2, "_BLOCK_ENTRIES", 7 * 25 * 25)
+        monkeypatch.setattr(su2, "_WORKERS", 2)
+        monkeypatch.setattr(su2, "_fill_blocks", failing)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="in a worker"):
+            irrep_matrix_batch(25, m)
+        assert threading.active_count() == before
 
 class TestDistance:
     """1 - |Tr(u^dag v)/2|^2 is sin^2(theta/2) at the class angle of u^dag v."""

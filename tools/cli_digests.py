@@ -17,13 +17,14 @@ RUN = ("import sys; sys.path.insert(0, sys.argv.pop(1)); "
        "from covest.cli import main; sys.exit(main(sys.argv[1:]))")
 
 SIZES = list(range(51))
-# 10 000 adds su2-design's limit in CSV; phase-opt's limit is added below
-CSV_SIZES = {0, 1, 2, 3, 7, 50, 1000, 2000, 10_000}
+# the limits of su2-design (10 000) and phase-opt (10^6) are in CSV too
+CSV_SIZES = {0, 1, 2, 3, 7, 50, 1000, 2000, 10_000, 1_000_000}
 
 
 def argument_lists():
     lists = []
-    for n in SIZES + [1000, 5000]:
+    # 10^6 is phase-opt's limit (MAX_PHASE_N)
+    for n in SIZES + [1000, 5000, 1_000_000]:
         lists += [["phase-opt", "--n", str(n)], ["phase-opt", "--n", str(n), "--method", "bdm"]]
     # 10 000 is su2-design's limit (MAX_SU2_N)
     for n in SIZES + [999, 1000, 1999, 2000, 10_000]:
@@ -44,9 +45,6 @@ def argument_lists():
             lists.append(["simulate", "--protocol", protocol, "--n", str(n), "--seed", seed])
     csv = [argv + ["--format", "csv"] for argv in lists
            if argv[0] not in ("phase-opt", "su2-design") or int(argv[2]) in CSV_SIZES]
-    # phase-opt's limit (MAX_PHASE_N) in CSV only: 10^6 rows through the CSV writer
-    csv += [["phase-opt", "--n", "1000000", *method, "--format", "csv"]
-            for method in ([], ["--method", "bdm"])]
     # the benchmark's large trial counts, and the CLI's limits on n and trials
     large_trials = [["simulate", "--protocol", protocol, "--n", n, "--trials", trials,
                      "--seed", "20040725"]
