@@ -36,20 +36,19 @@ DEFAULT_SEED = 20040725
 OUTPUT_DIR_ENV = "COVEST_OUTPUT_DIR"
 
 # su2-design prints each block's exact multiplicity, an integer of about
-# 0.3 n digits; Python refuses to print integers of more than 4300 digits,
-# which C(n, n/2) passes just above n = 14 000.  That, not time, sets the
-# limit: n = 10^4 takes 0.86 s and 69 MB cold in either mode on 2 vCPUs in
-# JSON, and 4.9 s and 36 MB in CSV, which streams its 159 MB (medians of 5).
+# 0.3 n digits.  Python refuses to print integers of more than 4300 digits,
+# which C(n, n/2) passes just above n = 14 000: that bound on printable
+# integers, not time or memory, sets the limit.
 MAX_SU2_N = 10_000
 
 # Limits on the other commands' sizes, each far above the benchmark's and
 # checked before any work, so that a large request is a usage error and not
-# an out-of-memory kill or an hours-long run.  Measured as cold processes on
-# a 2-vCPU VM:
-# phase-opt builds O(n) arrays and prints n+1 amplitudes: at n = 10^6, 2.6 s
-# and 180 MB in JSON, 5.9 s and 153 MB in CSV (medians of 5), so 10^7 would
-# need about 2 GB.
+# an out-of-memory kill or an hours-long run.
+# phase-opt holds O(n) arrays and its n+1 amplitudes as Python floats, and
+# streams its output in either format: memory, linear in n, sets the limit,
+# and 10^7 would need over 1 GB.
 MAX_PHASE_N = 1_000_000
+# The figures below were measured as cold processes on a 2-vCPU VM.
 # simulate builds the density's Fourier coefficients (the autocorrelation
 # and, for su2, the self-convolution) from one zero-padded FFT, O(n log n),
 # and integrates them over a fixed grid of 4096 bins: phase n = 10^5 takes
@@ -63,7 +62,7 @@ MAX_SIMULATE_N = 100_000
 MAX_TRIALS = 20_000_000
 # scaling takes each row's optimal errors from their closed forms, O(1), and
 # the sine-profile error from its n+1 amplitudes, O(n), so O(max_n^2) cheap
-# numpy work in all: 0.9 s and 39 MB at 5000, 2.2 s and 49 MB at 10^4.
+# numpy work in all: time, not memory, sets the limit.
 MAX_SCALING_N = 10_000
 # verify-integrals builds three kernel matrices at O(kmax) nodes: O(kmax^2)
 # cosines (one table per parity of dimension) and O(kmax^3) additions and
@@ -145,10 +144,55 @@ def _csv_table(result):
     return [*head, *names, *tail], ([*head.values(), *cells, *tail.values()] for cells in body)
 
 
+# A JSON list is written _CHUNK items at a time, so that the writer's memory
+# does not grow with it: 128 su2-design blocks at n = 10^4 are under 0.5 MB of
+# text.  A chunk of scalars or of flat objects takes one call of the C encoder,
+# which json.dumps skips when given an indent; JSON escapes newlines inside
+# strings, so its items split at "\n".
+_CHUNK = 128
+_SCALARS = {str, int, float, bool, type(None)}
+_ITEMS = json.JSONEncoder(separators=("\n", ": ")).encode
+
+
+def _flat_text(chunk, inner):
+    """The items of a chunk of scalars, or of flat objects with one key order,
+    joined as json.dump(..., indent=2) joins them; None for any other chunk."""
+    keys = list(chunk[0]) if isinstance(chunk[0], dict) else None
+    if keys and all(isinstance(row, dict) and list(row) == keys for row in chunk):
+        cells = [cell for row in chunk for cell in row.values()]
+        item = "{" + ",".join(f"{inner}  {json.dumps(key).replace('%', '%%')}: %s"
+                              for key in keys) + inner + "}"
+    else:
+        cells, item = chunk, "%s"
+    if _SCALARS.issuperset(map(type, cells)):
+        return ("," + inner).join([item] * len(chunk)) % tuple(_ITEMS(cells)[1:-1].split("\n"))
+
+
+def _json(fh, value, pad="\n"):
+    """Write value into fh as json.dump(value, fh, indent=2) does; pad starts its lines."""
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        for i, (key, item) in enumerate(value.items()):
+            fh.write(f"{',' if i else '{'}{inner}{json.dumps(key)}: ")
+            _json(fh, item, inner)
+        fh.write(pad + "}")
+    elif isinstance(value, list) and value:
+        for start in range(0, len(value), _CHUNK):
+            chunk = value[start:start + _CHUNK]
+            text = _flat_text(chunk, inner)
+            fh.write(("," if start else "[") + inner + (text or ""))
+            for i, item in enumerate(() if text else chunk):  # any other chunk, item by item
+                fh.write("," + inner if i else "")
+                _json(fh, item, inner)
+        fh.write(pad + "]")
+    else:
+        fh.write(json.dumps(value))
+
+
 def _write(fh, manifest, result, fmt):
-    """Write the run once, straight into fh: JSON, or CSV row by row."""
+    """Write the run once, straight into fh: JSON a chunk at a time, or CSV row by row."""
     if fmt == "json":
-        fh.write(json.dumps({"manifest": manifest, "result": result}, indent=2))
+        _json(fh, {"manifest": manifest, "result": result})
         return
     for key in ("command", "seed", "version", "timestamp"):
         fh.write(f"# {key}={manifest[key]}\n")

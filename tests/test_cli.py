@@ -1,6 +1,7 @@
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -14,9 +15,10 @@ from importlib import resources
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import covest
-from covest import __version__
+from covest import __version__, cli
 from covest.cli import (
     LAW_GAP_TOL,
     MAX_KMAX,
@@ -645,6 +647,18 @@ def traced_peak(*argv):
         tracemalloc.stop()
 
 
+def traced_result_peak(*argv):
+    """Traced peak bytes of building the JSON result of `covest ARGV` alone."""
+    args = _build_parser().parse_args(list(argv))
+    tracemalloc.start()
+    try:
+        _, code = args.func(args)
+        assert code == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestWritePath:
     """Each run is written once, straight into stdout or the --output file."""
 
@@ -677,19 +691,109 @@ class TestWritePath:
         assert proc.returncode == -signal.SIGPIPE
         assert err == b""
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("argv", [
         ["phase-opt", "--n", "100000"],
         ["su2-design", "--n", "4000"],
         ["su2-design", "--n", "4000", "--mode", "self-entangled"],
     ], ids=" ".join)
-    def test_csv_peak_at_most_json_peak(self, argv):
-        """CSV streams its rows, so it holds no more than the one JSON string."""
-        assert traced_peak(*argv, "--format", "csv") <= traced_peak(*argv, "--format", "json")
+    def test_peak_within_a_mib_of_the_result(self, argv, fmt):
+        """Both formats stream, a chunk of items or a row at a time, so writing
+        a run holds at most 1 MiB beyond what building its result peaks at.
+        A writer that builds the whole JSON text first exceeds it by 4.7-5.2 MiB."""
+        assert traced_peak(*argv, "--format", fmt) <= traced_result_peak(*argv) + 2**20
 
     def test_csv_peak_grows_linearly(self):
         small = traced_peak("phase-opt", "--n", "100000", "--format", "csv")
         large = traced_peak("phase-opt", "--n", "200000", "--format", "csv")
         assert large / small <= 2.2
+
+    def test_json_peak_grows_linearly(self):
+        small = traced_peak("phase-opt", "--n", "100000", "--format", "json")
+        large = traced_peak("phase-opt", "--n", "200000", "--format", "json")
+        assert large / small <= 2.2
+
+
+# JSON values of every kind the writer meets, and the ones that its fast
+# paths must get right: big ints, non-finite and extreme floats, and strings
+# that JSON escapes or that a %-template would misread.
+_odd_text = st.text(st.sampled_from(["a", "%", "s", '"', "\n", "\\", "é", "\u2028", "∞", " "]),
+                    max_size=4)
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=2**64, max_value=2**200), st.integers(max_value=-2**64),
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324]), _odd_text,
+)
+
+
+@st.composite
+def _flat_rows(draw, values):
+    """Flat objects that share one key order, then perhaps more in another."""
+    keys = draw(st.lists(_odd_text, unique=True, max_size=4))
+    orders = [keys, keys[::-1]][:draw(st.integers(1, 2))]
+    return [{key: draw(values) for key in order}
+            for order in orders for _ in range(draw(st.integers(0, 5)))]
+
+
+_json_values = st.recursive(
+    _scalars,
+    lambda children: st.one_of(st.lists(children, max_size=6),
+                               st.dictionaries(_odd_text, children, max_size=4),
+                               _flat_rows(_scalars), _flat_rows(children)),
+    max_leaves=40,
+)
+
+
+def _writer_runs():
+    """Each command at n (or kmax, or max-n) in {0, 1, 2, 50}, where it accepts it."""
+    for n in ("0", "1", "2", "50"):
+        yield ["phase-opt", "--n", n]
+        yield ["simulate", "--protocol", "phase", "--n", n, "--trials", "1000"]
+        if n != "0":
+            yield ["phase-opt", "--n", n, "--method", "bdm"]
+            yield ["su2-design", "--n", n]
+            yield ["simulate", "--protocol", "su2", "--n", n, "--trials", "1000"]
+            yield ["verify-integrals", "--kmax", n]
+        if n not in ("0", "1"):
+            yield ["su2-design", "--n", n, "--mode", "self-entangled"]
+            yield ["scaling", "--max-n", n]
+
+
+def written_json(value):
+    fh = io.StringIO()
+    cli._json(fh, value)
+    return fh.getvalue()
+
+
+class TestJsonWriter:
+    """The streaming writer gives the bytes of json.dumps(value, indent=2)."""
+
+    # 3 puts many chunk boundaries inside small lists; 128 is the writer's own
+    @pytest.mark.parametrize("chunk", [3, cli._CHUNK])
+    @given(value=_json_values)
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_same_bytes_as_json_dumps(self, chunk, value):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_CHUNK", chunk)
+            assert written_json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        [], {}, [[]], [{}], [{}, {}], [[], {}], {"": []}, [1, [2]], [[1], 2],
+        [{"a": 1}, {"a": [1]}], [{"a": 1}, {"a": {}}], [{"a": 1}, 2], [1, {"a": 1}],
+        [{"%s": "%s", "%": "%%"}], [{"a": 1, "b": 2}, {"b": 2, "a": 1}],
+    ], ids=repr)
+    def test_edge_shapes(self, value):
+        assert written_json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("argv", list(_writer_runs()), ids=" ".join)
+    def test_command_run(self, argv):
+        args = _build_parser().parse_args(argv)
+        result, _ = args.func(args)
+        manifest = cli._manifest(args)
+        fh = io.StringIO()
+        cli._write(fh, manifest, result, "json")
+        assert fh.getvalue() == json.dumps({"manifest": manifest, "result": result}, indent=2)
 
 
 # The CSV header of each command, as the rule of covest.cli._csv_table

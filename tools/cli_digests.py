@@ -33,7 +33,9 @@ def argument_lists():
     lists += [["verify-integrals", "--kmax", str(k)] for k in (1, 30, 60, 100)]
     # every identity fails: exit 2, pass false in every row
     lists.append(["verify-integrals", "--kmax", "3", "--tol", "1e-16"])
-    lists += [["scaling", "--max-n", "100"], ["scaling", "--max-n", "300", "--step", "7"],
+    # the least max-n, a one-row table, and the limit
+    lists += [["scaling", "--max-n", "2"], ["scaling", "--max-n", "50", "--step", "50"],
+              ["scaling", "--max-n", "100"], ["scaling", "--max-n", "300", "--step", "7"],
               ["scaling", "--max-n", "10000"], ["scaling", "--max-n", "10000", "--step", "997"]]
     lists += [
         ["simulate", "--protocol", "phase", "--n", "1000", "--trials", "1000000",
