@@ -18,20 +18,19 @@ from .simulate import (
     outcome_coefficients,
     simulate,
 )
-from .su2 import (
-    character,
-    class_angles,
-    haar_matrices,
-    irrep_matrix_batch,
+from .su2 import character, haar_matrices, irrep_matrix_batch
+from .su2_design import (
+    Su2Design,
+    asymptotic_error_su2,
+    design_optimal,
     multiplicity_spectrum,
+    su2_error,
 )
-from .su2_design import Su2Design, asymptotic_error_su2, design_optimal, su2_error
 
 __version__ = "0.1.0"
 
 __all__ = [
     "character",
-    "class_angles",
     "haar_matrices",
     "irrep_matrix_batch",
     "multiplicity_spectrum",

@@ -24,9 +24,9 @@ from .phase import (
     _optimal_phase_error, asymptotic_error, bdm_input, min_covariant_error, optimal_input,
 )
 from .simulate import SimConfig, simulate
-from .su2 import multiplicity_spectrum
 from .su2_design import (
-    SELF_ENTANGLED, _optimal_su2_error, asymptotic_error_su2, design_optimal,
+    SELF_ENTANGLED, _optimal_su2_error, _self_entangled_top, asymptotic_error_su2,
+    design_optimal, multiplicity_spectrum,
 )
 from .integrals import phase_kernel_matrix, su2_kernel_matrix
 
@@ -48,17 +48,13 @@ MAX_SU2_N = 10_000
 # streams its output in either format: memory, linear in n, sets the limit,
 # and 10^7 would need over 1 GB.
 MAX_PHASE_N = 1_000_000
-# The figures below were measured as cold processes on a 2-vCPU VM.
-# simulate builds the density's Fourier coefficients (the autocorrelation
-# and, for su2, the self-convolution) from one zero-padded FFT, O(n log n),
-# and integrates them over a fixed grid of 4096 bins: phase n = 10^5 takes
-# 0.42 s and 58 MB as a cold run on 2 vCPUs (median of 5), 43 ms in-process.
+# simulate builds the density's Fourier coefficients from one zero-padded
+# FFT, in O(n log n) time and O(n) memory.  The law-gap gate sets the limit:
+# LAW_GAP_TOL below is absolute, while the error it guards falls as 1/n^2.
 MAX_SIMULATE_N = 100_000
-# simulate draws the bin counts of all its trials as one multinomial, so
-# neither its time nor its memory grows with the trial count: cold phase
-# n = 10^5 takes 0.42 s at 10^5 trials and 0.39 s at 2 * 10^7, both 58 MB,
-# and su2 n = 5 0.26 s and 36 MB at either count.  The limit stays as the
-# CLI's contract.
+# simulate draws the bin counts of all its trials as one multinomial over
+# the fixed grid, so neither its time nor its memory grows with the trial
+# count: no resource bounds it, and the limit stays as the CLI's contract.
 MAX_TRIALS = 20_000_000
 # scaling takes each row's optimal errors from their closed forms, O(1), and
 # the sine-profile error from its n+1 amplitudes, O(n), so O(max_n^2) cheap
@@ -66,8 +62,7 @@ MAX_TRIALS = 20_000_000
 MAX_SCALING_N = 10_000
 # verify-integrals builds three kernel matrices at O(kmax) nodes: O(kmax^2)
 # cosines (one table per parity of dimension) and O(kmax^3) additions and
-# multiply-adds: 0.19 s at kmax = 60 and 0.21 s at 100 as cold runs, most of
-# it start-up, and 13 ms in-process at 100.
+# multiply-adds, so time, cubic in kmax, sets the limit.
 MAX_KMAX = 100
 
 # simulate's law gap, the exact mean loss of its binned law minus the closed
@@ -252,13 +247,14 @@ def cmd_su2_design(args):
         design = design_optimal(n, mode)
     except ValueError as exc:
         raise _UsageError(str(exc))
-    spectrum = multiplicity_spectrum(n)
+    spectrum, top = multiplicity_spectrum(n), _self_entangled_top(n)
     blocks = [
-        {"dim": dim, "multiplicity": mult, "amplitude": amp, "feasible": mult >= dim}
+        {"dim": dim, "multiplicity": mult, "amplitude": amp,
+         "feasible": top is not None and dim <= top}
         for (dim, mult), amp in zip(spectrum, design.input.amplitudes.real.tolist())
     ]
     usable = [b["dim"] for b in blocks if b["feasible"]]
-    achievable = _optimal_su2_error(n, SELF_ENTANGLED) if usable else None
+    achievable = None if top is None else _optimal_su2_error(n, SELF_ENTANGLED)
     result = {"n": n, "mode": mode, "error": design.error, "asymptote": asymptotic_error_su2(n),
               "ratio": design.error * n * n / math.pi**2, "blocks": blocks,
               "feasibility": {"usable_dims": usable, "achievable_error": achievable}}

@@ -98,7 +98,8 @@ def optimal_seed(x):
     xv = x.amplitudes
     mags = np.abs(xv)
     normal = mags >= np.finfo(float).tiny
-    u = np.where(normal, xv / np.where(normal, mags, 1.0), np.exp(1j * np.angle(xv)))
+    u = xv / np.where(normal, mags, 1.0)
+    u[~normal] = np.exp(1j * np.angle(xv[~normal]))
     u[mags == 0.0] = 1.0
     return Seed(np.conj(u)[:, None])
 

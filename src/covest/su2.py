@@ -1,5 +1,4 @@
-"""SU(2) elements as batched arrays: Haar sampling, class angles, characters,
-irreps, and multiplicities.
+"""SU(2) elements as batched arrays: Haar sampling, characters and irreps.
 
 An element is a 2x2 complex array and a batch is an array of shape
 (..., 2, 2).  Its class angle theta in [0, 2*pi] is the conjugation
@@ -36,13 +35,6 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 # largest deviation from SU(2) form that irrep_matrix_batch accepts
 _SU2_TOL = 1e-12
-
-
-def class_angles(matrices):
-    """Vectorized class angles for an array of SU(2) matrices, shape (..., 2, 2)."""
-    matrices = np.asarray(matrices)
-    c = np.clip((matrices[..., 0, 0] + matrices[..., 1, 1]).real / 2.0, -1.0, 1.0)
-    return 2.0 * np.arccos(c)
 
 
 def haar_matrices(rng, size):
@@ -222,27 +214,3 @@ def irrep_matrix_batch(j, matrices):
         raise errors[0]
     return out
 
-
-def _block_dims(n):
-    """Irrep dimensions 1 + n % 2, 3 + n % 2, ..., n + 1 of the n-qubit tensor power."""
-    return tuple(range(1 + n % 2, n + 2, 2))
-
-
-def multiplicity_spectrum(n):
-    """The n-qubit tensor power as ((dim, multiplicity), ...) over _block_dims(n).
-
-    The block of dimension dim = n+1-2i has multiplicity C(n, i) - C(n, i-1).
-    One pass builds the binomials by the running product C(n, i) =
-    C(n, i-1) (n-i+1) / i, exact in integers, in O(n) big-integer steps; a
-    failed dimension identity sum(dim * mult) = 2**n raises ArithmeticError.
-    """
-    if as_index(n, "n") < 1:
-        raise ValueError("n must be >= 1")
-    spectrum, comb, below = [], 1, 0  # comb = C(n, i), below = C(n, i-1)
-    for i in range(n // 2 + 1):
-        if i:
-            below, comb = comb, comb * (n - i + 1) // i
-        spectrum.append((n + 1 - 2 * i, comb - below))
-    if sum(dim * mult for dim, mult in spectrum) != 2**n:
-        raise ArithmeticError(f"multiplicities of n = {n} fail the dimension identity")
-    return tuple(reversed(spectrum))

@@ -8,7 +8,7 @@ block amplitudes (odd n exactly; even n with an extra a_0^2/4 penalty from
 the trivial block), and design_optimal gives one sine-profile optimum for
 both parities.  Self-entangled designs replace the external reference by
 the permutation multiplicity spaces, usable wherever multiplicity >= irrep
-dimension (see su2.multiplicity_spectrum).
+dimension (see multiplicity_spectrum and _self_entangled_top).
 """
 
 import math
@@ -18,12 +18,47 @@ import numpy as np
 
 from ._checks import as_index
 from .phase import PhaseInputState, Seed, optimal_seed, phase_error
-from .su2 import _block_dims
 
 EXTERNAL = "external"
 SELF_ENTANGLED = "self-entangled"
 
 _NORM_TOL = 1e-12
+
+
+def _block_dims(n):
+    """Irrep dimensions 1 + n % 2, 3 + n % 2, ..., n + 1 of the n-qubit tensor power."""
+    return tuple(range(1 + n % 2, n + 2, 2))
+
+
+def multiplicity_spectrum(n):
+    """The n-qubit tensor power as ((dim, multiplicity), ...) over _block_dims(n).
+
+    The block of dimension dim = n+1-2i has multiplicity C(n, i) - C(n, i-1).
+    One pass builds the binomials by the running product C(n, i) =
+    C(n, i-1) (n-i+1) / i, exact in integers, in O(n) big-integer steps; a
+    failed dimension identity sum(dim * mult) = 2**n raises ArithmeticError.
+    """
+    if as_index(n, "n") < 1:
+        raise ValueError("n must be >= 1")
+    spectrum, comb, below = [], 1, 0  # comb = C(n, i), below = C(n, i-1)
+    for i in range(n // 2 + 1):
+        if i:
+            below, comb = comb, comb * (n - i + 1) // i
+        spectrum.append((n + 1 - 2 * i, comb - below))
+    if sum(dim * mult for dim, mult in spectrum) != 2**n:
+        raise ArithmeticError(f"multiplicities of n = {n} fail the dimension identity")
+    return tuple(reversed(spectrum))
+
+
+def _self_entangled_top(n):
+    """The largest block dimension whose multiplicity can host the reference.
+
+    That needs multiplicity >= dimension, which holds for every block but the
+    top one (multiplicity 1) when n >= 2: the block of dimension n+1-2k,
+    k >= 1, has multiplicity C(n,k)(n-2k+1)/(n-k+1) >= n+1-2k, as
+    C(n,k) >= n >= n-k+1.  So this is n-1, and None for n = 1.
+    """
+    return n - 1 if n >= 2 else None
 
 
 @dataclass(frozen=True)
@@ -78,11 +113,8 @@ def design_optimal(n, reference_mode=EXTERNAL):
     2b < D+2 < 2b+2, so its error lies strictly between the phase optima for
     b-1 and b-2 uses, sin^2(pi/(2b+2)) and sin^2(pi/(2b)).
 
-    An external reference uses every block, D = n+1.  A self-entangled one
-    uses the blocks whose permutation multiplicity can host the reference
-    copy, which for n >= 2 are all but the top one, D = n-1: the top block
-    has multiplicity 1, and the block of dimension n+1-2k, k >= 1, has
-    multiplicity C(n,k)(n-2k+1)/(n-k+1) >= n+1-2k.  n = 1 has none.
+    An external reference uses every block, D = n+1, and a self-entangled
+    one the blocks up to D = _self_entangled_top(n).
     """
     top = _largest_dim(n, reference_mode)
     dims = np.array(_block_dims(n))
@@ -99,9 +131,10 @@ def _largest_dim(n, reference_mode):
         raise ValueError(f"unknown reference mode {reference_mode!r}")
     if reference_mode == EXTERNAL:
         return n + 1
-    if n == 1:
+    top = _self_entangled_top(n)
+    if top is None:
         raise ValueError("no self-entangleable block for n=1")
-    return n - 1
+    return top
 
 
 def _optimal_su2_error(n, reference_mode=EXTERNAL):

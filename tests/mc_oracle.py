@@ -11,14 +11,22 @@ blocks are those of an `Su2Design`: dimensions 2, 4, ... for odd n and
 1, 3, 5, ... for even n.
 
 `brute_force_su2_error` is the error functional itself, assembled from the
-dense seed matrix and the class-angle kernel matrix.
+dense seed matrix and the class-angle kernel matrix, and `class_angles` reads
+the class angle of SU(2) matrices from their trace.
 """
 
 import numpy as np
 
-from covest import class_angles, irrep_matrix_batch, su2_kernel_matrix
+from covest import irrep_matrix_batch, su2_kernel_matrix
 
 _BRUTE_FORCE_MAX_BLOCKS = 11
+
+
+def class_angles(matrices):
+    """Vectorized class angles for an array of SU(2) matrices, shape (..., 2, 2)."""
+    matrices = np.asarray(matrices)
+    c = np.clip((matrices[..., 0, 0] + matrices[..., 1, 1]).real / 2.0, -1.0, 1.0)
+    return 2.0 * np.arccos(c)
 
 
 def haar_rule(degree):

@@ -17,7 +17,6 @@ PUBLIC = [
     "asymptotic_error_su2",
     "bdm_input",
     "character",
-    "class_angles",
     "design_optimal",
     "haar_matrices",
     "irrep_matrix_batch",
@@ -59,6 +58,7 @@ REMOVED = [
     "brute_force_su2_error",
     "outcome_density_phase",
     "outcome_density_su2_class",
+    "class_angles",
 ]
 
 

@@ -4,9 +4,9 @@ The runs exercise the benchmark's independent checks (closed-form phase
 errors and profiles, the even-n sandwich bracket, binomial multiplicities,
 the z-gate against an independently computed error, the Haar irrep
 identities) on cold-process CLI runs, so the benchmark cannot rot
-unnoticed.  Traced runs wrap every public function of the package and the
-density closures it returns, so they also catch code that relies on what a
-public call returns being the package's own object.
+unnoticed.  Traced runs wrap every public function of the package, so they
+also catch code that relies on a public function being the package's own
+object.
 """
 
 import json

@@ -131,7 +131,7 @@ class TestSu2Design:
         assert_usage_error("su2-design", "--n", str(MAX_SU2_N + 1))
 
     @pytest.mark.parametrize("mode", ["external", "self-entangled"])
-    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("n", [*range(1, 13), 999, 1000, 1999, 2000])
     def test_blocks_and_feasibility_from_binomials(self, capsys, mode, n):
         code, out = run_cli(capsys, "su2-design", "--n", str(n), "--mode", mode)
         if mode == "self-entangled" and n == 1:

@@ -11,14 +11,14 @@ from hypothesis import given, strategies as st
 from scipy.stats import kstest
 
 import covest
-from covest import su2
+from covest import su2, su2_design
 from covest import (
     character,
-    class_angles,
     haar_matrices,
     irrep_matrix_batch,
     multiplicity_spectrum,
 )
+from mc_oracle import class_angles
 
 
 def class_angle_cdf(theta):
@@ -494,6 +494,6 @@ class TestMultiplicitySpectrum:
     def test_dimension_identity_failure_raises(self, monkeypatch):
         # a pass that stops one binomial short drops the smallest block; the
         # self-check is a raise, not an assert, so python -O keeps it too
-        monkeypatch.setattr(su2, "range", lambda stop: range(stop - 1), raising=False)
+        monkeypatch.setattr(su2_design, "range", lambda stop: range(stop - 1), raising=False)
         with pytest.raises(ArithmeticError, match="dimension identity"):
             multiplicity_spectrum(6)

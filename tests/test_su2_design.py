@@ -1,8 +1,11 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+import covest
 from conftest import random_seed
 from covest import (
     PhaseInputState,
@@ -325,3 +328,24 @@ class TestBlockAmplitudeValidation:
     def test_block_dims(self):
         assert single_block_design(5, [1.0, 0, 0]).block_dims == (2, 4, 6)
         assert single_block_design(4, [1.0, 0, 0]).block_dims == (1, 3, 5)
+
+
+def imports_su2(node):
+    """Whether an import statement loads covest.su2, relatively or absolutely."""
+    if isinstance(node, ast.Import):
+        return any(alias.name == "covest.su2" for alias in node.names)
+    if not isinstance(node, ast.ImportFrom):
+        return False
+    module = ("." * node.level) + (node.module or "")
+    if module in (".su2", "covest.su2"):
+        return True
+    return module in (".", "covest") and any(alias.name == "su2" for alias in node.names)
+
+
+def test_block_structure_has_one_home():
+    # the commands and designs take dimensions, multiplicities and the
+    # self-entanglement rule from su2_design; su2 is the Haar-batch code only
+    src = pathlib.Path(covest.__file__).parent
+    importers = sorted(path.name for path in src.glob("*.py")
+                       if any(imports_su2(node) for node in ast.walk(ast.parse(path.read_text()))))
+    assert importers == ["__init__.py"]
