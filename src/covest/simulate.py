@@ -1,7 +1,10 @@
 """Monte Carlo verification of the covariant estimation protocols.
 
 By covariance, the outcome law depends only on the angle relative to the
-true parameter.  For either design type it is a trigonometric polynomial,
+true parameter.  For a phase design it is the phase density of the rows
+x ∘ F; for an SU(2) design, the class-angle density, which by the Weyl
+character formula is the phase density of the block rows mirrored about
+frequency 0.  Either is a trigonometric polynomial,
 Re sum_m C_m e^{i m phi} on [0, 2 pi), and `outcome_coefficients` returns
 its coefficient vector C.  The simulator fixes the truth at the identity,
 integrates that law and its product with the loss sin^2(phi/2) exactly over
@@ -65,53 +68,37 @@ def _autocorrelation(spectrum, d):
     return np.fft.ifft(power)[:d]
 
 
-def _self_convolution(spectrum, d):
-    """sum_r sum_{k+l=m} y[k, r] conj(y[l, r]) for m = 0..2d-2, from S = _padded_fft(y).
-
-    The FFT of conj(y) is conj(S) at the negated frequency, (-k) mod size,
-    so the convolution of each column with its conjugate is the inverse FFT
-    of S_r(k) conj(S_r(-k)), summed over the columns.
-    """
-    negated = np.roll(spectrum[::-1], 1, axis=0)
-    return np.fft.ifft(np.sum(spectrum * negated.conj(), axis=1))[: 2 * d - 1]
-
-
 def outcome_coefficients(design):
     """C with the relative-angle outcome law Re sum_m C_m e^{i m phi} on [0, 2 pi).
 
-    With y = x ∘ F (row-wise), c_m = sum_k t_{k+m,k} x_{k+m} conj(x_k) is the
-    autocorrelation of y.  For a PhaseDesign the law is the phase density
-    p(phi) = sum_{k,l} t_{k,l} x_k conj(x_l) e^{i(k-l) phi} / (2 pi), whose
-    terms of frequency k - l = m sum to c_m, and c_{-m} = conj(c_m), so
-    C = (c_0, 2 c_1, ..., 2 c_{d-1}) / (2 pi).
+    For a PhaseDesign the law is the phase density
+    p(phi) = (1/2 pi) sum_r |sum_j z_jr e^{i j phi}|^2 of z = x ∘ F (row-wise),
+    whose terms of frequency m sum to c_m, the autocorrelation of z at lag
+    m; c_{-m} = conj(c_m), so C = (c_0, 2 c_1, ..., 2 c_{L-1}) / (2 pi).
 
     For an Su2Design it is the class-angle density
-    q(theta) = sin^2(theta/2)/pi * sum_{k,l} t_{k,l} x_l x_k chi^{d_k} chi^{d_l}
-    over the block dimensions d_k, a cosine series.  sin(theta/2) chi^d(theta)
-    = sin(d theta/2), so with R_kl = Re(t_kl) x_k x_l
-    q = (1/2 pi) sum_{k,l} R_kl [cos((d_k - d_l) theta/2) - cos((d_k + d_l) theta/2)].
-    The block dimensions are d_k = d_0 + 2k, so (d_k - d_l)/2 = k - l, whose
-    sums are the real autocorrelation of y, and (d_k + d_l)/2 = d_0 + k + l,
-    whose sums are the real self-convolution of y and conj(y).
+    q(theta) = (sin^2(theta/2)/pi) sum_r |sum_k y_kr chi^{d_k}(theta)|^2 of
+    y = x ∘ F over the block dimensions d_k = d_0 + 2k.  By the Weyl
+    character formula sin(theta/2) chi^d(theta) = sin(d theta/2)
+    = (e^{i d theta/2} - e^{-i d theta/2}) / 2i, whose frequencies
+    +-(d_0/2 + k) are consecutive (half-)integers, missing only 0 for odd n
+    (d_0 = 2).  So q is the phase density of the unit-norm mirrored rows
+    z = (-y reversed, n % 2 zero rows, y) / sqrt(2), and C, of length
+    2m + n % 2 for m blocks, is real, as q is even in theta.
 
-    Either law is nonnegative for any PSD seed and normalized; both come from
-    one padded FFT of y, and no d x d array is formed.
+    Either law is nonnegative for any PSD seed and normalized; each comes
+    from one padded FFT of z, and no d x d array is formed.
     """
     if not isinstance(design, (PhaseDesign, Su2Design)):
         raise TypeError("outcome coefficients need a PhaseDesign or an Su2Design")
-    x = design.input.amplitudes
-    spectrum = _padded_fft(x[:, None] * design.seed.factor)
-    lags = _autocorrelation(spectrum, x.size)
-    if isinstance(design, PhaseDesign):
-        lags[1:] *= 2.0
-        return lags / (2.0 * math.pi)
-    d0 = design.block_dims[0]
-    c = np.zeros(d0 + 2 * x.size - 1)
-    diff = lags.real
-    diff[1:] *= 2.0
-    c[: x.size] = diff
-    c[d0:] -= _self_convolution(spectrum, x.size).real
-    return c / (2.0 * math.pi)
+    z = design.input.amplitudes[:, None] * design.seed.factor
+    if isinstance(design, Su2Design):
+        gap = np.zeros((design.n % 2, z.shape[1]))
+        z = np.concatenate([-z[::-1], gap, z]) / math.sqrt(2.0)
+    lags = _autocorrelation(_padded_fft(z), z.shape[0])
+    lags[1:] *= 2.0
+    c = lags / (2.0 * math.pi)
+    return c if isinstance(design, PhaseDesign) else c.real
 
 
 def _on_grid(coefficients, g):

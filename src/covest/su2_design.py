@@ -17,12 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import as_index
-from .phase import PhaseInputState, Seed, optimal_seed, phase_error
+from .phase import _NORM_TOL, PhaseInputState, Seed, optimal_seed, phase_error
 
 EXTERNAL = "external"
 SELF_ENTANGLED = "self-entangled"
-
-_NORM_TOL = 1e-12
 
 
 def _block_dims(n):
@@ -91,8 +89,11 @@ def su2_error(x, seed, n):
 
     The phase functional of the block amplitudes, plus the trivial-block
     penalty |x_0|^2/4 for even n; with the optimal seed the phase functional
-    is (1/2)(1 - sum |x_k| |x_{k+1}|).  Raises ValueError for n < 1 and when
-    x does not hold the n//2 + 1 amplitudes of the blocks of n uses.
+    is (1/2)(1 - sum |x_k| |x_{k+1}|).  The penalty is the junction term of
+    the mirror in outcome_coefficients: this is the phase_error of the
+    mirrored design, amplitudes (-x reversed, n % 2 zeros, x)/sqrt(2) with
+    the factor rows mirrored and any unit row at the gap.  Raises ValueError
+    for n < 1 and when x does not hold the n//2 + 1 amplitudes of n uses.
     """
     if as_index(n, "n") < 1:
         raise ValueError("n must be >= 1")

@@ -338,17 +338,18 @@ class TestSimulateCommand:
 
 # The benchmark's simulate operations at reduced trials, one fixed seed each,
 # with the result fields printed for them by the sampler that scores each bin
-# by its exact loss integral on 4096 bins: any drift in a seeded bit fails here.
+# by its exact loss integral on 4096 bins, the SU(2) law taken as the phase law
+# of the mirrored block rows: any drift in a seeded bit fails here.
 PINNED_RUNS = {
     ("phase", 10, 200_001, 91): (
         0.017039529934288516, 4.5389233252831365e-05, 0.017037086855465844,
         0.05382507364826419, 1.0061396160665481e-16),
     ("su2", 5, 200_001, 92): (
-        0.14598166793563788, 0.0002507641189362371, 0.14644660940672624,
-        -1.8540988761098711, 0.0),
+        0.14598166793563785, 0.0002507641189362375, 0.14644660940672624,
+        -1.854098876109979, -5.551115123125783e-17),
     ("su2", 601, 100_000, 93): (
-        2.7119350616330263e-05, 1.2537862863354817e-07, 2.7053406096413445e-05,
-        0.5259630021122523, -2.8490800213845646e-17),
+        2.7119350616436714e-05, 1.2537862863323193e-07, 2.7053406096413445e-05,
+        0.5259630029626209, 5.870277137651203e-17),
 }
 
 

@@ -38,7 +38,6 @@ from covest.simulate import (
     _mixture,
     _on_grid,
     _padded_fft,
-    _self_convolution,
 )
 from mc_oracle import haar_mean_loss, povm_identity_deviation
 
@@ -181,7 +180,7 @@ class TestFourierDensity:
         assert_matches_reference(optimal_input(700), grid_size=256)
         assert_matches_reference(design_optimal(601), grid_size=256)
 
-    @pytest.mark.parametrize("n", [5, 6, 41, 42])
+    @pytest.mark.parametrize("n", [1, 2, 5, 6, 41, 42])
     def test_su2_random_seeds(self, rng, n):
         design = design_optimal(n)
         seed = random_seed(rng, design.input.dim)
@@ -215,18 +214,6 @@ class TestAutocorrelation:
         y /= np.linalg.norm(y)
         got = _autocorrelation(_padded_fft(y), d)
         assert np.abs(got - direct_autocorrelation(y)).max() < 1e-13
-
-
-class TestSelfConvolution:
-    @pytest.mark.parametrize("d", [1, 2, 7, 300])
-    @pytest.mark.parametrize("r", [1, 3])
-    def test_matches_np_convolve(self, rng, d, r):
-        y = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
-        y /= np.linalg.norm(y)
-        direct = sum(np.convolve(col, col.conj()) for col in y.T)
-        got = _self_convolution(_padded_fft(y), d)
-        assert got.shape == direct.shape
-        assert np.abs(got - direct).max() < 1e-13
 
 
 # |law_gap| of a valid design: the roundoff of the loss integrals' sum and
