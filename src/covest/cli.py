@@ -21,12 +21,11 @@ import numpy as np
 
 from . import __version__
 from .phase import (
-    _optimal_phase_error, asymptotic_error, bdm_input, min_covariant_error, optimal_input,
+    _sine_error, asymptotic_error, bdm_input, min_covariant_error, optimal_input,
 )
 from .simulate import SimConfig, simulate
 from .su2_design import (
-    SELF_ENTANGLED, _optimal_su2_error, _self_entangled_top, asymptotic_error_su2,
-    design_optimal, multiplicity_spectrum,
+    _self_entangled_top, asymptotic_error_su2, design_optimal, multiplicity_spectrum,
 )
 from .integrals import phase_kernel_matrix, su2_kernel_matrix
 
@@ -254,7 +253,7 @@ def cmd_su2_design(args):
         for (dim, mult), amp in zip(spectrum, design.input.amplitudes.real.tolist())
     ]
     usable = [b["dim"] for b in blocks if b["feasible"]]
-    achievable = None if top is None else _optimal_su2_error(n, SELF_ENTANGLED)
+    achievable = None if top is None else _sine_error(top)
     result = {"n": n, "mode": mode, "error": design.error, "asymptote": asymptotic_error_su2(n),
               "ratio": design.error * n * n / math.pi**2, "blocks": blocks,
               "feasibility": {"usable_dims": usable, "achievable_error": achievable}}
@@ -326,10 +325,11 @@ def cmd_scaling(args):
         raise _UsageError(f"max-n must be between 2 and {MAX_SCALING_N}")
     if not 1 <= args.step <= args.max_n:
         raise _UsageError("step must be between 1 and max-n")
+    # the optima's largest dimensions: 2n+2 for phase, n+1 for an external SU(2) reference
     rows = [
-        {"n": n, "phase_exact": _optimal_phase_error(n),
+        {"n": n, "phase_exact": _sine_error(2 * n + 2),
          "phase_bdm": min_covariant_error(bdm_input(n)), "phase_asymptote": asymptotic_error(n),
-         "su2_error": _optimal_su2_error(n), "su2_asymptote": asymptotic_error_su2(n)}
+         "su2_error": _sine_error(n + 1), "su2_asymptote": asymptotic_error_su2(n)}
         for n in range(args.step, args.max_n + 1, args.step)
     ]
     return {"rows": rows}, EXIT_OK

@@ -3,9 +3,9 @@
 The worst-case mean error of a covariant design (input amplitudes x,
 seed T) is theta-independent and reduces to a neighbor-coupling form in
 the subdiagonal of T.  A seed is stored as a factor F with unit-norm rows,
-T = F F^H; the optimal seed is rank one, the column of amplitude phases,
-and the optimal input is the sine profile that is the principal
-eigenvector of the tridiagonal coupling matrix.
+T = F F^H; the optimal seed is rank one, the column of amplitude phases.
+The optimal input of n uses is the SU(2) sine profile on the even
+dimensions 2, 4, ..., 2n+2 (see _sine_design, which su2_design shares).
 """
 
 import math
@@ -15,7 +15,7 @@ import numpy as np
 
 from ._checks import as_index
 
-_NORM_TOL = 1e-12
+_REL_TOL = 1e-12  # of unit norms, and of design errors against their recomputed value
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class PhaseInputState:
         x = np.atleast_1d(np.array(self.amplitudes, dtype=complex))
         if x.ndim != 1 or x.size < 1:
             raise ValueError("amplitudes must be a nonempty vector")
-        if not abs(np.sum(np.abs(x) ** 2) - 1.0) <= _NORM_TOL:
+        if not abs(np.sum(np.abs(x) ** 2) - 1.0) <= _REL_TOL:
             raise ValueError("amplitudes must have unit norm")
         x.setflags(write=False)
         object.__setattr__(self, "amplitudes", x)
@@ -52,7 +52,7 @@ class Seed:
         f = np.array(self.factor, dtype=complex)
         if f.ndim != 2 or f.size == 0:
             raise ValueError("seed factor must be a nonempty d x r matrix")
-        if not np.max(np.abs(np.sum(np.abs(f) ** 2, axis=1) - 1.0)) <= _NORM_TOL:
+        if not np.max(np.abs(np.sum(np.abs(f) ** 2, axis=1) - 1.0)) <= _REL_TOL:
             raise ValueError("seed factor rows must have unit norm")
         f.setflags(write=False)
         object.__setattr__(self, "factor", f)
@@ -67,67 +67,73 @@ class PhaseDesign:
     error: float
 
     def __post_init__(self):
-        if not abs(self.error - phase_error(self.input, self.seed)) <= _NORM_TOL:
+        recomputed = phase_error(self.input, self.seed)
+        if not abs(self.error - recomputed) <= _REL_TOL * recomputed:
             raise ValueError("design error inconsistent with its input and seed")
 
 
 def phase_error(x, seed):
     """Mean error of the covariant design (x, T); theta-independent.
 
-    Equals (1/2) sum |x_k|^2 t_kk - (1/2) Re sum conj(x_k) x_{k+1} t_{k+1,k},
-    with t_kk = 1 and t_{k+1,k} = sum_r F[k+1,r] conj(F[k,r]).
+    With t_k = t_{k+1,k} = sum_r F[k+1,r] conj(F[k,r]) and x_m the last level,
+    it is (1/4)[|x_0|^2 + |x_m|^2 + sum_k |x_{k+1} - conj(t_k) x_k|^2
+    + sum_k (1 - |t_k|^2) |x_k|^2], exactly (1/2) sum |x_k|^2 - (1/2) Re sum
+    conj(x_k) x_{k+1} t_k as nonnegative terms (|t_k| <= 1) that cannot cancel.
     """
     xv = x.amplitudes
     f = seed.factor
     if f.shape[0] != xv.size:
         raise ValueError("input state and seed dimensions differ")
-    diag = 0.5 * float(np.sum(np.abs(xv) ** 2))
-    sub = np.sum(f[1:] * np.conj(f[:-1]), axis=1)
-    cross = np.sum(np.conj(xv[:-1]) * xv[1:] * sub)
-    return diag - 0.5 * float(np.real(cross))
+    t = np.sum(f[1:] * np.conj(f[:-1]), axis=1)
+    p = np.abs(xv) ** 2
+    links = np.abs(xv[1:] - np.conj(t) * xv[:-1]) ** 2 + (1.0 - np.abs(t) ** 2) * p[:-1]
+    return 0.25 * float(p[0] + p[-1] + np.sum(links))
 
 
 def optimal_seed(x):
-    """Rank-one seed t_{k,l} = conj(u_k) u_l, u_k = x_k / |x_k|: factor conj(u).
+    """Rank-one seed t_{k,l} = conj(u_k) u_l, u_k = exp(i arg x_k): factor conj(u).
 
-    The division is made only where |x_k| is a normal number, since complex
-    division by a subnormal overflows; a subnormal x_k gets exp(i arg x_k),
-    and a zero one the unit placeholder 1.  Any unit-modulus choice there
-    attains the same error because the affected terms carry |x_k|.
+    A zero x_k gets u_k = 1 (any unit choice there attains the same error),
+    and real nonnegative amplitudes give u = 1 exactly, so every link t_k is 1.
     """
     xv = x.amplitudes
-    mags = np.abs(xv)
-    normal = mags >= np.finfo(float).tiny
-    u = xv / np.where(normal, mags, 1.0)
-    u[~normal] = np.exp(1j * np.angle(xv[~normal]))
-    u[mags == 0.0] = 1.0
+    u = np.exp(1j * np.angle(xv))
+    u[xv == 0.0] = 1.0
     return Seed(np.conj(u)[:, None])
 
 
 def min_covariant_error(x):
-    """Minimum covariant error (1/2)(1 - sum |x_k| |x_{k+1}|)."""
-    mags = np.abs(x.amplitudes)
-    return 0.5 * (1.0 - float(np.sum(mags[:-1] * mags[1:])))
+    """Minimum covariant error: phase_error at t_k = 1 on a = |x|,
+    (1/4)[a_0^2 + a_m^2 + sum_k (a_{k+1} - a_k)^2]."""
+    a = np.abs(x.amplitudes)
+    return 0.25 * float(a[0] ** 2 + a[-1] ** 2 + np.sum(np.diff(a) ** 2))
 
 
-def _optimal_phase_error(n):
-    """(1/2)(1 - cos(pi/(n+2))), the error of optimal_input(n), in O(1)."""
-    return 0.5 * (1.0 - math.cos(math.pi / (n + 2)))
+def _sine_error(top):
+    """sin^2(pi/(D+2)), the error of _sine_design up to dimension D = top, in O(1)."""
+    return math.sin(math.pi / (top + 2)) ** 2
+
+
+def _sine_design(top, dims):
+    """(input, seed, error) of the optimum up to dimension D = top: amplitude
+    ∝ sin(pi d/(D+2)) on the dimensions d <= D, 0 above, and its optimal seed."""
+    dims = np.asarray(dims)
+    a = np.where(dims <= top, np.sin(math.pi * dims / (top + 2)), 0.0)
+    state = PhaseInputState(a / np.linalg.norm(a))
+    return state, optimal_seed(state), _sine_error(top)
 
 
 def optimal_input(n):
     """Exact optimal design for n uses (d = n+1 levels).
 
-    The amplitudes maximize sum a_k a_{k+1} over the nonnegative unit sphere:
-    the principal eigenvector a_k ∝ sin(pi (k+1)/(n+2)) of the tridiagonal
-    matrix with zero diagonal and 1/2 off-diagonal, whose eigenvalue is
-    lambda_max = cos(pi/(n+2)).  The error is (1/2)(1 - lambda_max).
+    It is the SU(2) sine profile on the even dimensions 2, 4, ..., D = 2n+2:
+    a_k ∝ sin(pi (k+1)/(n+2)), the principal eigenvector of the tridiagonal
+    matrix with zero diagonal and 1/2 off-diagonal, eigenvalue cos(pi/(n+2)),
+    and the error (1/2)(1 - cos(pi/(n+2))) = sin^2(pi/(2n+4)).
     """
     if as_index(n, "n") < 0:
         raise ValueError("n must be >= 0")
-    amps = np.sin(math.pi * np.arange(1, n + 2) / (n + 2))
-    state = PhaseInputState(amps / np.linalg.norm(amps))
-    return PhaseDesign(state, optimal_seed(state), _optimal_phase_error(n))
+    return PhaseDesign(*_sine_design(2 * n + 2, np.arange(2, 2 * n + 3, 2)))
 
 
 def bdm_input(n):

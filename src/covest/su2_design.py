@@ -3,12 +3,13 @@
 An SU(2) design is a phase design over the irrep blocks of the n-fold
 tensor power, dimensions 1 + n % 2, 3 + n % 2, ..., n + 1: `Su2Design`
 holds one amplitude per block as a PhaseInputState, with the same seed and
-error fields as PhaseDesign.  Its error is the phase functional of the
-block amplitudes (odd n exactly; even n with an extra a_0^2/4 penalty from
-the trivial block), and design_optimal gives one sine-profile optimum for
-both parities.  Self-entangled designs replace the external reference by
-the permutation multiplicity spaces, usable wherever multiplicity >= irrep
-dimension (see multiplicity_spectrum and _self_entangled_top).
+error fields as PhaseDesign.  Its error is phase_error of the block
+amplitudes (odd n exactly; even n with an extra a_0^2/4 penalty from the
+trivial block).  design_optimal gives one sine-profile optimum for both
+parities from phase._sine_design, whose profile on the even dimensions
+2, ..., 2m+2 is the phase optimum of m uses.  Self-entangled designs
+replace the external reference by the permutation multiplicity spaces,
+usable wherever multiplicity >= irrep dimension (see _self_entangled_top).
 """
 
 import math
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import as_index
-from .phase import _NORM_TOL, PhaseInputState, Seed, optimal_seed, phase_error
+from .phase import _REL_TOL, PhaseInputState, Seed, _sine_design, phase_error
 
 EXTERNAL = "external"
 SELF_ENTANGLED = "self-entangled"
@@ -76,7 +77,8 @@ class Su2Design:
         a = self.input.amplitudes
         if np.any(a.imag != 0.0) or np.any(a.real < 0.0):
             raise ValueError("block amplitudes must be real and nonnegative")
-        if not abs(self.error - su2_error(self.input, self.seed, self.n)) <= _NORM_TOL:
+        recomputed = su2_error(self.input, self.seed, self.n)
+        if not abs(self.error - recomputed) <= _REL_TOL * recomputed:
             raise ValueError("design error inconsistent with its blocks and seed")
 
     @property
@@ -89,7 +91,7 @@ def su2_error(x, seed, n):
 
     The phase functional of the block amplitudes, plus the trivial-block
     penalty |x_0|^2/4 for even n; with the optimal seed the phase functional
-    is (1/2)(1 - sum |x_k| |x_{k+1}|).  The penalty is the junction term of
+    is min_covariant_error(x).  The penalty is the junction term of
     the mirror in outcome_coefficients: this is the phase_error of the
     mirrored design, amplitudes (-x reversed, n % 2 zeros, x)/sqrt(2) with
     the factor rows mirrored and any unit row at the gap.  Raises ValueError
@@ -117,11 +119,8 @@ def design_optimal(n, reference_mode=EXTERNAL):
     An external reference uses every block, D = n+1, and a self-entangled
     one the blocks up to D = _self_entangled_top(n).
     """
-    top = _largest_dim(n, reference_mode)
-    dims = np.array(_block_dims(n))
-    a = np.where(dims <= top, np.sin(math.pi * dims / (top + 2)), 0.0)
-    state = PhaseInputState(a / np.linalg.norm(a))
-    return Su2Design(state, optimal_seed(state), n, _optimal_su2_error(n, reference_mode))
+    state, seed, error = _sine_design(_largest_dim(n, reference_mode), _block_dims(n))
+    return Su2Design(state, seed, n, error)
 
 
 def _largest_dim(n, reference_mode):
@@ -136,11 +135,6 @@ def _largest_dim(n, reference_mode):
     if top is None:
         raise ValueError("no self-entangleable block for n=1")
     return top
-
-
-def _optimal_su2_error(n, reference_mode=EXTERNAL):
-    """sin^2(pi/(D+2)), the error of design_optimal(n, reference_mode), in O(1)."""
-    return math.sin(math.pi / (_largest_dim(n, reference_mode) + 2)) ** 2
 
 
 def asymptotic_error_su2(n):

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -31,3 +32,20 @@ def random_phase_design(rng, d):
     x = random_input_state(rng, d)
     t = random_seed(rng, d)
     return PhaseDesign(x, t, phase_error(x, t))
+
+
+# Sizes checked against 40-digit mpmath values: every small n, and large ones
+# up to phase-opt's limit, where cancellation would cost the most digits.
+ORACLE_SIZES = [*range(51), 391, 10**3, 10**4, 10**5, 10**6]
+
+
+def exact_sin2(denominator):
+    """sin^2(pi/denominator) at 40 digits."""
+    with mpmath.workdps(40):
+        return mpmath.sin(mpmath.pi / denominator) ** 2
+
+
+def assert_digits(value, exact):
+    """value within 1e-15 relative of the 40-digit exact value."""
+    with mpmath.workdps(40):
+        assert abs(mpmath.mpf(value) - exact) <= 1e-15 * abs(exact), (value, exact)

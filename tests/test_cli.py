@@ -112,7 +112,8 @@ class TestPhaseOpt:
         assert elapsed < 10.0
         result = json.loads(proc.stdout)["result"]
         assert len(result["amplitudes"]) == 5001
-        assert abs(result["error"] - 0.5 * (1.0 - math.cos(math.pi / 5002))) <= 1e-15
+        closed_form = math.sin(math.pi / 10004) ** 2
+        assert abs(result["error"] - closed_form) <= 1e-15 * closed_form
 
 
 class TestSu2Design:
@@ -339,17 +340,18 @@ class TestSimulateCommand:
 # The benchmark's simulate operations at reduced trials, one fixed seed each,
 # with the result fields printed for them by the sampler that scores each bin
 # by its exact loss integral on 4096 bins, the SU(2) law taken as the phase law
-# of the mirrored block rows: any drift in a seeded bit fails here.
+# of the mirrored block rows, optimal seeds of exactly 1 and the phase closed
+# form sin^2(pi/(2n+4)): any drift in a seeded bit fails here.
 PINNED_RUNS = {
     ("phase", 10, 200_001, 91): (
-        0.017039529934288516, 4.5389233252831365e-05, 0.017037086855465844,
-        0.05382507364826419, 1.0061396160665481e-16),
+        0.017039529934288512, 4.5389233252831386e-05, 0.01703708685546585,
+        0.053825073648034856, 9.71445146547012e-17),
     ("su2", 5, 200_001, 92): (
         0.14598166793563785, 0.0002507641189362375, 0.14644660940672624,
         -1.854098876109979, -5.551115123125783e-17),
     ("su2", 601, 100_000, 93): (
-        2.7119350616436714e-05, 1.2537862863323193e-07, 2.7053406096413445e-05,
-        0.5259630029626209, 5.870277137651203e-17),
+        2.7119350616343714e-05, 1.253786286334774e-07, 2.7053406096413445e-05,
+        0.5259630022198314, -2.8494188345634663e-17),
 }
 
 
@@ -379,30 +381,31 @@ class TestPinnedSimulateBits:
 # The design commands' results as printed at the time they were pinned, each
 # as the sha256 of json.dumps(result, sort_keys=True): any drift in a printed
 # digit fails here.  The su2-design hashes are of the results printed before
-# the constant seed_matrix field was removed, with that field deleted.
+# the constant seed_matrix field was removed, with that field deleted; the
+# phase-opt and scaling ones are of the cancellation-free error forms.
 PINNED_RESULTS = {
     ('phase-opt', '--n', '0'):
-        "6dc1a901738515c18c5fcafc17cb0b01bdf4fb55dbc2086ad9bebd64be978d56",
+        "e20b1da288f29967f24688ebb81f32853706ee4bcd2e205f14fe05001538848b",
     ('phase-opt', '--n', '1'):
         "0462fc271068a3c706bf6bb35973438fdc1aec0d7726810c464f5bd5302e06be",
     ('phase-opt', '--n', '2'):
-        "196b5723c710ad62880210d0c0e65aadaa96a9220bd8f11b0cf8d30868864bcf",
+        "aaac75e56a1f227d8c4eee345fadb75d70b22cda55d287ea266c7a1b26f0907f",
     ('phase-opt', '--n', '10'):
-        "0c572c76e12bc7468f0fa402278e9fb7649b0bf2522728d42bc3afc4b4a7eacd",
+        "cac14c40bfd27d408e5843b963e0a7a314be5f2ae9a81193dbc7b833c34503ca",
     ('phase-opt', '--n', '999'):
-        "6c1c560626f65963ed246122a048657eef8c72fd547fac984fb8f4578ce0c018",
+        "9627a161ed04d99dcf2b3cc0f3994cbeaa3a3133d1f2f5ecb9955a3528e17762",
     ('phase-opt', '--n', '1000'):
-        "b0b69561419587ef4739299b661ae62f4fbc37194e67026b5efd0b7a26629b1e",
+        "7cb36159aa3619e32df45c233a369168a80cf5e8d975c28729803a0e91247cb6",
     ('phase-opt', '--n', '1', '--method', 'bdm'):
         "63a1a0bbc4fab985c9426f94db4f9a2d1d6bd6d11bf48cbb3ddc7f5558b723d3",
     ('phase-opt', '--n', '2', '--method', 'bdm'):
         "9f3b4c8f61a5d060f8e3d45b0387f642cc77c54ccb87c074d2a3f9d2826e565b",
     ('phase-opt', '--n', '10', '--method', 'bdm'):
-        "810a0ca38de89f8bef7dbf41d2787b9e37d37768cbcaa7cde803e65bb7db12da",
+        "01787fc388faa5ce055b14817634b9d1c44a3c052e916fcbdc2c7c851f69e541",
     ('phase-opt', '--n', '999', '--method', 'bdm'):
-        "f3cf161e1efbabdbcfae49bcbecf9a4ad92c169829899ebaad8f3612c08addcb",
+        "d107fbaf8ae1d4b23496fd97598e4750c2974318baddee53ce92b74193facc91",
     ('phase-opt', '--n', '1000', '--method', 'bdm'):
-        "6eca526a9ee91c2e94af7d76304835d2d8f71224a15bc782e9af6825076e7528",
+        "7c5d1ddb605f9821c0440fc4e8e4ae015f390ab7b0b0f0f9dc16d4d89acc20aa",
     ('su2-design', '--n', '2', '--mode', 'external'):
         "108c821befc928029900f9fb230da970e44efef50f17f33267e22c71882d4d39",
     ('su2-design', '--n', '3', '--mode', 'external'):
@@ -434,7 +437,7 @@ PINNED_RESULTS = {
     ('su2-design', '--n', '1', '--mode', 'external'):
         "5d0034e1fe12f7aca4a19454aac4d5ecfd48802d543abc8ff4e7af3bd8c810e0",
     ('scaling', '--max-n', '100'):
-        "1cb275daff3ab9d998d282b53193b6928dcc643c54ac2ba417087fb4b066b746",
+        "f61601d1b355a670a5c18c6415bf7496ecba92118f4c2338816425a208036549",
 }
 
 # CSV bodies (the lines after the # manifest comments) of one run per command.
@@ -448,10 +451,10 @@ PINNED_CSV = {
     ),
     ('phase-opt', '--n', '3', '--method', 'bdm'): (
         'n,method,index,amplitudes,error,asymptote,ratio\r\n'
-        '3,bdm,0,0.2705980500730985,0.10983495705504459,0.27415567780803773,0.4006298827484084\r\n'
-        '3,bdm,1,0.6532814824381883,0.10983495705504459,0.27415567780803773,0.4006298827484084\r\n'
-        '3,bdm,2,0.6532814824381883,0.10983495705504459,0.27415567780803773,0.4006298827484084\r\n'
-        '3,bdm,3,0.2705980500730986,0.10983495705504459,0.27415567780803773,0.4006298827484084\r\n'
+        '3,bdm,0,0.2705980500730985,0.10983495705504469,0.27415567780803773,0.40062988274840877\r\n'
+        '3,bdm,1,0.6532814824381883,0.10983495705504469,0.27415567780803773,0.40062988274840877\r\n'
+        '3,bdm,2,0.6532814824381883,0.10983495705504469,0.27415567780803773,0.40062988274840877\r\n'
+        '3,bdm,3,0.2705980500730986,0.10983495705504469,0.27415567780803773,0.40062988274840877\r\n'
     ),
     ('su2-design', '--n', '4', '--mode', 'self-entangled'): (
         'n,mode,error,asymptote,ratio,blocks.dim,blocks.multiplicity,blocks.amplitude,'
@@ -467,9 +470,9 @@ PINNED_CSV = {
         'rows.n,rows.phase_exact,rows.phase_bdm,rows.phase_asymptote,rows.su2_error,'
         'rows.su2_asymptote\r\n'
         '1,0.24999999999999994,0.25,2.4674011002723395,0.4999999999999999,9.869604401089358\r\n'
-        '2,0.1464466094067262,0.16666666666666669,0.6168502750680849,0.3454915028125263,2.4674011002723395\r\n'
-        '3,0.09549150281252627,0.10983495705504459,0.27415567780803773,0.24999999999999994,1.096622711232151\r\n'
-        '4,0.06698729810778065,0.07639320225002105,0.15421256876702122,0.18825509907063323,0.6168502750680849\r\n'
+        '2,0.14644660940672624,0.16666666666666669,0.6168502750680849,0.3454915028125263,2.4674011002723395\r\n'
+        '3,0.09549150281252627,0.10983495705504469,0.27415567780803773,0.24999999999999994,1.096622711232151\r\n'
+        '4,0.06698729810778066,0.07639320225002103,0.15421256876702122,0.18825509907063323,0.6168502750680849\r\n'
     ),
 }
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import gram, random_input_state, random_seed
+import covest.phase
+from conftest import ORACLE_SIZES, assert_digits, exact_sin2, gram, random_input_state, random_seed
 from covest import (
     PhaseDesign,
     PhaseInputState,
@@ -97,6 +98,11 @@ class TestOptimalSeed:
         assert np.allclose(np.diag(gram(t)), 1.0)
         assert phase_error(x, t) == pytest.approx(min_covariant_error(x), abs=1e-12)
 
+    def test_optimal_amplitudes_give_exactly_one_at_the_limit(self):
+        """Every link t_k is exactly 1, so phase_error adds no (1 - |t_k|^2) terms."""
+        x = optimal_input(10**6).input
+        assert np.array_equal(optimal_seed(x).factor, np.ones((x.dim, 1)))
+
     def test_real_nonnegative_amplitudes_give_exactly_one(self):
         tiny = np.finfo(float).tiny
         x = PhaseInputState([1.0, 1e-310, 5e-324, tiny, 0.0, -0.0])
@@ -106,8 +112,7 @@ class TestOptimalSeed:
         (1e-310, 1.0), (-1e-310, -1.0), (1e-310j, 1j), (-3e-320 + 3e-320j, (-1 + 1j) / math.sqrt(2)),
     ])
     def test_subnormal_amplitudes(self, amplitude, phase):
-        """Complex division by a subnormal |x_k| overflows; the seed still
-        carries the amplitude's phase."""
+        """A subnormal amplitude's seed entry still carries its phase."""
         x = PhaseInputState([1.0, amplitude])
         factor = optimal_seed(x).factor
         assert factor[0, 0] == 1.0
@@ -118,6 +123,12 @@ class TestOptimalSeed:
 class TestMinCovariantError:
     def test_single_level(self):
         assert min_covariant_error(PhaseInputState([1.0])) == pytest.approx(0.5)
+
+    def test_builds_no_seed(self, monkeypatch):
+        """The minimum is read off |x| directly, without an O(n) seed."""
+        monkeypatch.setattr(covest.phase, "optimal_seed", None)
+        monkeypatch.setattr(covest.phase, "Seed", None)
+        assert min_covariant_error(bdm_input(2)) == pytest.approx(1.0 / 6.0, abs=1e-15)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 10])
     def test_uniform_amplitudes(self, n):
@@ -173,6 +184,24 @@ class TestOptimalInput:
         assert phase_error(design.input, design.seed) == pytest.approx(
             design.error, abs=1e-12
         )
+
+
+class TestDigitsAgainstMpmath:
+    """Errors within 1e-15 relative of their 40-digit values, up to n = 10^6."""
+
+    @pytest.mark.parametrize("n", ORACLE_SIZES)
+    def test_optimal_input_error(self, n):
+        assert_digits(optimal_input(n).error, exact_sin2(2 * n + 4))
+
+    @pytest.mark.parametrize("n", ORACLE_SIZES)
+    def test_phase_error_of_optimal_input(self, n):
+        design = optimal_input(n)
+        assert_digits(phase_error(design.input, design.seed), exact_sin2(2 * n + 4))
+
+    @pytest.mark.parametrize("n", ORACLE_SIZES[1:])
+    def test_bdm_error(self, n):
+        """n sin^2(pi/(2(n+1)))/(n+1), the sine profile's closed form."""
+        assert_digits(min_covariant_error(bdm_input(n)), n * exact_sin2(2 * (n + 1)) / (n + 1))
 
 
 class TestBdmInput:
@@ -250,6 +279,18 @@ class TestValidation:
     def test_nan_seed_rejected(self, factor):
         with pytest.raises(ValueError, match="unit norm"):
             Seed(factor)
+
+    @pytest.mark.parametrize("rel, accepted", [(1e-14, True), (-1e-14, True),
+                                               (1e-9, False), (-1e-9, False)])
+    def test_design_error_checked_relative_to_the_recomputed_error(self, rel, accepted):
+        """At n = 10^5 the error is 2.5e-10, so an absolute 1e-12 would pass 0.4 % off."""
+        design = optimal_input(10**5)
+        error = design.error * (1.0 + rel)
+        if accepted:
+            assert PhaseDesign(design.input, design.seed, error).error == error
+        else:
+            with pytest.raises(ValueError, match="inconsistent"):
+                PhaseDesign(design.input, design.seed, error)
 
     def test_nan_design_error_rejected(self):
         x = PhaseInputState(np.ones(2) / math.sqrt(2))

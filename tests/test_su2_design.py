@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import covest
-from conftest import random_seed
+from conftest import ORACLE_SIZES, assert_digits, exact_sin2, random_seed
 from covest import (
     PhaseInputState,
     Seed,
@@ -108,6 +108,32 @@ class TestSu2ErrorEven:
 
 
 class TestDesignOptimal:
+    @pytest.mark.parametrize("n", [0, 1, 2, 10, 999, 12345])
+    def test_phase_optimum_is_the_odd_su2_optimum(self, n):
+        """n phase uses and 2n+1 SU(2) uses share the profile on the dimensions 2, ..., 2n+2."""
+        phase, su2 = optimal_input(n), design_optimal(2 * n + 1)
+        assert np.array_equal(phase.input.amplitudes, su2.input.amplitudes)
+        assert np.array_equal(phase.seed.factor, su2.seed.factor)
+        assert phase.error == su2.error
+
+    @pytest.mark.parametrize("n, mode, top", [
+        *((n, "external", n + 1) for n in ORACLE_SIZES[1:]),
+        *((n, "self-entangled", n - 1) for n in ORACLE_SIZES[2:]),
+    ])
+    def test_error_digits_against_mpmath(self, n, mode, top):
+        """sin^2(pi/(D+2)) within 1e-15 relative of its 40-digit value."""
+        assert_digits(design_optimal(n, mode).error, exact_sin2(top + 2))
+
+    @pytest.mark.parametrize("rel, accepted", [(1e-14, True), (1e-9, False)])
+    def test_error_checked_relative_to_the_recomputed_error(self, rel, accepted):
+        design = design_optimal(10**5)
+        error = design.error * (1.0 + rel)
+        if accepted:
+            assert Su2Design(design.input, design.seed, design.n, error).error == error
+        else:
+            with pytest.raises(ValueError, match="inconsistent"):
+                Su2Design(design.input, design.seed, design.n, error)
+
     def test_odd_external(self):
         assert design_optimal(3).error == pytest.approx(0.25, abs=1e-12)
 
