@@ -75,7 +75,7 @@ def phase_kernel_matrix(levels):
     one, and 0 elsewhere.  Returns the real part; ArithmeticError if the
     imaginary part is not negligible.
     """
-    levels = np.asarray(tuple(levels), dtype=int)
+    levels = np.array([as_index(level, "level") for level in levels], dtype=int)
     if levels.size == 0:
         raise ValueError("levels must be nonempty")
     if levels.min() < 0:

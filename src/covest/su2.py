@@ -12,15 +12,12 @@ e^{i beta J_y} is a real combination of the J_y eigenprojectors, which are
 computed once per j on first use and cached.  The spectrum is symmetric,
 so each +-pair of projectors shares one cosine and one sine, and a batch
 of N elements costs one real (N x j) @ (j x j^2) product.  It is made over
-row blocks of about 2^14 matrix entries, each multiplied by its J_z phases
-in cache and stored into the result once, and the blocks are spread over
-one thread per CPU the process may use.  The blocks do not depend on the
-number of threads, so the bits do not either.  Memory is the N j^2
-complex result, the O(N j) phases, and one block per thread.
+row blocks of about 2^14 matrix entries, in one loop on the calling
+thread, each block multiplied by its J_z phases in cache and stored into
+the result once.  Memory is the N j^2 complex result, the O(N j) phases,
+and one block.
 """
 
-import os
-import threading
 from functools import lru_cache
 
 import numpy as np
@@ -30,9 +27,6 @@ from ._checks import as_index
 # matrix entries per row block of irrep_matrix_batch: a block's d(beta), phases
 # and result rows (0.6 MB) stay in one core's cache
 _BLOCK_ENTRIES = 1 << 14
-# threads that share a batch's row blocks: one per CPU this process may run on
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
 # largest deviation from SU(2) form that irrep_matrix_batch accepts
 _SU2_TOL = 1e-12
 
@@ -119,25 +113,6 @@ def _phases(angle, j):
     return np.cumprod(z, axis=1, out=z)
 
 
-def _fill_blocks(out, coef, w, left, right, blocks):
-    """Store the row blocks `blocks` of D = (left (x) right) d(beta) into `out`.
-
-    Each block's d(beta) = coef @ w and its phase outer product are formed
-    in buffers of one block, sized to stay in cache, so every entry of
-    `out` is stored once.  Calls only numpy, which releases the GIL, so
-    runs of blocks can fill disjoint rows of `out` from several threads.
-    """
-    j = out.shape[1]
-    rows = blocks[0].stop - blocks[0].start
-    d = np.empty((rows, j * j))
-    phase = np.empty((rows, j, j), dtype=complex)
-    for block in blocks:
-        r = block.stop - block.start
-        np.matmul(coef[block], w, out=d[:r])
-        np.multiply(left[block, :, None], right[block, None, :], out=phase[:r])
-        np.multiply(d[:r].reshape(r, j, j), phase[:r], out=out[block])
-
-
 def irrep_matrix_batch(j, matrices):
     """Spin-(j-1)/2 irrep matrices for a batch of SU(2) matrices, shape (n, 2, 2).
 
@@ -149,13 +124,12 @@ def irrep_matrix_batch(j, matrices):
     The J_z phases e^{i m_k alpha} are a running product of e^{-i alpha}, and
     d(beta) is one real (rows x j) @ (j x j^2) product with the paired J_y
     projectors of _jy_eigensystem, cached per j.  Rows go in blocks of about
-    _BLOCK_ENTRIES entries, each multiplied by its phase outer product in
-    cache and stored into the result once.  Contiguous runs of blocks go to
-    _WORKERS threads, the caller filling the first; an error in any run is
-    raised here once every thread has ended.  The blocks do not depend on
-    the worker count, so neither do the bits, and one block starts no
-    thread.  No per-element decomposition is made, and the work memory
-    beside the complex result is the O(n j) phases plus one block per worker.
+    _BLOCK_ENTRIES entries, one after another on the calling thread: each
+    block's d(beta) and phase outer product are formed in buffers of one
+    block, sized to stay in cache, and multiplied into the result, so every
+    entry of it is stored once.  No per-element decomposition is made, and
+    the work memory beside the complex result is the O(n j) phases plus one
+    block.
 
     Raises ValueError unless every element has a unit first row (a, b) and
     the second row (-conj(b), conj(a)), each within _SU2_TOL; NaN fails.
@@ -185,32 +159,13 @@ def irrep_matrix_batch(j, matrices):
     coef = np.concatenate([np.cos(bl), np.sin(bl[:, :j // 2])], axis=1)
     left, right = _phases(arg_a + arg_b, j), _phases(arg_a - arg_b, j)
     out = np.empty((n, j, j), dtype=complex)
-    step = max(1, _BLOCK_ENTRIES // (j * j))
-    blocks = [slice(start, min(start + step, n)) for start in range(0, n, step)]
-    workers = min(_WORKERS, len(blocks))
-    runs = [blocks[len(blocks) * k // workers:len(blocks) * (k + 1) // workers]
-            for k in range(workers)]
-    args = (out, coef, w, left, right)
-    errors = []
-
-    def fill(run):
-        try:
-            _fill_blocks(*args, run)
-        except Exception as exc:  # raised below, once every thread has ended
-            errors.append(exc)
-
-    threads = []
-    try:
-        for run in runs[1:]:
-            thread = threading.Thread(target=fill, args=(run,))
-            thread.start()
-            threads.append(thread)
-        if runs:
-            _fill_blocks(*args, runs[0])
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+    rows = max(1, min(n, _BLOCK_ENTRIES // (j * j)))
+    d = np.empty((rows, j * j))
+    phase = np.empty((rows, j, j), dtype=complex)
+    for start in range(0, n, rows):
+        r = min(rows, n - start)
+        block = slice(start, start + r)
+        np.matmul(coef[block], w, out=d[:r])
+        np.multiply(left[block, :, None], right[block, None, :], out=phase[:r])
+        np.multiply(d[:r].reshape(r, j, j), phase[:r], out=out[block])
     return out
-

@@ -138,6 +138,11 @@ class TestPhaseErrorKernel:
         with pytest.raises(ValueError, match="levels must be nonempty"):
             phase_kernel_matrix([])
 
+    @pytest.mark.parametrize("level", [1.5, True, np.float64(2.0)])
+    def test_rejects_non_integer_level(self, level):
+        with pytest.raises(TypeError, match="level must be an integer"):
+            phase_kernel_matrix([0, level])
+
 
 class TestKernelEquivalence:
     def test_su2_matches_u1_up_to_30(self):

@@ -3,10 +3,12 @@
     python3 tools/cli_digests.py SRC_DIR > digests.txt
 
 Each argument list runs `covest.cli.main` in a fresh interpreter with
-SRC_DIR first on sys.path, writing no bytecode cache into SRC_DIR.  One line per list: the argv, the exit code, the
-sha256 of stdout without the manifest `timestamp` line, and the sha256 of
-stderr.  Two source trees give the same CLI contract when `diff` of their
-digest files is empty.
+SRC_DIR first on sys.path, writing no bytecode cache into SRC_DIR.  One
+line per list: the argv, the exit code, the sha256 of stdout without the
+manifest `timestamp` line, and the sha256 of stderr.  Both are hashed as
+the raw bytes the CLI wrote, so a change of line terminator (CSV rows end
+in \r\n) changes the digest.  Two source trees give the same CLI contract
+when `diff` of their digest files is empty.
 """
 
 import hashlib
@@ -72,18 +74,18 @@ def argument_lists():
     return lists + csv + large_trials + usage
 
 
-def digest(text):
-    return hashlib.sha256(text.encode()).hexdigest()
+def digest_line(src, argv):
+    """The digest line of one argument list run against the source tree `src`."""
+    proc = subprocess.run([sys.executable, "-I", "-B", "-c", RUN, src, *argv], capture_output=True)
+    stdout = b"".join(line for line in proc.stdout.splitlines(keepends=True)
+                      if b'"timestamp":' not in line and not line.startswith(b"# timestamp="))
+    return " ".join([" ".join(argv) or "(none)", str(proc.returncode),
+                     hashlib.sha256(stdout).hexdigest(), hashlib.sha256(proc.stderr).hexdigest()])
 
 
 def main():
-    src = sys.argv[1]
     for argv in argument_lists():
-        proc = subprocess.run([sys.executable, "-I", "-B", "-c", RUN, src, *argv],
-                              capture_output=True, text=True)
-        stdout = "".join(line for line in proc.stdout.splitlines(keepends=True)
-                         if '"timestamp":' not in line and not line.startswith("# timestamp="))
-        print(" ".join(argv) or "(none)", proc.returncode, digest(stdout), digest(proc.stderr))
+        print(digest_line(sys.argv[1], argv))
 
 
 if __name__ == "__main__":
