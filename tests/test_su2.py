@@ -246,14 +246,12 @@ class TestIrrepMatrix:
             assert dev < 1e-11 * j, (j, dev)
 
     def test_blocks_match_reference(self, rng, monkeypatch):
-        """7-row blocks: one block (n = 5), two (n = 14), and many with a
-        short last one (n = 110)."""
-        m = np.concatenate([degenerate_elements(), haar_matrices(rng, 100)])
-        for j in (3, 4, 12, 25):
+        """Batches split over many row blocks, the last one short."""
+        m = np.concatenate([haar_matrices(rng, 100), degenerate_elements()])
+        for j in (3, 12, 25):
             monkeypatch.setattr(su2, "_BLOCK_ENTRIES", 7 * j * j)
-            for n in (5, 14, 110):
-                dev = np.abs(irrep_matrix_batch(j, m[:n]) - reference_irrep_batch(j, m[:n])).max()
-                assert dev < 1e-11 * j, (j, n, dev)
+            dev = np.abs(irrep_matrix_batch(j, m) - reference_irrep_batch(j, m)).max()
+            assert dev < 1e-11 * j, (j, dev)
 
     def test_minus_identity_sign(self):
         minus = -np.eye(2, dtype=complex)[None]
@@ -352,6 +350,26 @@ class TestIrrepStructure:
             result.append(v.nbytes)
             del v
         assert excess[1] - excess[0] <= 0.25 * (result[1] - result[0])
+
+
+class TestIrrepWorkers:
+    """The row blocks were once shared among worker threads, each taking a
+    run of them.  The batch is now built on the calling thread, and a row's
+    bits still do not depend on how the batch is cut into runs of blocks."""
+
+    # 7 rows a block: 16 blocks with a short last one, 2 blocks, and one block
+    @pytest.mark.parametrize("n", [110, 14, 5])
+    @pytest.mark.parametrize("j", [3, 4, 12, 25])
+    def test_bits_do_not_depend_on_worker_count(self, j, n, rng, monkeypatch):
+        m = np.concatenate([degenerate_elements(), haar_matrices(rng, n)])[:n]
+        monkeypatch.setattr(su2, "_BLOCK_ENTRIES", 7 * j * j)
+        whole = irrep_matrix_batch(j, m)
+        blocks = -(-n // 7)
+        for runs in (2, 3, 4):
+            cuts = [7 * (blocks * k // runs) for k in range(runs + 1)]
+            parts = [irrep_matrix_batch(j, m[a:b]) for a, b in zip(cuts, cuts[1:])]
+            assert np.array_equal(np.concatenate(parts), whole), runs
+        assert np.abs(whole - reference_irrep_batch(j, m)).max() < 1e-11 * j
 
 
 class TestDistance:
