@@ -59,9 +59,9 @@ MAX_TRIALS = 20_000_000
 # the sine-profile error from its n+1 amplitudes, O(n), so O(max_n^2) cheap
 # numpy work in all: time, not memory, sets the limit.
 MAX_SCALING_N = 10_000
-# verify-integrals builds three kernel matrices at O(kmax) nodes: O(kmax^2)
-# cosines (one table per parity of dimension) and O(kmax^3) additions and
-# multiply-adds, so time, cubic in kmax, sets the limit.
+# verify-integrals builds three kernel matrices at O(kmax) nodes, each one
+# product of a real sine or cosine table with itself: O(kmax^2) sines and
+# cosines and O(kmax^3) multiply-adds, so time, cubic in kmax, sets the limit.
 MAX_KMAX = 100
 
 # simulate's law gap, the exact mean loss of its binned law minus the closed

@@ -1,23 +1,17 @@
 """Class-function integrals over SU(2) and U(1), as kernel matrices.
 
 Every integrand here is a trigonometric polynomial in the half angle
-psi = theta/2, characters of even dimension included, so one rule serves
-them all: nodes equispaced in psi over [0, 2*pi), that is theta over
-[0, 4*pi) with the weight halved.  It is exact to roundoff once the node
-count exceeds the degree in psi, and the count is derived from the largest
-dimension or level asked for.  Each function builds its character or
-exponential table once and returns the whole kernel as one weighted matrix
-product.  The characters of one parity are window sums of a single table
-of cos(theta m) over the weights m of the largest dimension D of that
-parity: O(D N) cosines at N nodes, where one character at a time would take
-O(D^2 N).
+psi = theta/2, so one rule serves them all: nodes equispaced in psi over
+[0, 2*pi), that is theta over [0, 4*pi) with the weight halved, exact to
+roundoff once the node count, derived from the largest dimension or level,
+exceeds the degree in psi.  Each kernel is one weighted product of a real
+table with itself: Weyl's sine form sin(theta/2) chi^d = sin(d theta/2) of
+the characters for SU(2), cos(l theta) and sin(l theta) for U(1).
 """
 
 import numpy as np
 
 from ._checks import as_index
-
-_IMAG_TOL = 1e-14
 
 
 def _half_angle_rule(top):
@@ -31,23 +25,15 @@ def _half_angle_rule(top):
     return theta, np.sin(theta / 2.0) ** 2
 
 
-def _character_table(dims, theta):
-    """chi[a] = character(dims[a], theta), bit for bit, from one cosine table per parity.
+def _sine_rows(dims, theta):
+    """rows[a] = sin(dims[a] theta/2) = sin(theta/2) chi^{dims[a]}(theta)."""
+    return np.sin(np.multiply.outer(dims, theta / 2.0))
 
-    character(d, theta) sums cos(theta m) over the weights m = -(d-1)/2 ..
-    (d-1)/2.  These are the d central weights of D, the largest dimension of
-    d's parity, so they are the contiguous columns (D-d)/2 .. (D+d)/2 - 1 of
-    D's table, and each row is the same sum of the same values in the same
-    order.
-    """
-    tops = {d % 2: d for d in sorted(dims)}
-    tables = {parity: np.cos(np.multiply.outer(theta, np.arange(1, top + 1) - 0.5 * (top + 1)))
-              for parity, top in tops.items()}
-    chi = np.empty((len(dims), theta.size))
-    for a, d in enumerate(dims):
-        start = (tops[d % 2] - d) // 2
-        chi[a] = tables[d % 2][:, start : start + d].sum(axis=-1)
-    return chi
+
+def _phase_rows(levels, theta):
+    """rows[a] = [cos(levels[a] theta) | sin(levels[a] theta)]."""
+    angles = np.multiply.outer(levels, theta)
+    return np.hstack([np.cos(angles), np.sin(angles)])
 
 
 def su2_kernel_matrix(dims):
@@ -63,8 +49,8 @@ def su2_kernel_matrix(dims):
     if min(dims) < 1:
         raise ValueError("irrep dimension must be >= 1")
     theta, s = _half_angle_rule(max(dims))
-    chi = _character_table(dims, theta)
-    return (chi * (2.0 * s * s / theta.size)) @ chi.T
+    rows = _sine_rows(dims, theta)
+    return (rows * (2.0 * s / theta.size)) @ rows.T
 
 
 def phase_kernel_matrix(levels):
@@ -72,8 +58,7 @@ def phase_kernel_matrix(levels):
 
     The integral runs over [0, 2*pi), so the constant function integrates to
     one.  K[a, b] is 1/2 where the levels agree, -1/4 where they differ by
-    one, and 0 elsewhere.  Returns the real part; ArithmeticError if the
-    imaginary part is not negligible.
+    one, and 0 elsewhere; the imaginary part is odd in theta and vanishes.
     """
     levels = np.array([as_index(level, "level") for level in levels], dtype=int)
     if levels.size == 0:
@@ -81,8 +66,5 @@ def phase_kernel_matrix(levels):
     if levels.min() < 0:
         raise ValueError("levels must be >= 0")
     theta, s = _half_angle_rule(int(levels.max()))
-    e = np.exp(1j * np.multiply.outer(levels, theta))
-    k = (e * (s / theta.size)) @ e.conj().T
-    if np.abs(k.imag).max() > _IMAG_TOL:
-        raise ArithmeticError("phase kernel has a non-negligible imaginary part")
-    return k.real
+    rows = _phase_rows(levels, theta)
+    return (rows * np.tile(s / theta.size, 2)) @ rows.T

@@ -215,15 +215,17 @@ class TestVerifyIntegrals:
         assert elapsed < 10.0
         rows = json.loads(proc.stdout)["result"]["identities"]
         assert len(rows) == 4
-        assert all(row["worst_abs_deviation"] <= 1e-12 for row in rows)
+        # the real tables read at most 1.2e-14 here
+        assert all(row["worst_abs_deviation"] <= 3e-14 for row in rows)
 
     def test_wrong_character_fails(self, capsys, monkeypatch):
-        """chi^j + cos((j+1) theta/2) in place of every character chi^j."""
-        table = covest.integrals._character_table
+        """chi^j + cos((j+1) theta/2) in place of every character chi^j, that
+        is sin(theta/2) cos((j+1) theta/2) added to every sine row."""
+        rows = covest.integrals._sine_rows
         monkeypatch.setattr(
-            covest.integrals, "_character_table",
-            lambda dims, theta: table(dims, theta)
-            + np.cos(np.multiply.outer(np.add(dims, 1), theta) / 2.0),
+            covest.integrals, "_sine_rows",
+            lambda dims, theta: rows(dims, theta) + np.sin(theta / 2.0)
+            * np.cos(np.multiply.outer(np.add(dims, 1), theta) / 2.0),
         )
         code, payload = run_json(capsys, "verify-integrals", "--kmax", "5")
         assert code == 2
@@ -236,12 +238,36 @@ class TestVerifyIntegrals:
             "kernel equivalence": False,
         }
 
+    def test_phase_table_without_sines_fails(self, capsys, monkeypatch):
+        """The cosine half alone integrates cos(k theta) cos(l theta), which
+        adds the (k+l) kernel to the (k-l) one.  (A sign flip of the sine half
+        would cancel in the product and pass.)"""
+        rows = covest.integrals._phase_rows
+
+        def cosines_only(levels, theta):
+            table = rows(levels, theta)
+            table[:, theta.size:] = 0.0
+            return table
+
+        monkeypatch.setattr(covest.integrals, "_phase_rows", cosines_only)
+        code, payload = run_json(capsys, "verify-integrals", "--kmax", "5")
+        assert code == 2
+        assert not payload["result"]["pass"]
+        verdicts = {row["identity"]: row["pass"] for row in payload["result"]["identities"]}
+        assert verdicts == {
+            "single-irrep integral": True,
+            "su2 character kernel": True,
+            "u1 phase kernel": False,
+            "kernel equivalence": False,
+        }
+
     def test_impossible_tolerance_fails(self, capsys):
         code, payload = run_json(
             capsys, "verify-integrals", "--kmax", "3", "--tol", "1e-16"
         )
         assert code == 2
         assert not payload["result"]["pass"]
+        assert not any(row["pass"] for row in payload["result"]["identities"])
 
 
 class TestSimulateCommand:
