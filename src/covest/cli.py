@@ -9,10 +9,10 @@ result by the one rule of `_csv_table`.  Exit codes: 0 success/pass,
 """
 
 import argparse
-import csv
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .phase import (
-    _sine_error, asymptotic_error, bdm_input, min_covariant_error, optimal_input,
+    _bdm_error, _sine_error, asymptotic_error, bdm_input, min_covariant_error, optimal_input,
 )
 from .simulate import SimConfig, simulate
 from .su2_design import (
@@ -55,10 +55,10 @@ MAX_SIMULATE_N = 100_000
 # the fixed grid, so neither its time nor its memory grows with the trial
 # count: no resource bounds it, and the limit stays as the CLI's contract.
 MAX_TRIALS = 20_000_000
-# scaling takes each row's optimal errors from their closed forms, O(1), and
-# the sine-profile error from its n+1 amplitudes, O(n), so O(max_n^2) cheap
-# numpy work in all: time, not memory, sets the limit.
-MAX_SCALING_N = 10_000
+# scaling takes every error of a row from its closed form, O(1), so its time
+# and memory are linear in max_n.  The list of rows, six Python numbers in a
+# dict each, sets the limit: about 74 MB at 10^5 and 120 MB at 2 * 10^5.
+MAX_SCALING_N = 100_000
 # verify-integrals builds three kernel matrices at O(kmax) nodes, each one
 # product of a real sine or cosine table with itself: O(kmax^2) sines and
 # cosines and O(kmax^3) multiply-adds, so time, cubic in kmax, sets the limit.
@@ -107,8 +107,29 @@ def _cells(prefix, obj):
             yield prefix + key, json.dumps(value) if isinstance(value, list) else value
 
 
-def _csv_table(result):
-    """The CSV header and rows of a JSON result, by one rule.
+# A CSV cell is quoted when it holds a delimiter, a quote or a line break,
+# which is csv.writer's QUOTE_MINIMAL under the default dialect.
+_QUOTED = re.compile('[,"\r\n]').search
+# Cells of these types are their str, which never needs quoting or is empty.
+_NUMBERS = {int, float, bool}
+# A CSV table is written a chunk of rows at a time, each chunk one %-format of
+# the row template repeated: about _CSV_TEXT characters of template, so that
+# the writer's memory does not grow with the table, and one row at least.
+_CSV_TEXT = 2**16
+
+
+def _cell_text(cell, alone):
+    """A cell as csv.writer writes it: empty for null, str of any other value,
+    quoted with its quotes doubled where _QUOTED finds a character, and an
+    empty cell alone in its row quoted as "" so that the row is not blank."""
+    text = "" if cell is None else str(cell)
+    if _QUOTED(text) or alone and not text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_table(fh, result):
+    """Write the CSV header and rows of a JSON result into fh, by one rule.
 
     - Rows: the result's one list field gives the rows; a result without
       one gives one row.
@@ -120,22 +141,38 @@ def _csv_table(result):
     - Nested lists: a list inside an object, such as
       feasibility.usable_dims, is one cell holding its JSON text.
     - Cell values: null is an empty cell; numbers, strings and booleans are
-      written by csv.writer, so floats as their repr and True/False.
+      their str, so floats as their repr and True/False.  Quoting and the
+      \r\n row ends are csv.writer's defaults (_cell_text).
+
+    Every item of the list has the keys of the first, as the schema requires.
+    The repeated cells are text of one row template and the row's own cells
+    its %s fields, so a chunk of rows is one %-format.
     """
     keys = list(result)
     listed = next((k for k in keys if isinstance(result[k], list)), None)
     cut = keys.index(listed) if listed else len(keys)
-    # the repeated cells, {name: text}, formatted once per table as csv.writer would
-    head, tail = ({name: "" if cell is None else str(cell)
-                   for name, cell in _cells("", {k: result[k] for k in part})}
+    head, tail = (dict(_cells("", {k: result[k] for k in part}))
                   for part in (keys[:cut], keys[cut + 1:]))
     items = result[listed] if listed else [{}]
-    if isinstance(items[0], dict):
-        names = [name for name, _ in _cells(f"{listed}.", items[0])]
-        body = ([cell for _, cell in _cells("", item)] for item in items)
-    else:
-        names, body = ("index", listed), ([i, item] for i, item in enumerate(items))
-    return [*head, *names, *tail], ([*head.values(), *cells, *tail.values()] for cells in body)
+    flat = isinstance(items[0], dict)
+    names = [name for name, _ in _cells(f"{listed}.", items[0])] if flat else ["index", listed]
+    header = [*head, *names, *tail]
+    alone = len(header) == 1
+    fh.write(",".join(_cell_text(name, alone) for name in header) + "\r\n")
+    head, tail = ([_cell_text(cell, alone).replace("%", "%%") for cell in part.values()]
+                  for part in (head, tail))
+    row = ",".join([*head, *["%s"] * len(names), *tail]) + "\r\n"
+    size = max(1, _CSV_TEXT // len(row))
+    for start in range(0, len(items), size):
+        chunk = items[start:start + size]
+        if flat:
+            cells = [cell for item in chunk for _, cell in _cells("", item)]
+        else:
+            cells = [None] * (2 * len(chunk))
+            cells[::2], cells[1::2] = range(start, start + len(chunk)), chunk
+        if not _NUMBERS.issuperset(map(type, cells)):
+            cells = [_cell_text(cell, alone) for cell in cells]
+        fh.write(row * len(chunk) % tuple(cells))
 
 
 # A JSON list is written _CHUNK items at a time, so that the writer's memory
@@ -184,17 +221,14 @@ def _json(fh, value, pad="\n"):
 
 
 def _write(fh, manifest, result, fmt):
-    """Write the run once, straight into fh: JSON a chunk at a time, or CSV row by row."""
+    """Write the run once, straight into fh, JSON or CSV a chunk at a time."""
     if fmt == "json":
         _json(fh, {"manifest": manifest, "result": result})
         return
     for key in ("command", "seed", "version", "timestamp"):
         fh.write(f"# {key}={manifest[key]}\n")
     fh.write(f"# parameters={json.dumps(manifest['parameters'], sort_keys=True)}\n")
-    header, rows = _csv_table(result)
-    writer = csv.writer(fh)
-    writer.writerow(header)
-    writer.writerows(rows)
+    _csv_table(fh, result)
 
 
 def _emit(manifest, result, fmt, output):
@@ -207,7 +241,8 @@ def _emit(manifest, result, fmt, output):
     # relative to $COVEST_OUTPUT_DIR if set; join keeps an absolute path as it is
     path = os.path.join(os.environ.get(OUTPUT_DIR_ENV, ""), output)
     try:
-        with open(path, "w") as fh:
+        # newline="" writes the CSV rows' \r\n ends unchanged, as the csv docs ask
+        with open(path, "w", newline="") as fh:
             _write(fh, manifest, result, fmt)
     except OSError as exc:
         raise _UsageError(f"cannot write {path}: {exc.strerror}") from exc
@@ -328,7 +363,7 @@ def cmd_scaling(args):
     # the optima's largest dimensions: 2n+2 for phase, n+1 for an external SU(2) reference
     rows = [
         {"n": n, "phase_exact": _sine_error(2 * n + 2),
-         "phase_bdm": min_covariant_error(bdm_input(n)), "phase_asymptote": asymptotic_error(n),
+         "phase_bdm": _bdm_error(n), "phase_asymptote": asymptotic_error(n),
          "su2_error": _sine_error(n + 1), "su2_asymptote": asymptotic_error_su2(n)}
         for n in range(args.step, args.max_n + 1, args.step)
     ]

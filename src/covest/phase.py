@@ -145,6 +145,17 @@ def bdm_input(n):
     return PhaseInputState(amps)
 
 
+def _bdm_error(n):
+    """n sin^2(pi/(2(n+1)))/(n+1), the min_covariant_error of bdm_input(n), in O(1).
+
+    With h = pi/(n+1) and s = sin(h/2), the two end amplitudes square to
+    (2/(n+1)) s^2 each, and a_{k+1} - a_k = 2 sqrt(2/(n+1)) s cos((k+1)h),
+    whose squares sum over k < n to (4/(n+1)) s^2 (n-1), because the cos^2
+    of j h sum to (n-1)/2 over j = 1..n.
+    """
+    return n * math.sin(math.pi / (2 * n + 2)) ** 2 / (n + 1)
+
+
 def asymptotic_error(n):
     """Large-n error scale pi^2 / (4 n^2)."""
     if as_index(n, "n") < 1:

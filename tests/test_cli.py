@@ -408,7 +408,8 @@ class TestPinnedSimulateBits:
 # as the sha256 of json.dumps(result, sort_keys=True): any drift in a printed
 # digit fails here.  The su2-design hashes are of the results printed before
 # the constant seed_matrix field was removed, with that field deleted; the
-# phase-opt and scaling ones are of the cancellation-free error forms.
+# phase-opt and scaling ones are of the cancellation-free error forms, and
+# scaling's phase_bdm column is the O(1) closed form phase._bdm_error.
 PINNED_RESULTS = {
     ('phase-opt', '--n', '0'):
         "e20b1da288f29967f24688ebb81f32853706ee4bcd2e205f14fe05001538848b",
@@ -463,7 +464,7 @@ PINNED_RESULTS = {
     ('su2-design', '--n', '1', '--mode', 'external'):
         "5d0034e1fe12f7aca4a19454aac4d5ecfd48802d543abc8ff4e7af3bd8c810e0",
     ('scaling', '--max-n', '100'):
-        "f61601d1b355a670a5c18c6415bf7496ecba92118f4c2338816425a208036549",
+        "1b006b8ce1a2175e140842d4da9d132b19da79a8a34f13ecd020cf46d9c0a97e",
 }
 
 # CSV bodies (the lines after the # manifest comments) of one run per command.
@@ -495,9 +496,9 @@ PINNED_CSV = {
     ('scaling', '--max-n', '4'): (
         'rows.n,rows.phase_exact,rows.phase_bdm,rows.phase_asymptote,rows.su2_error,'
         'rows.su2_asymptote\r\n'
-        '1,0.24999999999999994,0.25,2.4674011002723395,0.4999999999999999,9.869604401089358\r\n'
-        '2,0.14644660940672624,0.16666666666666669,0.6168502750680849,0.3454915028125263,2.4674011002723395\r\n'
-        '3,0.09549150281252627,0.10983495705504469,0.27415567780803773,0.24999999999999994,1.096622711232151\r\n'
+        '1,0.24999999999999994,0.24999999999999994,2.4674011002723395,0.4999999999999999,9.869604401089358\r\n'
+        '2,0.14644660940672624,0.16666666666666663,0.6168502750680849,0.3454915028125263,2.4674011002723395\r\n'
+        '3,0.09549150281252627,0.10983495705504467,0.27415567780803773,0.24999999999999994,1.096622711232151\r\n'
         '4,0.06698729810778066,0.07639320225002103,0.15421256876702122,0.18825509907063323,0.6168502750680849\r\n'
     ),
 }
@@ -541,9 +542,11 @@ class TestScaling:
         proc = assert_usage_error("scaling", "--max-n", "4", "--step", step)
         assert "step must be between 1 and max-n" in proc.stderr
 
-    @pytest.mark.parametrize("max_n, step", [(300, 1), (MAX_SCALING_N, 997)])
+    @pytest.mark.parametrize("max_n, step", [(300, 1), (10_000, 997), (MAX_SCALING_N, 9973)])
     def test_rows_equal_the_designs(self, capsys, max_n, step):
-        """Each row's errors are those of the designs themselves, bit for bit."""
+        """Each row's errors are those of the designs themselves: the optima's
+        bit for bit, and the sine profile's O(1) closed form within 1e-15
+        relative of the error of its n+1 amplitudes."""
         code, payload = run_json(capsys, "scaling", "--max-n", str(max_n), "--step", str(step))
         rows = payload["result"]["rows"]
         assert code == 0
@@ -552,7 +555,8 @@ class TestScaling:
             n = row["n"]
             assert row["phase_exact"] == optimal_input(n).error
             assert row["su2_error"] == design_optimal(n).error
-            assert row["phase_bdm"] == min_covariant_error(bdm_input(n))
+            assert row["phase_bdm"] == pytest.approx(min_covariant_error(bdm_input(n)),
+                                                     rel=1e-15, abs=0)
 
     def test_builds_no_design(self, capsys, monkeypatch):
         """The rows come from closed forms, not from an O(n) design per row."""
@@ -566,6 +570,21 @@ class TestScaling:
         assert built == []
         optimal_input(3), design_optimal(3)
         assert len(built) == 2
+
+    def test_output_and_peak_grow_linearly(self, tmp_path):
+        """Every row is O(1): twice the rows, at most 2.2 times the bytes and memory."""
+        sizes, peaks = [], []
+        for max_n in (MAX_SCALING_N // 2, MAX_SCALING_N):
+            path = tmp_path / f"scaling-{max_n}.json"
+            tracemalloc.start()
+            try:
+                assert main(["scaling", "--max-n", str(max_n), "--output", str(path)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            sizes.append(path.stat().st_size)
+        assert sizes[1] / sizes[0] <= 2.2
+        assert peaks[1] / peaks[0] <= 2.2
 
     def test_large_n_ratios(self, capsys):
         code, payload = run_json(
@@ -824,6 +843,107 @@ class TestJsonWriter:
         fh = io.StringIO()
         cli._write(fh, manifest, result, "json")
         assert fh.getvalue() == json.dumps({"manifest": manifest, "result": result}, indent=2)
+
+
+def _oracle_cells(prefix, obj):
+    """(dotted path, cell) for every value of the JSON object obj, in key order."""
+    for key, value in obj.items():
+        if isinstance(value, dict):
+            yield from _oracle_cells(f"{prefix}{key}.", value)
+        else:
+            yield prefix + key, json.dumps(value) if isinstance(value, list) else value
+
+
+def csv_oracle(result):
+    """The CSV table of a JSON result by the rule of covest.cli._csv_table,
+    its rows built as lists and written by csv.writer."""
+    keys = list(result)
+    listed = next((k for k in keys if isinstance(result[k], list)), None)
+    cut = keys.index(listed) if listed else len(keys)
+    head, tail = ({name: "" if cell is None else str(cell)
+                   for name, cell in _oracle_cells("", {k: result[k] for k in part})}
+                  for part in (keys[:cut], keys[cut + 1:]))
+    items = result[listed] if listed else [{}]
+    if isinstance(items[0], dict):
+        names = [name for name, _ in _oracle_cells(f"{listed}.", items[0])]
+        body = ([cell for _, cell in _oracle_cells("", item)] for item in items)
+    else:
+        names, body = ("index", listed), ([i, item] for i, item in enumerate(items))
+    fh = io.StringIO()
+    writer = csv.writer(fh)
+    writer.writerow([*head, *names, *tail])
+    writer.writerows([*head.values(), *cells, *tail.values()] for cells in body)
+    return fh.getvalue()
+
+
+def written_csv(result):
+    fh = io.StringIO()
+    cli._csv_table(fh, result)
+    return fh.getvalue()
+
+
+# Cell values of every kind a CSV table meets: strings that csv quotes (a
+# delimiter, a quote, a line break) or leaves alone (leading spaces, "%"),
+# the empty string, big ints, -0.0, subnormal and non-finite floats, bools
+# and null.
+_csv_text = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "%", "s", "é", "."]),
+                    max_size=5)
+_csv_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=2**64, max_value=2**200),
+    st.floats(), st.sampled_from([-0.0, 5e-324, 1e-310, math.inf, math.nan]), _csv_text,
+)
+# a value inside an object: a list there is one cell of JSON text
+_csv_inner = st.one_of(_csv_scalars, st.lists(_csv_scalars, max_size=3))
+_csv_fixed = st.dictionaries(_csv_text, st.one_of(
+    _csv_scalars, st.dictionaries(_csv_text, st.one_of(
+        _csv_inner, st.dictionaries(_csv_text, _csv_inner, max_size=2)), max_size=3)), max_size=3)
+
+
+@st.composite
+def _csv_results(draw):
+    """Flat values and nested objects around at most one list field, which
+    holds scalars or flat objects that share one key set."""
+    result = draw(_csv_fixed)
+    if draw(st.booleans()):
+        if draw(st.booleans()):
+            items = draw(st.lists(_csv_scalars, min_size=1, max_size=8))
+        else:
+            keys = draw(st.lists(_csv_text, unique=True, max_size=3))
+            items = [{key: draw(_csv_inner) for key in keys}
+                     for _ in range(draw(st.integers(1, 8)))]
+        result[draw(_csv_text.filter(lambda key: key not in result))] = items
+    for key, value in draw(_csv_fixed).items():
+        result.setdefault(key, value)
+    return result
+
+
+class TestCsvWriter:
+    """The template writer gives the bytes that csv.writer gives for the same rows."""
+
+    # 1 writes a row per chunk and 64 a few; 2**16 is the writer's own
+    @pytest.mark.parametrize("text", [1, 64, cli._CSV_TEXT])
+    @given(result=_csv_results())
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_same_bytes_as_csv_writer(self, text, result):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_CSV_TEXT", text)
+            assert written_csv(result) == csv_oracle(result)
+
+    @pytest.mark.parametrize("result", [
+        {}, {"a": ""}, {"": None}, {"a": None, "b": ""}, {"rows": [{}]}, {"rows": [{}, {}]},
+        {"rows": [{"x": None}, {"x": ""}, {"x": 0}]}, {"a": [None, ""]}, {"a": [[]]},
+        {"%s": "%", "rows": [{"%": "%s"}], "t": "%%"}, {"a": {"b": []}, "c": [{"d": [1, "e"]}]},
+        {"a": " x", "b": "\r", "c": "\n", "d": '"', "e": "a,b", "f": 10**100, "g": -0.0},
+    ], ids=repr)
+    def test_edge_shapes(self, result):
+        assert written_csv(result) == csv_oracle(result)
+
+    @pytest.mark.parametrize("argv", list(_writer_runs()), ids=" ".join)
+    def test_command_run(self, argv):
+        args = _build_parser().parse_args(argv)
+        result, _ = args.func(args)
+        assert written_csv(result) == csv_oracle(result)
 
 
 # The CSV header of each command, as the rule of covest.cli._csv_table

@@ -203,6 +203,11 @@ class TestDigitsAgainstMpmath:
         """n sin^2(pi/(2(n+1)))/(n+1), the sine profile's closed form."""
         assert_digits(min_covariant_error(bdm_input(n)), n * exact_sin2(2 * (n + 1)) / (n + 1))
 
+    @pytest.mark.parametrize("n", ORACLE_SIZES[1:])
+    def test_bdm_closed_form(self, n):
+        """The O(1) form that scaling rows read, without the amplitudes."""
+        assert_digits(covest.phase._bdm_error(n), n * exact_sin2(2 * (n + 1)) / (n + 1))
+
 
 class TestBdmInput:
     def test_two_levels(self):

@@ -35,10 +35,11 @@ def argument_lists():
     lists += [["verify-integrals", "--kmax", str(k)] for k in (1, 30, 60, 100)]
     # every identity fails: exit 2, pass false in every row
     lists.append(["verify-integrals", "--kmax", "3", "--tol", "1e-16"])
-    # the least max-n, a one-row table, and the limit
+    # the least max-n, a one-row table, and the limit (MAX_SCALING_N, 10^5)
     lists += [["scaling", "--max-n", "2"], ["scaling", "--max-n", "50", "--step", "50"],
               ["scaling", "--max-n", "100"], ["scaling", "--max-n", "300", "--step", "7"],
-              ["scaling", "--max-n", "10000"], ["scaling", "--max-n", "10000", "--step", "997"]]
+              ["scaling", "--max-n", "10000"], ["scaling", "--max-n", "10000", "--step", "997"],
+              ["scaling", "--max-n", "100000"]]
     lists += [
         ["simulate", "--protocol", "phase", "--n", "1000", "--trials", "1000000",
          "--seed", "20040725"],
@@ -63,7 +64,7 @@ def argument_lists():
         ["su2-design", "--n", "3", "--mode", "other"],
         ["verify-integrals", "--kmax", "0"], ["verify-integrals", "--kmax", "101"],
         ["verify-integrals", "--tol", "nan"], ["scaling", "--max-n", "0"],
-        ["scaling", "--max-n", "10001"], ["scaling", "--max-n", "10", "--step", "0"],
+        ["scaling", "--max-n", "100001"], ["scaling", "--max-n", "10", "--step", "0"],
         ["scaling", "--max-n", "4", "--step", "10"],
         ["simulate", "--protocol", "su2", "--n", "0"],
         ["simulate", "--protocol", "phase", "--n", "2", "--trials", "1"],
