@@ -5,6 +5,7 @@ import sys
 import threading
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -73,8 +74,12 @@ def su2_element(a, b):
 
 
 def degenerate_elements():
-    """±I, b = 0, a = 0, and |b| or |a| = 1e-10, with generic phases."""
-    tiny, near_one = 1e-10, math.sqrt(1.0 - 1e-20)
+    """±I, b = 0, a = 0, |b| or |a| = 1e-10 and 5e-324 with generic phases, and signed zeros.
+
+    At 5e-324 an entry's parts round to the same subnormal, so its phase is a
+    multiple of pi/4 and its modulus rounds down by a third.
+    """
+    tiny, near_one, subnormal = 1e-10, math.sqrt(1.0 - 1e-20), 5e-324
     return np.stack([
         np.eye(2, dtype=complex),
         -np.eye(2, dtype=complex),
@@ -86,6 +91,10 @@ def degenerate_elements():
         su2_element(near_one * np.exp(-2.9j), tiny * np.exp(0.4j)),
         su2_element(tiny * np.exp(0.3j), near_one * np.exp(1.1j)),
         su2_element(tiny * np.exp(-1.7j), near_one * np.exp(2.6j)),
+        su2_element(np.exp(0.7j), subnormal * np.exp(2.4j)),
+        su2_element(subnormal * np.exp(-0.9j), np.exp(1.3j)),
+        su2_element(complex(-0.0, -0.0), np.exp(1.1j)),
+        su2_element(-1.0, complex(-0.0, -0.0)),
     ]).astype(complex)
 
 
@@ -183,6 +192,21 @@ class TestCharacter:
         expected = math.sin(j * theta / 2.0) / math.sin(theta / 2.0)
         assert character(j, theta) == pytest.approx(expected, abs=1e-9)
 
+    @pytest.mark.parametrize("j", [25, 101, 201])
+    def test_matches_mpmath_sum(self, j, rng):
+        """Within 1e-12 of the 40-digit sum, ends of [0, 2*pi] included.
+
+        The running product drifts by about j^2 roundoffs; a three-term
+        recurrence in cos(theta) drifts by far more near 0 and 2*pi.
+        """
+        theta = np.concatenate([rng.uniform(0, 2 * math.pi, 300),
+                                [0.0, 1e-9, math.pi, 2 * math.pi - 1e-9, 2 * math.pi]])
+        with mpmath.workdps(40):
+            half = mpmath.mpf(j + 1) / 2
+            exact = [float(mpmath.fsum(mpmath.cos((l - half) * mpmath.mpf(t))
+                                       for l in range(1, j + 1))) for t in theta]
+        assert np.abs(character(j, theta) - exact).max() <= 1e-12
+
     def test_vectorized(self):
         theta = np.linspace(0, 2 * math.pi, 7)
         vals = character(3, theta)
@@ -218,9 +242,18 @@ class TestIrrepMatrix:
 
     @pytest.mark.parametrize("j", [*range(1, 7), 12, 25, 50])
     def test_homomorphism(self, j, rng):
-        g, h = haar_matrices(rng, 20), haar_matrices(rng, 20)
+        g = np.concatenate([haar_matrices(rng, 20), degenerate_elements()])
+        h = haar_matrices(rng, g.shape[0])
         prod = irrep_matrix_batch(j, g) @ irrep_matrix_batch(j, h)
         assert np.abs(prod - irrep_matrix_batch(j, g @ h)).max() < 1e-10
+
+    @pytest.mark.parametrize("j", [3, 4, 25, 50])
+    def test_flipped_weights_on_degenerate_elements(self, j):
+        """D_{j-1-k, j-1-l} = (-1)^(k-l) conj(D_kl), as in test_properties."""
+        d = irrep_matrix_batch(j, degenerate_elements())
+        k = np.arange(j)
+        sign = np.where((k[:, None] - k[None, :]) % 2, -1.0, 1.0)
+        assert np.abs(d[:, ::-1, ::-1] - sign * d.conj()).max() <= 1e-12 * j
 
     @pytest.mark.parametrize("j", range(1, 9))
     def test_trace_is_character(self, j, rng):
@@ -284,6 +317,14 @@ class TestIrrepMatrix:
         assert irrep_matrix_batch(3, m).shape == (5, 3, 3)
         assert irrep_matrix_batch(3, np.empty((0, 2, 2))).shape == (0, 3, 3)
 
+    @pytest.mark.parametrize("scale", [1.0 + 4.5e-13, 1.0 - 4.5e-13])
+    def test_roundoff_in_norm_keeps_unitarity(self, scale, rng):
+        """A first row within _SU2_TOL of unit norm still gives a unitary
+        irrep: its norm does not grow with the power j - 1."""
+        m = np.concatenate([haar_matrices(rng, 20), degenerate_elements()]) * scale
+        v = irrep_matrix_batch(50, m)
+        assert np.abs(v @ dagger(v) - np.eye(50)).max() < 1e-12
+
 
 class TestIrrepStructure:
     """irrep_matrix_batch makes no per-element decomposition and no large
@@ -303,6 +344,26 @@ class TestIrrepStructure:
                 monkeypatch.setattr(module, name, forbidden)
         for j, v in first.items():
             assert np.array_equal(irrep_matrix_batch(j, m), v)
+
+    def test_no_trigonometry(self, rng, monkeypatch):
+        """Irreps evaluate no trigonometric or exponential function, and a
+        character at most four per angle, whatever j."""
+        m = np.concatenate([haar_matrices(rng, 50), degenerate_elements()])
+        theta = class_angles(m)
+        first = {j: irrep_matrix_batch(j, m) for j in (3, 4, 25)}
+        evaluated = []
+        for name in ("sin", "cos", "exp", "arctan2", "angle"):
+            def counted(x, *args, _f=getattr(np, name), **kwargs):
+                evaluated.append(np.size(x))
+                return _f(x, *args, **kwargs)
+            monkeypatch.setattr(np, name, counted)
+        for j, v in first.items():
+            assert np.array_equal(irrep_matrix_batch(j, m), v)
+        assert evaluated == []
+        for j in (1, 2, 3, 4, 25, 201):
+            character(j, theta)
+            assert sum(evaluated) <= 4 * theta.size, j
+            evaluated.clear()
 
     def test_import_leaves_cache_empty(self):
         src = os.path.dirname(os.path.dirname(covest.__file__))
