@@ -90,16 +90,31 @@ def phase_error(x, seed):
     return 0.25 * float(p[0] + p[-1] + np.sum(links))
 
 
+def _unit(x, r):
+    """x/|x| from x and r = |x| by real divisions, and 1 where x = 0.
+
+    A complex division by a subnormal r overflows its reciprocal to inf and
+    NaN, so the parts are divided separately.  A subnormal x has so few
+    digits that r can miss |x| by a third: its quotient, still parallel to
+    x, is divided by its own modulus once more.
+    """
+    unit = np.ones(x.shape, dtype=complex)
+    nonzero = r > 0
+    np.divide(x.real, r, out=unit.real, where=nonzero)
+    np.divide(x.imag, r, out=unit.imag, where=nonzero)
+    small = r < np.finfo(float).tiny
+    unit[small] /= np.abs(unit[small])
+    return unit
+
+
 def optimal_seed(x):
-    """Rank-one seed t_{k,l} = conj(u_k) u_l, u_k = exp(i arg x_k): factor conj(u).
+    """Rank-one seed t_{k,l} = conj(u_k) u_l with u_k = x_k/|x_k| (_unit): factor conj(u).
 
     A zero x_k gets u_k = 1 (any unit choice there attains the same error),
     and real nonnegative amplitudes give u = 1 exactly, so every link t_k is 1.
     """
     xv = x.amplitudes
-    u = np.exp(1j * np.angle(xv))
-    u[xv == 0.0] = 1.0
-    return Seed(np.conj(u)[:, None])
+    return Seed(np.conj(_unit(xv, np.abs(xv)))[:, None])
 
 
 def min_covariant_error(x):

@@ -10,22 +10,21 @@ irrep_matrix_batch builds them in Euler form, u = e^{i alpha sigma_z/2}
 e^{i beta sigma_y/2} e^{i gamma sigma_z/2}, without forming an angle: with
 z = |a| + i|b| = e^{i beta/2} and the units a/|a|, b/|b| of u's first row
 (a, b), every J_z phase and every J_y coefficient is an integer power of
-them, built as a running product.  e^{i beta J_y} is a real combination of
-the J_y eigenprojectors, which are computed once per j on first use and
-cached.  The spectrum is symmetric, so each +-pair of projectors shares one
-cosine and one sine, and a batch of N elements costs one real
-(N x j) @ (j x j^2) product.  It is made over row blocks of about 2^14
-matrix entries, in one loop on the calling thread, each block multiplied by
-its J_z phases while it is in cache.  Memory is the N j^2 complex result,
-the O(N j) coefficient and phase tables, and one block.  Characters are the
-same kind of running product, over the class angle.
+them (the units by phase._unit), built as a running product.
+e^{i beta J_y} is a real combination of the J_y eigenprojectors, computed
+afresh for each batch.  The spectrum is symmetric, so each +-pair of
+projectors shares one cosine and one sine, and a batch of N elements costs
+one real (N x j) @ (j x j^2) product.  It is made over row blocks of about
+2^14 matrix entries, in one loop on the calling thread, each block
+multiplied by its J_z phases while it is in cache.  Memory is the N j^2
+complex result, the O(N j) coefficient and phase tables, and one block.
+Characters are the same kind of running product, over the class angle.
 """
-
-from functools import lru_cache
 
 import numpy as np
 
 from ._checks import as_index
+from .phase import _unit
 
 # matrix entries per row block of irrep_matrix_batch: a block's d(beta) and
 # result rows (0.4 MB) stay in one core's cache
@@ -89,12 +88,6 @@ def _cis(x):
     return out
 
 
-def _weights(j):
-    """Weights m_k = (j-1)/2 - k of the spin-(j-1)/2 irrep, k = 0..j-1."""
-    return 0.5 * (j - 1) - np.arange(j)
-
-
-@lru_cache(maxsize=None)
 def _jy_eigensystem(j):
     """The J_y eigenprojectors, paired for a real product, shape (j, j*j).
 
@@ -111,7 +104,7 @@ def _jy_eigensystem(j):
     lowest eigenvalues (_jy_coefficients).  Only the eigenvectors are read:
     the spectrum is known exactly.
     """
-    m = _weights(j)
+    m = 0.5 * (j - 1) - np.arange(j)  # the weights m_k
     # <m_k | J+ | m_{k+1}> on the superdiagonal
     jp = np.diag(np.sqrt(m[0] * (m[0] + 1) - m[1:] * (m[1:] + 1)), 1)
     v = np.linalg.eigh(-0.5j * (jp - jp.T))[1]
@@ -120,26 +113,7 @@ def _jy_eigensystem(j):
     mirror = proj[::-1][:pairs]  # P_{j-1-p}, of eigenvalue -lam_p
     cos_rows = proj[:half].real.copy()
     cos_rows[:pairs] += mirror.real
-    w = np.concatenate([cos_rows, mirror.imag - proj[:pairs].imag])
-    w.setflags(write=False)
-    return w
-
-
-def _unit(x, r):
-    """x/|x| from x and r = |x| by real divisions, and 1 where x = 0.
-
-    A complex division by a subnormal r overflows its reciprocal to inf and
-    NaN, so the parts are divided separately.  A subnormal x has so few
-    digits that r can miss |x| by a third: its quotient, still parallel to
-    x, is divided by its own modulus once more.
-    """
-    unit = np.ones(x.shape, dtype=complex)
-    nonzero = r > 0
-    np.divide(x.real, r, out=unit.real, where=nonzero)
-    np.divide(x.imag, r, out=unit.imag, where=nonzero)
-    small = r < np.finfo(float).tiny
-    unit[small] /= np.abs(unit[small])
-    return unit
+    return np.concatenate([cos_rows, mirror.imag - proj[:pairs].imag])
 
 
 def _jy_coefficients(z, j):
@@ -198,9 +172,9 @@ def irrep_matrix_batch(j, matrices):
     (_unit), built as running products in (j, n) tables (_jy_coefficients,
     _phases), so |a|, |b| and |z| are the only per-element calls beyond
     arithmetic.  d(beta) is one real (rows x j) @ (j x j^2) product with the
-    paired J_y projectors of _jy_eigensystem, cached per j, made in row
-    blocks of about _BLOCK_ENTRIES entries, one after another on the calling
-    thread.  Each block is multiplied by its left phases into the result and
+    paired J_y projectors of _jy_eigensystem, built for this call, made in
+    row blocks of about _BLOCK_ENTRIES entries, one after another on the
+    calling thread.  Each block is multiplied by its left phases into the result and
     by its right phases in place while it is in cache, so the work memory
     beside the complex result is the O(n j) tables plus one block.
 

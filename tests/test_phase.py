@@ -11,6 +11,7 @@ from covest import (
     Seed,
     asymptotic_error,
     bdm_input,
+    design_optimal,
     min_covariant_error,
     optimal_input,
     optimal_seed,
@@ -105,11 +106,12 @@ class TestOptimalSeed:
 
     def test_real_nonnegative_amplitudes_give_exactly_one(self):
         tiny = np.finfo(float).tiny
-        x = PhaseInputState([1.0, 1e-310, 5e-324, tiny, 0.0, -0.0])
-        assert np.array_equal(optimal_seed(x).factor, np.ones((6, 1)))
+        x = PhaseInputState([1.0, 1e-310, 5e-324, tiny, 0.0, -0.0, complex(-0.0, -0.0)])
+        assert np.array_equal(optimal_seed(x).factor, np.ones((7, 1)))
 
     @pytest.mark.parametrize("amplitude, phase", [
         (1e-310, 1.0), (-1e-310, -1.0), (1e-310j, 1j), (-3e-320 + 3e-320j, (-1 + 1j) / math.sqrt(2)),
+        (-5e-324, -1.0), (5e-324j, 1j), (complex(-5e-324, 5e-324), (-1 + 1j) / math.sqrt(2)),
     ])
     def test_subnormal_amplitudes(self, amplitude, phase):
         """A subnormal amplitude's seed entry still carries its phase."""
@@ -118,6 +120,32 @@ class TestOptimalSeed:
         assert factor[0, 0] == 1.0
         assert factor[1, 0] == pytest.approx(np.conj(phase), abs=1e-15)
         assert phase_error(x, optimal_seed(x)) == pytest.approx(min_covariant_error(x), abs=1e-15)
+
+    def test_no_trigonometry(self, rng, monkeypatch):
+        """The unit phases are divisions: no exponential, angle or sine is evaluated."""
+        inputs = [random_input_state(rng, 7), optimal_input(50).input,
+                  PhaseInputState([5e-324, complex(-0.0, -0.0), 0.0, 1j, -1e-310 + 1e-310j])]
+        first = [optimal_seed(x).factor for x in inputs]
+        evaluated = []
+        for name in ("exp", "angle", "arctan2", "sin", "cos"):
+            def counted(x, *args, _f=getattr(np, name), **kwargs):
+                evaluated.append(name)
+                return _f(x, *args, **kwargs)
+            monkeypatch.setattr(np, name, counted)
+        for x, factor in zip(inputs, first):
+            assert np.array_equal(optimal_seed(x).factor, factor)
+        assert evaluated == []
+
+    def test_every_cli_design_gives_exactly_one(self):
+        """Each design the commands build has real nonnegative amplitudes, so
+        its seed factor is exactly 1 and no output byte depends on the rule."""
+        inputs = [optimal_input(n).input for n in [*range(51), 2000, 10**4]]
+        inputs += [bdm_input(n) for n in range(1, 51)]
+        for mode in ("external", "self-entangled"):
+            inputs += [design_optimal(n, mode).input for n in [*range(2, 51), 2000]]
+        inputs.append(design_optimal(1).input)
+        for x in inputs:
+            assert np.array_equal(optimal_seed(x).factor, np.ones((x.dim, 1))), x.dim
 
 
 class TestMinCovariantError:

@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 import threading
 import tracemalloc
 
@@ -11,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.stats import kstest
 
-import covest
 from covest import su2, su2_design
 from covest import (
     character,
@@ -327,23 +323,8 @@ class TestIrrepMatrix:
 
 
 class TestIrrepStructure:
-    """irrep_matrix_batch makes no per-element decomposition and no large
-    temporaries, and its per-j cache fills only on use."""
-
-    def test_no_decomposition_once_cache_is_warm(self, rng, monkeypatch):
-        m = np.concatenate([haar_matrices(rng, 50), degenerate_elements()])
-        first = {j: irrep_matrix_batch(j, m) for j in (3, 4, 12, 25)}
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("decomposition on a warm cache")
-
-        scipy_linalg = pytest.importorskip("scipy.linalg")
-        for module, names in ((np.linalg, ("eig", "eigh", "eigvals", "eigvalsh", "svd")),
-                              (scipy_linalg, ("expm", "eig", "eigh", "schur"))):
-            for name in names:
-                monkeypatch.setattr(module, name, forbidden)
-        for j, v in first.items():
-            assert np.array_equal(irrep_matrix_batch(j, m), v)
+    """irrep_matrix_batch evaluates no trigonometric function, makes no large
+    temporaries and starts no thread; a character evaluates few."""
 
     def test_no_trigonometry(self, rng, monkeypatch):
         """Irreps evaluate no trigonometric or exponential function, and a
@@ -365,18 +346,8 @@ class TestIrrepStructure:
             assert sum(evaluated) <= 4 * theta.size, j
             evaluated.clear()
 
-    def test_import_leaves_cache_empty(self):
-        src = os.path.dirname(os.path.dirname(covest.__file__))
-        probe = ("import covest, covest.cli; from covest import su2; "
-                 "print(su2._jy_eigensystem.cache_info().currsize)")
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-c", probe], env=env,
-                             capture_output=True, text=True, check=True).stdout
-        assert out.strip() == "0"
-
     def test_peak_memory_bounded(self, rng):
         m = haar_matrices(rng, 2000)
-        irrep_matrix_batch(25, m[:1])  # warm the per-j cache
         tracemalloc.start()
         try:
             v = irrep_matrix_batch(25, m)
@@ -398,7 +369,6 @@ class TestIrrepStructure:
 
     def test_work_memory_flat_in_batch_size(self, rng):
         """Beside the result, memory grows by far less than the result does."""
-        irrep_matrix_batch(25, haar_matrices(rng, 1))  # warm the per-j cache
         excess, result = [], []
         for n in (2000, 4000):
             m = haar_matrices(rng, n)
@@ -414,9 +384,7 @@ class TestIrrepStructure:
 
 
 class TestIrrepWorkers:
-    """The row blocks were once shared among worker threads, each taking a
-    run of them.  The batch is now built on the calling thread, and a row's
-    bits still do not depend on how the batch is cut into runs of blocks."""
+    """A row's bits do not depend on how the batch is cut into runs of blocks."""
 
     # 7 rows a block: 16 blocks with a short last one, 2 blocks, and one block
     @pytest.mark.parametrize("n", [110, 14, 5])
